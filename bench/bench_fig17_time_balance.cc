@@ -31,10 +31,11 @@ int main(int argc, char** argv) {
             ProfileWithCache(ctx, id, bundle.graph, bundle.split, pid, k, 3,
                              ctx.global_batch_size),
             "profile");
-        trace::TraceRecorder rec;
-        DistDglEpochReport r = SimulateDistDglEpoch(profile, config, cluster,
-                                                    bench::MaybeRecorder(&rec));
-        bench::MaybeWriteTrace(rec, DatasetCode(id) + "_" +
+        obs::EventLog events;
+        DistDglEpochReport r =
+            SimulateDistDglEpoch(profile, config, cluster, nullptr, nullptr,
+                                 bench::MaybeEvents(&events));
+        bench::MaybeWriteTrace(events, DatasetCode(id) + "_" +
                                         MakeVertexPartitioner(pid)->name() +
                                         "_k" + std::to_string(k));
         row.push_back(bench::F(r.time_balance, 3));

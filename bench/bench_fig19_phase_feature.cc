@@ -34,10 +34,11 @@ int main(int argc, char** argv) {
         config.feature_size = feat;
         config.hidden_dim = 64;
         config.num_classes = 16;
-        trace::TraceRecorder rec;
-        DistDglEpochReport r = SimulateDistDglEpoch(profile, config, cluster,
-                                                    bench::MaybeRecorder(&rec));
-        bench::MaybeWriteTrace(rec, DatasetCode(id) + "_" +
+        obs::EventLog events;
+        DistDglEpochReport r =
+            SimulateDistDglEpoch(profile, config, cluster, nullptr, nullptr,
+                                 bench::MaybeEvents(&events));
+        bench::MaybeWriteTrace(events, DatasetCode(id) + "_" +
                                         MakeVertexPartitioner(pid)->name() +
                                         "_f" + std::to_string(feat));
         table.AddRow(bench::PhaseRow(MakeVertexPartitioner(pid)->name() +

@@ -32,10 +32,11 @@ int main(int argc, char** argv) {
       config.feature_size = 64;
       config.hidden_dim = 64;
       config.num_classes = 16;
-      trace::TraceRecorder rec;
-      DistDglEpochReport r = SimulateDistDglEpoch(profile, config, cluster,
-                                                  bench::MaybeRecorder(&rec));
-      bench::MaybeWriteTrace(rec, MakeVertexPartitioner(pid)->name() + "_L" +
+      obs::EventLog events;
+      DistDglEpochReport r =
+          SimulateDistDglEpoch(profile, config, cluster, nullptr, nullptr,
+                               bench::MaybeEvents(&events));
+      bench::MaybeWriteTrace(events, MakeVertexPartitioner(pid)->name() + "_L" +
                                       std::to_string(layers));
       table.AddRow(bench::PhaseRow(MakeVertexPartitioner(pid)->name() + "/L" +
                                        std::to_string(layers),

@@ -32,10 +32,11 @@ int main(int argc, char** argv) {
       config.feature_size = 64;
       config.hidden_dim = hidden;
       config.num_classes = 16;
-      trace::TraceRecorder rec;
-      DistDglEpochReport r = SimulateDistDglEpoch(profile, config, cluster,
-                                                  bench::MaybeRecorder(&rec));
-      bench::MaybeWriteTrace(rec, MakeVertexPartitioner(pid)->name() + "_h" +
+      obs::EventLog events;
+      DistDglEpochReport r =
+          SimulateDistDglEpoch(profile, config, cluster, nullptr, nullptr,
+                               bench::MaybeEvents(&events));
+      bench::MaybeWriteTrace(events, MakeVertexPartitioner(pid)->name() + "_h" +
                                       std::to_string(hidden));
       table.AddRow(bench::PhaseRow(MakeVertexPartitioner(pid)->name() + "/h" +
                                        std::to_string(hidden),

@@ -40,12 +40,13 @@ std::vector<Topo> TopologyGrid(const ClusterSpec& cluster) {
   return {full, fat, ring};
 }
 
-/// Replays a recorded epoch under pipelining and folds the result into the
+/// Replays a logged epoch under pipelining and folds the result into the
 /// obs manifest; the trace/overlap invariants are validated on every cell.
 Cell Analyze(const net::Fabric& fabric, const net::LinkUsage& usage,
-             const trace::TraceRecorder& rec) {
-  net::OverlapReport overlap = net::ComputeOverlap(rec);
-  Status ok = check::ValidateOverlapReport(rec, overlap);
+             const obs::EventLog& events) {
+  const obs::EpochEvents& epoch = events.epochs().back();
+  net::OverlapReport overlap = net::ComputeOverlap(epoch);
+  Status ok = check::ValidateOverlapReport(epoch, overlap);
   if (!ok.ok()) {
     std::cerr << "FATAL: " << ok << "\n";
     std::exit(1);
@@ -103,10 +104,10 @@ int main(int argc, char** argv) {
           RunEdgePartitioner(ctx, dataset, bundle.graph, pid, kWorkers),
           "edge partitioner");
       DistGnnWorkload w = BuildDistGnnWorkload(bundle.graph, parts);
-      trace::TraceRecorder rec;
+      obs::EventLog events;
       net::LinkUsage usage;
-      SimulateDistGnnEpoch(w, config, cluster, &rec, &fabric, &usage);
-      Cell cell = Analyze(fabric, usage, rec);
+      SimulateDistGnnEpoch(w, config, cluster, &fabric, &usage, &events);
+      Cell cell = Analyze(fabric, usage, events);
       const std::string name = MakeEdgePartitioner(pid)->name();
       if (name == "Random") random_pipelined = cell.pipelined;
       table.AddRow({name, "DistGNN", bench::F(cell.bsp * 1e3, 1),
@@ -126,10 +127,11 @@ int main(int argc, char** argv) {
                            kWorkers, config.num_layers,
                            ctx.global_batch_size),
           "profile");
-      trace::TraceRecorder rec;
+      obs::EventLog events;
       net::LinkUsage usage;
-      SimulateDistDglEpoch(profile, config, cluster, &rec, &fabric, &usage);
-      Cell cell = Analyze(fabric, usage, rec);
+      SimulateDistDglEpoch(profile, config, cluster, &fabric, &usage,
+                           &events);
+      Cell cell = Analyze(fabric, usage, events);
       const std::string name = MakeVertexPartitioner(pid)->name();
       if (name == "Random") random_pipelined = cell.pipelined;
       table.AddRow({name, "DistDGL", bench::F(cell.bsp * 1e3, 1),

@@ -9,13 +9,13 @@
 //   * ScopedTimer with timing off vs. on — what a `time/...` phase span
 //     costs without and with `--metrics-out`.
 //   * EventLog off vs. on — the "null EventLog* = zero cost" claim from
-//     DESIGN.md §14: an emission site without `--events-out` pays one
-//     pointer test; with it, one record append per span/flow.
+//     DESIGN.md §14: an emission site without an attached log pays one
+//     pointer test; with it, one record append per span/flow, the phase
+//     stored as its obs::Phase enum id.
 //
 // lint:wall-clock-ok — this benchmark measures the timer itself.
 #include <benchmark/benchmark.h>
 
-#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -85,7 +85,7 @@ void BM_EventLogOff(benchmark::State& state) {
   // pointer test. DoNotOptimize keeps the compiler from deleting the
   // branch outright, matching the opaque pointer the simulators carry.
   obs::EventLog* events = nullptr;
-  const std::string phase = "forward";
+  const obs::Phase phase = obs::Phase::kForward;
   for (auto _ : state) {
     benchmark::DoNotOptimize(events);
     if (events != nullptr) {
@@ -99,7 +99,7 @@ void BM_EventLogSpan(benchmark::State& state) {
   obs::EventLog log;
   log.BeginEpoch("distgnn", 1, 1, 8);
   obs::EventLog* events = &log;
-  const std::string phase = "forward";
+  const obs::Phase phase = obs::Phase::kForward;
   uint32_t step = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(events);
@@ -114,7 +114,7 @@ void BM_EventLogFlow(benchmark::State& state) {
   obs::EventLog log;
   log.BeginEpoch("distgnn", 1, 1, 8);
   obs::EventLog* events = &log;
-  const std::string phase = "forward";
+  const obs::Phase phase = obs::Phase::kForward;
   const std::vector<int> links = {0, 1};
   uint32_t step = 0;
   for (auto _ : state) {

@@ -14,8 +14,8 @@
 #include "harness/experiment.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
+#include "obs/events.h"
 #include "trace/export.h"
-#include "trace/trace.h"
 
 namespace gnnpart {
 namespace bench {
@@ -137,18 +137,17 @@ inline int StripContextFlags(int argc, char** argv) {
   return out;
 }
 
-/// Recorder to pass into a Simulate* call: the real one when `--trace-out`
+/// Event log to pass into a Simulate* call: the real one when `--trace-out`
 /// was given, nullptr (tracing disabled, zero cost) otherwise.
-inline trace::TraceRecorder* MaybeRecorder(trace::TraceRecorder* rec) {
-  return TraceOutBase().empty() ? nullptr : rec;
+inline obs::EventLog* MaybeEvents(obs::EventLog* events) {
+  return TraceOutBase().empty() ? nullptr : events;
 }
 
-/// Writes the recorded trace as <base-stem>.<label><base-ext>; no-op when
+/// Writes the log's last epoch as <base-stem>.<label><base-ext>; no-op when
 /// tracing is off. Call once per simulated cell, after Simulate*.
-inline void MaybeWriteTrace(const trace::TraceRecorder& rec,
-                            std::string label) {
+inline void MaybeWriteTrace(const obs::EventLog& events, std::string label) {
   const std::string& base = TraceOutBase();
-  if (base.empty()) return;
+  if (base.empty() || events.epochs().empty()) return;
   for (char& c : label) {
     if (c == '/' || c == ' ') c = '_';
   }
@@ -160,7 +159,7 @@ inline void MaybeWriteTrace(const trace::TraceRecorder& rec,
   } else {
     path = base + "." + label;
   }
-  const Status status = trace::WriteTraceFile(rec, path);
+  const Status status = trace::WriteTraceFile(events.epochs().back(), path);
   if (status.ok()) {
     std::cout << "(trace: " << path << ")\n";
   } else {

@@ -437,78 +437,70 @@ Status ValidateProfile(const DistDglEpochProfile& profile) {
   return Status::Ok();
 }
 
-Status ValidateTrace(const trace::TraceRecorder& rec) {
-  using trace::Phase;
-  using trace::Simulator;
-  if (rec.spans().empty()) {
-    return rec.simulator() == Simulator::kNone
-               ? Status::Ok()
-               : Violation("trace/empty-epoch",
-                           "simulator declared but no spans recorded");
-  }
-  if (rec.simulator() == Simulator::kNone) {
-    return Violation("trace/no-simulator",
-                     "spans recorded without BeginEpoch");
-  }
-  const std::vector<Phase>& phases = trace::StepPhases(rec.simulator());
-  // Barrier alignment: spans of one (step, phase) share t_begin.
+Status ValidateTrace(const obs::EpochEvents& epoch) {
+  using obs::Event;
+  using obs::Phase;
+  const std::vector<Phase>& phases = trace::StepPhases(epoch.sim);
+  // Barrier alignment: spans of one (step, phase) share t0.
   std::vector<std::vector<double>> barrier(
-      rec.steps(), std::vector<double>(trace::kNumPhases, -1.0));
-  for (size_t i = 0; i < rec.spans().size(); ++i) {
-    const trace::Span& span = rec.spans()[i];
-    const std::string at = " in span " + std::to_string(i);
-    if (span.step >= rec.steps()) {
+      epoch.steps, std::vector<double>(obs::kNumPhases, -1.0));
+  size_t i = 0;
+  for (const Event& span : epoch.events) {
+    if (span.kind != Event::Kind::kSpan) continue;
+    const std::string at = " in span " + std::to_string(i++);
+    if (phases.empty()) {
+      return Violation("trace/no-simulator",
+                       "span in an epoch of unknown simulator '" + epoch.sim +
+                           "'" + at);
+    }
+    if (span.step >= epoch.steps) {
       return Violation("trace/step-range",
                        "step " + std::to_string(span.step) + " >= declared " +
-                           std::to_string(rec.steps()) + at);
+                           std::to_string(epoch.steps) + at);
     }
-    if (span.worker >= rec.workers()) {
+    if (span.src < 0 || static_cast<uint32_t>(span.src) >= epoch.workers) {
       return Violation("trace/worker-range",
-                       "worker " + std::to_string(span.worker) +
-                           " >= declared " + std::to_string(rec.workers()) +
-                           at);
+                       "worker " + std::to_string(span.src) +
+                           " outside declared " +
+                           std::to_string(epoch.workers) + at);
     }
-    if (!(span.seconds >= 0) || !std::isfinite(span.seconds)) {
+    if (!(span.dur >= 0) || !std::isfinite(span.dur)) {
       return Violation("trace/negative-duration",
-                       "duration " + std::to_string(span.seconds) + at);
+                       "duration " + std::to_string(span.dur) + at);
     }
     if (!(span.bytes >= 0) || !std::isfinite(span.bytes)) {
       return Violation("trace/negative-bytes",
                        "bytes " + std::to_string(span.bytes) + at);
     }
-    if (!(span.comm_seconds >= 0) || span.comm_seconds > span.seconds ||
-        !std::isfinite(span.comm_seconds)) {
+    if (!(span.comm >= 0) || span.comm > span.dur ||
+        !std::isfinite(span.comm)) {
       return Violation("trace/comm-share",
-                       "comm_seconds " + std::to_string(span.comm_seconds) +
+                       "comm_seconds " + std::to_string(span.comm) +
                            " outside [0, duration " +
-                           std::to_string(span.seconds) + "]" + at);
+                           std::to_string(span.dur) + "]" + at);
     }
-    if (!(span.t_begin >= 0) || !std::isfinite(span.t_begin)) {
+    if (!(span.t0 >= 0) || !std::isfinite(span.t0)) {
       return Violation("trace/negative-begin",
-                       "t_begin " + std::to_string(span.t_begin) + at);
+                       "t_begin " + std::to_string(span.t0) + at);
     }
     if (std::find(phases.begin(), phases.end(), span.phase) == phases.end()) {
       return Violation("trace/phase-set",
-                       std::string("phase ") + trace::PhaseName(span.phase) +
-                           " does not belong to simulator " +
-                           trace::SimulatorName(rec.simulator()) + at);
+                       std::string("phase ") + obs::PhaseName(span.phase) +
+                           " does not belong to simulator " + epoch.sim + at);
     }
     double& begin = barrier[span.step][static_cast<size_t>(span.phase)];
     if (begin < 0) {
-      begin = span.t_begin;
-    } else if (begin != span.t_begin) {
+      begin = span.t0;
+    } else if (begin != span.t0) {
       return Violation("trace/barrier-alignment",
                        "workers enter (step " + std::to_string(span.step) +
-                           ", " + trace::PhaseName(span.phase) +
+                           ", " + obs::PhaseName(span.phase) +
                            ") at different instants" + at);
     }
   }
-  for (const trace::WallSpan& wall : rec.wall_spans()) {
-    if (wall.t_end < wall.t_begin || !std::isfinite(wall.t_begin) ||
-        !std::isfinite(wall.t_end)) {
-      return Violation("trace/wall-span",
-                       "wall span '" + wall.name + "' ends before it begins");
-    }
+  if (i == 0 && !epoch.sim.empty()) {
+    return Violation("trace/empty-epoch",
+                     "simulator declared but no spans recorded");
   }
   return Status::Ok();
 }
@@ -527,14 +519,14 @@ Status ReportMismatch(const char* phase, double reconstructed,
 
 }  // namespace
 
-Status CheckTraceReconstructsReport(const trace::TraceRecorder& rec,
+Status CheckTraceReconstructsReport(const obs::EpochEvents& epoch,
                                     const DistDglEpochReport& report) {
-  GNNPART_RETURN_NOT_OK(ValidateTrace(rec));
-  if (rec.simulator() != trace::Simulator::kDistDgl) {
+  GNNPART_RETURN_NOT_OK(ValidateTrace(epoch));
+  if (epoch.sim != "distdgl") {
     return Violation("trace/simulator-mismatch",
                      "trace was not recorded by the DistDGL simulator");
   }
-  trace::DistDglPhaseSeconds r = trace::ReconstructDistDglReport(rec);
+  trace::DistDglPhaseSeconds r = trace::ReconstructDistDglReport(epoch);
   if (r.sampling != report.sampling_seconds) {
     return ReportMismatch("sampling", r.sampling, report.sampling_seconds);
   }
@@ -556,14 +548,14 @@ Status CheckTraceReconstructsReport(const trace::TraceRecorder& rec,
   return Status::Ok();
 }
 
-Status CheckTraceReconstructsReport(const trace::TraceRecorder& rec,
+Status CheckTraceReconstructsReport(const obs::EpochEvents& epoch,
                                     const DistGnnEpochReport& report) {
-  GNNPART_RETURN_NOT_OK(ValidateTrace(rec));
-  if (rec.simulator() != trace::Simulator::kDistGnn) {
+  GNNPART_RETURN_NOT_OK(ValidateTrace(epoch));
+  if (epoch.sim != "distgnn") {
     return Violation("trace/simulator-mismatch",
                      "trace was not recorded by the DistGNN simulator");
   }
-  trace::DistGnnPhaseSeconds r = trace::ReconstructDistGnnReport(rec);
+  trace::DistGnnPhaseSeconds r = trace::ReconstructDistGnnReport(epoch);
   if (r.forward != report.forward_seconds) {
     return ReportMismatch("forward", r.forward, report.forward_seconds);
   }
@@ -634,9 +626,9 @@ Status ValidateFlowConservation(const net::Fabric& fabric,
   return Status::Ok();
 }
 
-Status ValidateOverlapReport(const trace::TraceRecorder& rec,
+Status ValidateOverlapReport(const obs::EpochEvents& epoch,
                              const net::OverlapReport& report) {
-  const net::OverlapReport r = net::ComputeOverlap(rec);
+  const net::OverlapReport r = net::ComputeOverlap(epoch);
   if (r.steps.size() != report.steps.size() ||
       r.worker_pipelined_blame != report.worker_pipelined_blame ||
       r.worker_comm_seconds != report.worker_comm_seconds ||
@@ -646,7 +638,7 @@ Status ValidateOverlapReport(const trace::TraceRecorder& rec,
       r.hidden_seconds != report.hidden_seconds) {
     return Violation("net/overlap-mismatch",
                      "overlap report does not match its serial re-derivation "
-                     "from the trace (must agree bit-exactly)");
+                     "from the spans (must agree bit-exactly)");
   }
   for (size_t s = 0; s < report.steps.size(); ++s) {
     const net::StepOverlap& step = report.steps[s];
@@ -1173,24 +1165,6 @@ Status ValidateServeReport(const std::vector<serve::ServeRequest>& requests,
   return Status::Ok();
 }
 
-namespace {
-
-bool KnownPhaseName(const std::string& name) {
-  for (int i = 0; i < trace::kNumPhases; ++i) {
-    if (name == trace::PhaseName(static_cast<trace::Phase>(i))) return true;
-  }
-  return false;
-}
-
-// Phase vocabulary of a "serve" epoch (request life stages; "queue" has no
-// trace::Phase counterpart).
-bool KnownServePhaseName(const std::string& name) {
-  return name == "queue" || name == "sampling" || name == "feature" ||
-         name == "forward";
-}
-
-}  // namespace
-
 Status ValidateEventLog(const obs::EventLog& log) {
   const size_t num_links = log.links().size();
   for (size_t l = 0; l < num_links; ++l) {
@@ -1219,13 +1193,13 @@ Status ValidateEventLog(const obs::EventLog& log) {
   for (size_t i = 0; i < log.epochs().size(); ++i) {
     const obs::EpochEvents& ep = log.epochs()[i];
     const std::string at = " in epoch " + std::to_string(i);
-    if (ep.sim != "distdgl" && ep.sim != "distgnn" && ep.sim != "serve") {
+    const std::vector<obs::Phase>& phases = trace::StepPhases(ep.sim);
+    if (phases.empty()) {
       return Violation("obs/event-shape",
                        "unknown simulator '" + ep.sim + "'" + at);
     }
-    const bool serve_epoch = ep.sim == "serve";
-    const auto phase_known = [&](const std::string& name) {
-      return serve_epoch ? KnownServePhaseName(name) : KnownPhaseName(name);
+    const auto phase_known = [&](obs::Phase phase) {
+      return std::find(phases.begin(), phases.end(), phase) != phases.end();
     };
     if (ep.steps == 0 || ep.workers == 0 || ep.grain == 0) {
       return Violation("obs/event-shape",
@@ -1247,7 +1221,9 @@ Status ValidateEventLog(const obs::EventLog& log) {
           }
           if (!phase_known(e.phase)) {
             return Violation("obs/event-shape",
-                             "unknown phase '" + e.phase + "'" + where);
+                             std::string("phase '") +
+                                 obs::PhaseName(e.phase) + "' outside the " +
+                                 ep.sim + " vocabulary" + where);
           }
           if (!(e.dur >= 0) || !std::isfinite(e.dur) || !(e.t0 >= 0) ||
               !std::isfinite(e.t0) || !(e.bytes >= 0)) {
@@ -1270,7 +1246,9 @@ Status ValidateEventLog(const obs::EventLog& log) {
           }
           if (!phase_known(e.phase)) {
             return Violation("obs/event-shape",
-                             "unknown phase '" + e.phase + "'" + where);
+                             std::string("phase '") +
+                                 obs::PhaseName(e.phase) + "' outside the " +
+                                 ep.sim + " vocabulary" + where);
           }
           if (e.links.empty()) {
             return Violation("obs/event-shape",
@@ -1326,53 +1304,6 @@ Status ValidateEventLog(const obs::EventLog& log) {
         }
       }
     }
-  }
-  return Status::Ok();
-}
-
-Status CheckEventSpansMatchTrace(const obs::EventLog& log,
-                                 const trace::TraceRecorder& rec) {
-  constexpr const char* kName = "obs/event-span-sync";
-  if (log.epochs().empty()) {
-    return Violation(kName, "event log holds no epoch to compare");
-  }
-  const obs::EpochEvents& ep = log.epochs().back();
-  if (ep.sim != trace::SimulatorName(rec.simulator())) {
-    return Violation(kName, "event epoch simulator '" + ep.sim +
-                                "' != recorder simulator '" +
-                                trace::SimulatorName(rec.simulator()) + "'");
-  }
-  if (ep.steps != rec.steps() || ep.workers != rec.workers()) {
-    return Violation(kName, "event epoch shape " + std::to_string(ep.steps) +
-                                "x" + std::to_string(ep.workers) +
-                                " != recorder shape " +
-                                std::to_string(rec.steps()) + "x" +
-                                std::to_string(rec.workers()));
-  }
-  size_t next = 0;
-  for (const obs::Event& e : ep.events) {
-    if (e.kind != obs::Event::Kind::kSpan) continue;
-    if (next >= rec.spans().size()) {
-      return Violation(kName, "event log carries more spans than the trace");
-    }
-    const trace::Span& s = rec.spans()[next];
-    const std::string at = " at span " + std::to_string(next);
-    if (e.step != s.step || e.src != static_cast<int>(s.worker) ||
-        e.phase != trace::PhaseName(s.phase)) {
-      return Violation(kName, "span identity diverges from the trace" + at);
-    }
-    if (e.t0 != s.t_begin || e.dur != s.seconds || e.comm != s.comm_seconds ||
-        e.bytes != s.bytes) {
-      return Violation(
-          kName, "span fields are not bit-equal to the trace span" + at);
-    }
-    ++next;
-  }
-  if (next != rec.spans().size()) {
-    return Violation(kName,
-                     "event log carries " + std::to_string(next) +
-                         " spans but the trace recorded " +
-                         std::to_string(rec.spans().size()));
   }
   return Status::Ok();
 }

@@ -22,7 +22,6 @@
 #include "serve/workload.h"
 #include "sim/distdgl_sim.h"
 #include "sim/distgnn_sim.h"
-#include "trace/trace.h"
 
 namespace gnnpart {
 namespace check {
@@ -82,18 +81,18 @@ Status ValidateBlock(const Graph& graph, const SampledBlock& block,
 /// to the per-hop sum, and hop vectors of consistent length.
 Status ValidateProfile(const DistDglEpochProfile& profile);
 
-/// Trace-span invariants: spans within the declared epoch shape,
-/// non-negative durations/bytes, phases belonging to the recording
-/// simulator, BSP barrier alignment (spans of one (step, phase) share
-/// t_begin), and well-ordered wall spans.
-Status ValidateTrace(const trace::TraceRecorder& rec);
+/// Span invariants of one training epoch of the event log (other record
+/// kinds are skipped): spans within the declared epoch shape, non-negative
+/// durations/bytes, phases belonging to the epoch's simulator, and BSP
+/// barrier alignment (spans of one (step, phase) share t0).
+Status ValidateTrace(const obs::EpochEvents& epoch);
 
-/// Per-step phase maxima of the trace must reconstruct the epoch report's
-/// phase seconds bit-exactly (the invariant tying the trace path to the
-/// report path; see trace/analysis.h).
-Status CheckTraceReconstructsReport(const trace::TraceRecorder& rec,
+/// Per-step phase maxima of the epoch's spans must reconstruct the epoch
+/// report's phase seconds bit-exactly (the invariant tying the span
+/// timeline to the report path; see trace/analysis.h).
+Status CheckTraceReconstructsReport(const obs::EpochEvents& epoch,
                                     const DistDglEpochReport& report);
-Status CheckTraceReconstructsReport(const trace::TraceRecorder& rec,
+Status CheckTraceReconstructsReport(const obs::EpochEvents& epoch,
                                     const DistGnnEpochReport& report);
 
 /// Flow conservation of gnnpart::net link accounting: usage vectors shaped
@@ -105,10 +104,10 @@ Status ValidateFlowConservation(const net::Fabric& fabric,
                                 const net::LinkUsage& usage);
 
 /// Overlap-report integrity: `report` must be bit-exactly what
-/// ComputeOverlap(rec) returns (serial re-derivation), every step's
+/// ComputeOverlap(epoch) returns (serial re-derivation), every step's
 /// pipelined cost must not exceed its BSP cost, and the epoch identity
 /// hidden == bsp - pipelined must hold bit-exactly.
-Status ValidateOverlapReport(const trace::TraceRecorder& rec,
+Status ValidateOverlapReport(const obs::EpochEvents& epoch,
                              const net::OverlapReport& report);
 
 /// Split-merge execution integrity (DESIGN.md §11). Checks, in order:
@@ -188,8 +187,9 @@ Status ValidateServeReport(const std::vector<serve::ServeRequest>& requests,
                            const serve::ServeReport& report);
 
 /// Causal-event-log integrity (DESIGN.md §14). Checks, in order: record
-/// shape — known simulator and phase names (training epochs use the trace
-/// phase vocabulary; "serve" epochs use queue/sampling/feature/forward),
+/// shape — known simulator, phases in its vocabulary
+/// (trace::StepPhases: a simulator's five phases; "serve" epochs use
+/// queue/sampling/feature/forward),
 /// steps/workers declared and respected, link ids within the declared
 /// fabric, flow endpoints in range ("obs/event-shape") — then time
 /// semantics: finite non-negative span durations with comm shares in
@@ -197,13 +197,6 @@ Status ValidateServeReport(const std::vector<serve::ServeRequest>& requests,
 /// utilization samples with non-negative rates, at least one active flow,
 /// and monotone non-overlapping intervals ("obs/event-time").
 Status ValidateEventLog(const obs::EventLog& log);
-
-/// Trace/event cross-layer sync ("obs/event-span-sync"): the log's last
-/// epoch must carry exactly the recorder's spans — same simulator, shape,
-/// span count, and bit-equal fields in the same order. The two streams are
-/// emitted by one serial replay, so any divergence is an emission bug.
-Status CheckEventSpansMatchTrace(const obs::EventLog& log,
-                                 const trace::TraceRecorder& rec);
 
 /// Attribution integrity ("obs/event-attribution"): the explain engine's
 /// components must be finite, congestion non-negative, satisfy

@@ -17,7 +17,6 @@
 #include "obs/metrics.h"
 #include "partition/vertex/fennel.h"
 #include "partition/vertex/reldg.h"
-#include "trace/trace.h"
 
 namespace gnnpart {
 namespace dyn {
@@ -140,14 +139,10 @@ std::vector<uint64_t> ArrivedVertexLoads(
 
 Result<DynReport> RunDynamic(const Graph& full, const DynPartitionerSpec& spec,
                              PartitionId k, const DynConfig& config,
-                             trace::TraceRecorder* recorder,
                              obs::EventLog* events) {
   if (k == 0 || k > kMaxPartitions) {
     return Status::InvalidArgument("dyn: k outside [1, kMaxPartitions]");
   }
-  GNNPART_CHECK_CHEAP(events == nullptr || recorder != nullptr,
-                      "dyn: the event log rides the trace replay — attach a "
-                      "recorder when requesting events");
   if (config.epochs_per_batch == 0) {
     return Status::InvalidArgument("dyn: epochs_per_batch must be >= 1");
   }
@@ -384,41 +379,33 @@ Result<DynReport> RunDynamic(const Graph& full, const DynPartitionerSpec& spec,
           prefix, vparts, split, gnn.fanouts, gnn.global_batch_size,
           profile_seed);
       GNNPART_RETURN_NOT_OK(profile.status());
-      report.distdgl = SimulateDistDglEpoch(*profile, gnn, cluster, recorder,
-                                            &fabric, &usage, events);
+      report.distdgl = SimulateDistDglEpoch(*profile, gnn, cluster, &fabric,
+                                            &usage, events);
       interval.epoch_seconds = report.distdgl.epoch_seconds;
       interval.epoch_network_bytes = report.distdgl.total_network_bytes;
     } else {
       const DistGnnWorkload workload = BuildDistGnnWorkload(prefix, eparts);
-      report.distgnn = SimulateDistGnnEpoch(workload, gnn, cluster, recorder,
-                                            &fabric, &usage, events);
+      report.distgnn = SimulateDistGnnEpoch(workload, gnn, cluster, &fabric,
+                                            &usage, events);
       interval.epoch_seconds = report.distgnn.epoch_seconds;
       interval.epoch_network_bytes = report.distgnn.total_network_bytes;
     }
 
-    if (recorder != nullptr) {
-      const std::string tag = "dyn/" + BatchTag(b);
+    if (events != nullptr) {
       if (interval.repartitioned) {
-        if (events != nullptr) {
-          // Period wins the label when both triggers fired this batch.
-          events->AddRepartition(b, period_hit ? "period" : "quality",
-                                 interval.moved_entities,
-                                 interval.replicas_created,
-                                 static_cast<double>(interval.migration_bytes));
-          events->AddMigration(
-              b, trace_cursor, trace_cursor + interval.migration_seconds,
-              static_cast<double>(interval.migration_bytes));
-        }
-        recorder->AddWallSpan(tag + "/migration", trace_cursor,
-                              trace_cursor + interval.migration_seconds);
+        // Period wins the label when both triggers fired this batch.
+        events->AddRepartition(b, period_hit ? "period" : "quality",
+                               interval.moved_entities,
+                               interval.replicas_created,
+                               static_cast<double>(interval.migration_bytes));
+        events->AddMigration(b, trace_cursor,
+                             trace_cursor + interval.migration_seconds,
+                             static_cast<double>(interval.migration_bytes));
       }
+      // Migration, then the batch's epochs, on the cumulative cost timeline.
       trace_cursor += interval.migration_seconds;
-      const double epochs_seconds =
-          interval.epoch_seconds *
-          static_cast<double>(config.epochs_per_batch);
-      recorder->AddWallSpan(tag + "/epochs", trace_cursor,
-                            trace_cursor + epochs_seconds);
-      trace_cursor += epochs_seconds;
+      trace_cursor += interval.epoch_seconds *
+                      static_cast<double>(config.epochs_per_batch);
     }
 
     if (!prefix_rows.empty()) {

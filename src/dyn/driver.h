@@ -18,10 +18,6 @@
 
 namespace gnnpart {
 
-namespace trace {
-class TraceRecorder;
-}  // namespace trace
-
 namespace obs {
 class EventLog;
 }  // namespace obs
@@ -127,19 +123,14 @@ struct DynReport {
 /// maybe repartition (pricing the diff through the fabric), then simulate
 /// training epochs — once per batch, batch 0 being the initial snapshot.
 /// Deterministic in (full, spec, k, config): bit-identical for every
-/// --threads value and across repeated runs. When `recorder` is non-null,
-/// the final interval's simulated epoch spans are recorded plus one wall
-/// span per interval phase (epochs / migration) on the cumulative cost
-/// timeline.
+/// --threads value and across repeated runs.
 ///
-/// When `events` is non-null, the causal timeline (DESIGN.md §14)
-/// additionally collects one EpochEvents per batch (each on its own
-/// epoch-local BSP timeline) plus run-scoped repartition records and
-/// migration bursts on the cumulative cost timeline. Requires a recorder
-/// (events ride the epoch replays); a null log costs nothing.
+/// When `events` is non-null, the causal timeline (DESIGN.md §14) collects
+/// one EpochEvents per batch (each on its own epoch-local BSP timeline)
+/// plus run-scoped repartition records and migration bursts on the
+/// cumulative cost timeline; a null log costs nothing.
 Result<DynReport> RunDynamic(const Graph& full, const DynPartitionerSpec& spec,
                              PartitionId k, const DynConfig& config,
-                             trace::TraceRecorder* recorder = nullptr,
                              obs::EventLog* events = nullptr);
 
 }  // namespace dyn

@@ -31,7 +31,10 @@ class Graph {
 
   /// Symmetrized neighbourhood of v (sorted, unique, no self-loop).
   std::span<const VertexId> Neighbors(VertexId v) const {
-    return {&neighbors_[offsets_[v]], &neighbors_[offsets_[v + 1]]};
+    // Pointer arithmetic, not &neighbors_[end]: the last vertex's end is
+    // one past the array, which operator[] must not index.
+    return {neighbors_.data() + offsets_[v],
+            neighbors_.data() + offsets_[v + 1]};
   }
 
   /// Symmetrized degree of v.

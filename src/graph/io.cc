@@ -112,6 +112,34 @@ Result<Graph> ReadBinaryGraph(const std::string& path) {
   uint64_t num_edges = get_u64();
   bool directed = get_u64() != 0;
   uint64_t name_len = get_u64();
+  if (!in) return Status::IoError("truncated header in '" + path + "'");
+  // Check the header's sizes against the bytes actually present before
+  // allocating anything, so a hostile header cannot request terabytes.
+  const std::streamoff header_end = in.tellg();
+  in.seekg(0, std::ios::end);
+  const uint64_t remaining = static_cast<uint64_t>(in.tellg() - header_end);
+  in.seekg(header_end);
+  auto bad_field = [&](const char* field, uint64_t value,
+                       const std::string& why) {
+    return Status::IoError("binary graph '" + path + "': header field " +
+                           field + "=" + std::to_string(value) + " " + why);
+  };
+  if (num_vertices >= kInvalidVertex) {
+    return bad_field("num_vertices", num_vertices,
+                     "exceeds the 32-bit vertex id range");
+  }
+  if (name_len > remaining) {
+    return bad_field("name_len", name_len,
+                     "exceeds the " + std::to_string(remaining) +
+                         " bytes left in the file");
+  }
+  constexpr uint64_t kEdgeBytes = 2 * sizeof(VertexId);
+  if (num_edges > (remaining - name_len) / kEdgeBytes) {
+    return bad_field("num_edges", num_edges,
+                     "needs more than the " +
+                         std::to_string(remaining - name_len) +
+                         " bytes left in the file");
+  }
   std::string name(name_len, '\0');
   in.read(name.data(), static_cast<std::streamsize>(name_len));
   GraphBuilder builder(num_vertices, directed);

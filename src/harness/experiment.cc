@@ -361,18 +361,6 @@ Result<DistDglEpochProfile> ProfileWithCache(const ExperimentContext& ctx,
   return profile;
 }
 
-Result<DistDglEpochReport> TraceDistDglEpoch(
-    const ExperimentContext& ctx, DatasetId dataset, const Graph& graph,
-    const VertexSplit& split, VertexPartitionerId id, PartitionId k,
-    const GnnConfig& config, const ClusterSpec& cluster,
-    trace::TraceRecorder* recorder) {
-  Result<DistDglEpochProfile> profile =
-      ProfileWithCache(ctx, dataset, graph, split, id, k, config.num_layers,
-                       ctx.global_batch_size);
-  if (!profile.ok()) return profile.status();
-  return SimulateDistDglEpoch(*profile, config, cluster, recorder);
-}
-
 std::vector<double> DistDglGridResult::SpeedupsVsRandom(
     const std::string& name) const {
   const auto& random = reports.at("Random");

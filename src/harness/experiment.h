@@ -138,17 +138,6 @@ Result<DistDglEpochProfile> ProfileWithCache(const ExperimentContext& ctx,
                                              PartitionId k, int num_layers,
                                              size_t global_batch_size);
 
-/// Re-traces one (partitioner, k, config) cell through the profile cache:
-/// loads the cached sampling profile (computing and caching it only on a
-/// miss) and re-runs the epoch simulator with `recorder` attached. With a
-/// warm cache this is a pure replay — no re-sampling — so timelines for any
-/// model config can be produced long after the profiling run.
-Result<DistDglEpochReport> TraceDistDglEpoch(
-    const ExperimentContext& ctx, DatasetId dataset, const Graph& graph,
-    const VertexSplit& split, VertexPartitionerId id, PartitionId k,
-    const GnnConfig& config, const ClusterSpec& cluster,
-    trace::TraceRecorder* recorder);
-
 /// Epochs until the partitioning time is amortized by faster training,
 /// averaged over the grid (paper Tables 4/5; Random assumed free).
 /// Returns a negative value when no amortization is possible (slowdown).

@@ -8,41 +8,44 @@
 namespace gnnpart {
 namespace net {
 
-OverlapReport ComputeOverlap(const trace::TraceRecorder& rec) {
+OverlapReport ComputeOverlap(const obs::EpochEvents& epoch) {
   OverlapReport report;
-  const size_t steps = rec.steps();
-  const size_t workers = rec.workers();
+  const size_t steps = epoch.steps;
+  const size_t workers = epoch.workers;
   report.worker_pipelined_blame.assign(workers, 0.0);
   report.worker_comm_seconds.assign(workers, 0.0);
   report.worker_compute_seconds.assign(workers, 0.0);
   if (steps == 0 || workers == 0) return report;
 
   // Per (step, worker): compute and comm sums; per (step, phase): the BSP
-  // barrier maximum. Accumulation follows recorded span order, which is
-  // canonical (serial emission), so the sums are deterministic.
+  // barrier maximum. Accumulation follows log order, which is canonical
+  // (serial emission), so the sums are deterministic.
   std::vector<double> compute(steps * workers, 0.0);
   std::vector<double> comm(steps * workers, 0.0);
-  std::vector<std::array<double, trace::kNumPhases>> phase_max(
-      steps, std::array<double, trace::kNumPhases>{});
-  for (const trace::Span& span : rec.spans()) {
-    GNNPART_CHECK_CHEAP(
-        span.comm_seconds >= 0 && span.comm_seconds <= span.seconds,
-        "net/overlap: span comm share outside [0, seconds]");
-    const size_t cell = static_cast<size_t>(span.step) * workers + span.worker;
-    compute[cell] += span.seconds - span.comm_seconds;
-    comm[cell] += span.comm_seconds;
+  std::vector<std::array<double, obs::kNumPhases>> phase_max(
+      steps, std::array<double, obs::kNumPhases>{});
+  for (const obs::Event& span : epoch.events) {
+    if (span.kind != obs::Event::Kind::kSpan) continue;
+    GNNPART_CHECK_CHEAP(span.comm >= 0 && span.comm <= span.dur,
+                        "net/overlap: span comm share outside [0, seconds]");
+    GNNPART_CHECK_CHEAP(span.step < steps && span.src >= 0 &&
+                            static_cast<size_t>(span.src) < workers,
+                        "net/overlap: span outside the epoch shape");
+    const size_t worker = static_cast<size_t>(span.src);
+    const size_t cell = static_cast<size_t>(span.step) * workers + worker;
+    compute[cell] += span.dur - span.comm;
+    comm[cell] += span.comm;
     double& slot = phase_max[span.step][static_cast<size_t>(span.phase)];
-    slot = std::max(slot, span.seconds);
-    report.worker_comm_seconds[span.worker] += span.comm_seconds;
-    report.worker_compute_seconds[span.worker] +=
-        span.seconds - span.comm_seconds;
+    slot = std::max(slot, span.dur);
+    report.worker_comm_seconds[worker] += span.comm;
+    report.worker_compute_seconds[worker] += span.dur - span.comm;
   }
 
   report.steps.reserve(steps);
   for (size_t s = 0; s < steps; ++s) {
     StepOverlap step;
     step.step = static_cast<uint32_t>(s);
-    for (int p = 0; p < trace::kNumPhases; ++p) {
+    for (int p = 0; p < obs::kNumPhases; ++p) {
       step.bsp_seconds += phase_max[s][static_cast<size_t>(p)];
     }
     for (size_t w = 0; w < workers; ++w) {

@@ -4,18 +4,18 @@
 #include <cstdint>
 #include <vector>
 
-#include "trace/trace.h"
+#include "obs/events.h"
 
 namespace gnnpart {
 namespace net {
 
-/// Communication/computation overlap analysis over a recorded epoch trace
-/// (DESIGN.md §10). The trace's spans carry both their total duration and
-/// the communication share (Span::comm_seconds); replaying them under a
+/// Communication/computation overlap analysis over one simulated epoch of
+/// the event log (DESIGN.md §10). Its spans carry both their total duration
+/// and the communication share (Event::comm); replaying them under a
 /// pipelined schedule answers the ROADMAP question "how much of each
 /// partitioner's advantage survives pipelining".
 ///
-/// Model: within one trace step (mini-batch step / DistGNN layer), each
+/// Model: within one step (mini-batch step / DistGNN layer), each
 /// worker's communication slides under its computation up to the per-host
 /// NIC cap — the comm totals already price bandwidth/contention through
 /// gnnpart::net, so full overlap within the step is the cap. The pipelined
@@ -38,7 +38,7 @@ struct StepOverlap {
   bool comm_bound = false;
 };
 
-/// Epoch-level result of replaying a trace under pipelining.
+/// Epoch-level result of replaying an epoch under pipelining.
 struct OverlapReport {
   double bsp_epoch_seconds = 0;
   double pipelined_epoch_seconds = 0;
@@ -53,10 +53,11 @@ struct OverlapReport {
   std::vector<double> worker_compute_seconds;
 };
 
-/// Replays the recorded spans under the pipelined schedule. Serial and
-/// deterministic: iteration is in recorded span order and per-step worker
-/// order, so the result is byte-identical for every thread count.
-OverlapReport ComputeOverlap(const trace::TraceRecorder& rec);
+/// Replays the epoch's spans under the pipelined schedule, skipping the
+/// other record kinds. Serial and deterministic: iteration is in log order
+/// and per-step worker order, so the result is byte-identical for every
+/// thread count.
+OverlapReport ComputeOverlap(const obs::EpochEvents& epoch);
 
 }  // namespace net
 }  // namespace gnnpart

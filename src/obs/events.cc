@@ -34,6 +34,19 @@ Result<double> RequireNumber(const JsonObject& obj, size_t lineno,
   return jsonl::RequireNumber(kDomain, obj, lineno, field);
 }
 
+// Reverse of PhaseName; rejects a name that matches no phase.
+Result<Phase> RequirePhase(const JsonObject& obj, size_t lineno) {
+  auto name = Require(obj, lineno, "phase", JsonValue::kString);
+  if (!name.ok()) return name.status();
+  for (int i = 0; i < kNumPhases; ++i) {
+    const Phase phase = static_cast<Phase>(i);
+    if ((*name)->str == PhaseName(phase)) return phase;
+  }
+  return Status::InvalidArgument("events/unknown-phase: line " +
+                                 std::to_string(lineno) + ": '" +
+                                 (*name)->str + "'");
+}
+
 void AppendEventLine(const Event& e, std::string* out) {
   switch (e.kind) {
     case Event::Kind::kSpan:
@@ -42,7 +55,7 @@ void AppendEventLine(const Event& e, std::string* out) {
       out->append(",\"worker\":");
       out->append(std::to_string(e.src));
       out->append(",\"phase\":");
-      jsonl::AppendEscaped(e.phase, out);
+      jsonl::AppendEscaped(PhaseName(e.phase), out);
       out->append(",\"t0\":");
       jsonl::AppendDouble(e.t0, out);
       out->append(",\"dur\":");
@@ -56,7 +69,7 @@ void AppendEventLine(const Event& e, std::string* out) {
       out->append("{\"type\":\"flow\",\"step\":");
       out->append(std::to_string(e.step));
       out->append(",\"phase\":");
-      jsonl::AppendEscaped(e.phase, out);
+      jsonl::AppendEscaped(PhaseName(e.phase), out);
       out->append(",\"src\":");
       out->append(std::to_string(e.src));
       out->append(",\"dst\":");
@@ -106,9 +119,9 @@ Status ParseEventLine(const JsonObject& obj, const std::string& type,
     auto worker = RequireUint(obj, lineno, "worker");
     if (!worker.ok()) return worker.status();
     e->src = static_cast<int>(*worker);
-    auto phase = Require(obj, lineno, "phase", JsonValue::kString);
+    auto phase = RequirePhase(obj, lineno);
     if (!phase.ok()) return phase.status();
-    e->phase = (*phase)->str;
+    e->phase = *phase;
     for (auto [field, slot] :
          {std::pair<const char*, double*>{"t0", &e->t0},
           {"dur", &e->dur},
@@ -125,9 +138,9 @@ Status ParseEventLine(const JsonObject& obj, const std::string& type,
     auto step = RequireUint(obj, lineno, "step");
     if (!step.ok()) return step.status();
     e->step = static_cast<uint32_t>(*step);
-    auto phase = Require(obj, lineno, "phase", JsonValue::kString);
+    auto phase = RequirePhase(obj, lineno);
     if (!phase.ok()) return phase.status();
-    e->phase = (*phase)->str;
+    e->phase = *phase;
     auto src = RequireUint(obj, lineno, "src");
     if (!src.ok()) return src.status();
     e->src = static_cast<int>(*src);
@@ -187,6 +200,34 @@ Status ParseEventLine(const JsonObject& obj, const std::string& type,
 
 }  // namespace
 
+const char* PhaseName(Phase phase) {
+  switch (phase) {
+    case Phase::kSampling:
+      return "sampling";
+    case Phase::kFeature:
+      return "feature";
+    case Phase::kForward:
+      return "forward";
+    case Phase::kBackward:
+      return "backward";
+    case Phase::kUpdate:
+      return "update";
+    case Phase::kForwardCompute:
+      return "fwd_compute";
+    case Phase::kForwardSync:
+      return "fwd_sync";
+    case Phase::kBackwardCompute:
+      return "bwd_compute";
+    case Phase::kBackwardSync:
+      return "bwd_sync";
+    case Phase::kOptimizer:
+      return "optimizer";
+    case Phase::kQueue:
+      return "queue";
+  }
+  return "unknown";
+}
+
 void EventLog::DeclareLinks(const std::vector<EventLink>& links) {
   if (links_.empty()) {
     links_ = links;
@@ -211,8 +252,8 @@ void EventLog::BeginEpoch(const std::string& sim, uint32_t steps,
   epochs_.push_back(std::move(epoch));
 }
 
-void EventLog::AddSpan(uint32_t step, int worker, const std::string& phase,
-                       double t0, double dur, double comm, double bytes) {
+void EventLog::AddSpan(uint32_t step, int worker, Phase phase, double t0,
+                       double dur, double comm, double bytes) {
   GNNPART_CHECK_CHEAP(!epochs_.empty(), "events: span before BeginEpoch");
   Event e;
   e.kind = Event::Kind::kSpan;
@@ -226,9 +267,9 @@ void EventLog::AddSpan(uint32_t step, int worker, const std::string& phase,
   epochs_.back().events.push_back(std::move(e));
 }
 
-void EventLog::AddFlow(uint32_t step, const std::string& phase, int src,
-                       int dst, double t0, double t1, double t1_free,
-                       double bytes, const std::vector<int>& links) {
+void EventLog::AddFlow(uint32_t step, Phase phase, int src, int dst,
+                       double t0, double t1, double t1_free, double bytes,
+                       const std::vector<int>& links) {
   GNNPART_CHECK_CHEAP(!epochs_.empty(), "events: flow before BeginEpoch");
   Event e;
   e.kind = Event::Kind::kFlow;

@@ -15,7 +15,8 @@
 /// engine can attribute epoch time to compute / wait / congestion /
 /// migration and name the links and flows responsible.
 ///
-/// Discipline mirrors trace::TraceRecorder:
+/// It is the only sink for simulated spans: trace-report, the Chrome/CSV
+/// exporters, the overlap analysis and `explain` all read it. Discipline:
 ///   - null EventLog* = zero cost (one pointer test per emission site);
 ///   - all records are appended by the simulators' canonical serial
 ///     replays, so the stream is byte-identical for every `--threads N`;
@@ -48,11 +49,38 @@
 /// The strict parser rejects corruption with invariant-named errors:
 /// events/bad-json, events/missing-meta, events/schema,
 /// events/schema-version, events/missing-field, events/unknown-type,
-/// events/link-order, events/orphan-record.
+/// events/unknown-phase, events/link-order, events/orphan-record.
 namespace gnnpart::obs {
 
 inline constexpr int kEventsVersion = 1;
 inline constexpr const char* kEventsSchema = "gnnpart.events";
+
+/// Phases of the simulated systems. The first five belong to DistDGL
+/// mini-batch steps; the next five to DistGNN full-batch layers, where the
+/// "step" of a span is the layer index (kOptimizer uses step = num_layers);
+/// kQueue is the serving-only request queueing stage ("serve" epochs use
+/// queue/sampling/feature/forward).
+enum class Phase : uint8_t {
+  // DistDGL (mini-batch, per step).
+  kSampling = 0,
+  kFeature,
+  kForward,
+  kBackward,
+  kUpdate,
+  // DistGNN (full-batch, per layer).
+  kForwardCompute,
+  kForwardSync,
+  kBackwardCompute,
+  kBackwardSync,
+  kOptimizer,
+  // Serving (per batch).
+  kQueue,
+};
+inline constexpr int kNumPhases = 11;
+
+/// Lower-case stable name ("sampling", "fwd_sync", "queue", ...); part of
+/// the event and trace file formats.
+const char* PhaseName(Phase phase);
 
 /// One capacity-bearing fabric link, mirrored from net::Fabric so the
 /// event file is self-contained (obs never depends on net).
@@ -70,7 +98,7 @@ struct Event {
   int src = 0;       // span: worker; flow: source host
   int dst = -1;      // flow: destination host, -1 = aggregate route
   int link = -1;     // sample: link id
-  std::string phase; // span/flow: phase name (trace::PhaseName)
+  Phase phase = Phase::kSampling;  // span/flow
   double t0 = 0;
   double t1 = 0;       // flow/sample end
   double t1_free = 0;  // flow: uncontended completion
@@ -119,9 +147,9 @@ class EventLog {
   void BeginEpoch(const std::string& sim, uint32_t steps, uint32_t workers,
                   uint32_t grain);
 
-  void AddSpan(uint32_t step, int worker, const std::string& phase, double t0,
-               double dur, double comm, double bytes);
-  void AddFlow(uint32_t step, const std::string& phase, int src, int dst,
+  void AddSpan(uint32_t step, int worker, Phase phase, double t0, double dur,
+               double comm, double bytes);
+  void AddFlow(uint32_t step, Phase phase, int src, int dst,
                double t0, double t1, double t1_free, double bytes,
                const std::vector<int>& links);
   void AddSample(int link, double t0, double t1, double rate, uint64_t flows);

@@ -32,7 +32,9 @@ class IncidenceList {
   IncidenceList(const Graph& graph, const std::vector<EdgeId>& subset);
 
   std::span<const IncidentEdge> Incident(VertexId v) const {
-    return {&entries_[offsets_[v]], &entries_[offsets_[v + 1]]};
+    // Pointer arithmetic: the last vertex's end is one past the array (see
+    // Graph::Neighbors).
+    return {entries_.data() + offsets_[v], entries_.data() + offsets_[v + 1]};
   }
 
   /// Incident canonical-edge count (>= Graph::Degree for directed graphs

@@ -382,21 +382,21 @@ Result<ServeReport> RunServe(const Graph& graph,
       const uint32_t step = static_cast<uint32_t>(b);
       const int worker = static_cast<int>(batches[b].part);
       for (uint32_t m : batches[b].members) {
-        events->AddSpan(step, worker, "queue", requests[m].arrival,
+        events->AddSpan(step, worker, obs::Phase::kQueue, requests[m].arrival,
                         batches[b].dispatch - requests[m].arrival, 0.0, 0.0);
       }
-      events->AddSpan(step, worker, "sampling", batches[b].dispatch,
+      events->AddSpan(step, worker, obs::Phase::kSampling, batches[b].dispatch,
                       out.sampling_end - batches[b].dispatch,
                       out.sampling_end - out.sampling_flow_start,
                       out.sampling_bytes);
       const double feat_dur = out.pre_forward_end - out.sampling_end;
       const double feat_comm = std::min(
           std::max(feat_dur - out.gather_compute, 0.0), feat_dur);
-      events->AddSpan(step, worker, "feature", out.sampling_end, feat_dur,
-                      feat_comm, out.feature_bytes);
-      events->AddSpan(step, worker, "forward", out.pre_forward_end,
+      events->AddSpan(step, worker, obs::Phase::kFeature, out.sampling_end,
+                      feat_dur, feat_comm, out.feature_bytes);
+      events->AddSpan(step, worker, obs::Phase::kForward, out.pre_forward_end,
                       out.forward_compute, 0.0, 0.0);
-      auto emit_flows = [&](const char* phase,
+      auto emit_flows = [&](obs::Phase phase,
                             const std::pair<size_t, size_t>& range) {
         for (size_t i = range.first; i < range.second; ++i) {
           const net::FlowDetail& fd = log.flows[i];
@@ -405,8 +405,8 @@ Result<ServeReport> RunServe(const Graph& graph,
                           fd.bytes, fd.links);
         }
       };
-      emit_flows("sampling", samp_range[b]);
-      emit_flows("feature", feat_range[b]);
+      emit_flows(obs::Phase::kSampling, samp_range[b]);
+      emit_flows(obs::Phase::kFeature, feat_range[b]);
     }
     for (const net::LinkSample& s : log.samples) {
       events->AddSample(s.link, s.t_begin, s.t_end, s.rate, s.flows);

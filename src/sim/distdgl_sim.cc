@@ -13,7 +13,6 @@
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "gnn/costs.h"
-#include "trace/trace.h"
 
 namespace gnnpart {
 
@@ -150,7 +149,6 @@ Result<DistDglEpochProfile> ProfileDistDglEpoch(
 DistDglEpochReport SimulateDistDglEpoch(const DistDglEpochProfile& profile,
                                         const GnnConfig& config,
                                         const ClusterSpec& cluster,
-                                        trace::TraceRecorder* recorder,
                                         const net::Fabric* fabric,
                                         net::LinkUsage* usage,
                                         obs::EventLog* events) {
@@ -158,9 +156,6 @@ DistDglEpochReport SimulateDistDglEpoch(const DistDglEpochProfile& profile,
   const PartitionId k = profile.workers;
   GNNPART_CHECK_CHEAP(profile.profiles.size() == profile.steps,
                       "epoch profile declares more steps than it holds");
-  GNNPART_CHECK_CHEAP(events == nullptr || recorder != nullptr,
-                      "distdgl: the event log rides the trace replay — "
-                      "attach a recorder when requesting events");
 
   // All communication is priced by gnnpart::net. Callers that pass no
   // fabric get the legacy one — the cluster's own bandwidth/latency on a
@@ -175,37 +170,30 @@ DistDglEpochReport SimulateDistDglEpoch(const DistDglEpochProfile& profile,
   GNNPART_CHECK_CHEAP(fabric->num_hosts() == static_cast<int>(k),
                       "distdgl: fabric host count != worker count");
 
-  // Tracing sidecar: per-(step, worker, phase) durations and network bytes,
-  // filled by the parallel cost loop below (each cell written exactly once
-  // by its owning chunk, so the arrays are deterministic and race-free) and
-  // replayed onto the BSP timeline in a serial pass at the end. When no
-  // recorder is attached nothing is allocated and the loop only tests one
-  // null pointer per (step, worker).
-  constexpr size_t kStepPhases = 5;
-  std::vector<double> trace_dur;
-  std::vector<double> trace_bytes;
-  std::vector<double> trace_comm;
-  if (recorder != nullptr) {
-    trace_dur.assign(profile.steps * static_cast<size_t>(k) * kStepPhases, 0);
-    trace_bytes.assign(trace_dur.size(), 0);
-    trace_comm.assign(trace_dur.size(), 0);
-  }
-  double* const dur_out = recorder != nullptr ? trace_dur.data() : nullptr;
-  double* const bytes_out = recorder != nullptr ? trace_bytes.data() : nullptr;
-  double* const comm_out = recorder != nullptr ? trace_comm.data() : nullptr;
-
-  // Event sidecar: per-step flow/sample logs for the three communication
+  // Event sidecar: per-(step, worker, phase) durations, comm shares and
+  // network bytes, per-step flow/sample logs for the three communication
   // phases (slots: 0 = sampling, 1 = feature, 2 = backward) and per-step
-  // cache aggregates, filled by the owning chunk (race-free by step index)
-  // and replayed serially below. Null log = nothing allocated.
+  // cache aggregates. The parallel cost loop below fills them (each cell
+  // written exactly once by its owning chunk, so the arrays are
+  // deterministic and race-free); a serial pass at the end replays them
+  // onto the BSP timeline. Null log = nothing allocated, and the loop only
+  // tests one null pointer per (step, worker).
+  constexpr size_t kStepPhases = 5;
   constexpr size_t kCommPhases = 3;
+  std::vector<double> span_dur, span_bytes, span_comm;
   std::vector<net::PhaseLog> phase_logs;
   std::vector<uint64_t> cache_hits, cache_misses;
   if (events != nullptr) {
+    span_dur.assign(profile.steps * static_cast<size_t>(k) * kStepPhases, 0);
+    span_bytes.assign(span_dur.size(), 0);
+    span_comm.assign(span_dur.size(), 0);
     phase_logs.resize(profile.steps * kCommPhases);
     cache_hits.assign(profile.steps, 0);
     cache_misses.assign(profile.steps, 0);
   }
+  double* const dur_out = events != nullptr ? span_dur.data() : nullptr;
+  double* const bytes_out = events != nullptr ? span_bytes.data() : nullptr;
+  double* const comm_out = events != nullptr ? span_comm.data() : nullptr;
   net::PhaseLog* const logs_out =
       events != nullptr ? phase_logs.data() : nullptr;
   const double feat_bytes = static_cast<double>(config.feature_size) *
@@ -417,82 +405,60 @@ DistDglEpochReport SimulateDistDglEpoch(const DistDglEpochProfile& profile,
   obs::Count("sim/distdgl/remote_input_vertices",
              report.remote_input_vertices, "vertices");
 
-  if (recorder != nullptr) {
+  if (events != nullptr) {
     // Replay the recorded durations onto the BSP timeline: within a step
     // the phases run in order, every worker enters a phase at its barrier
     // (the per-phase maximum closes it). Serial and in canonical (step,
-    // phase, worker) order, so the trace is identical for every thread
+    // phase, worker) order, so the log is identical for every thread
     // count. Note the timeline's end may differ from report.epoch_seconds
     // in the last float bit (the report sums per-chunk partials); use
     // trace::ReconstructDistDglReport for bit-exact totals.
-    static constexpr trace::Phase kPhaseOrder[kStepPhases] = {
-        trace::Phase::kSampling, trace::Phase::kFeature,
-        trace::Phase::kForward, trace::Phase::kBackward, trace::Phase::kUpdate};
-    recorder->BeginEpoch(trace::Simulator::kDistDgl,
-                         static_cast<uint32_t>(profile.steps),
-                         static_cast<uint32_t>(k));
-    recorder->Reserve(trace_dur.size());
-    if (events != nullptr) {
-      std::vector<obs::EventLink> elinks;
-      elinks.reserve(fabric->links().size());
-      for (const net::Link& l : fabric->links()) {
-        elinks.push_back({l.name, l.capacity});
-      }
-      events->DeclareLinks(elinks);
-      events->BeginEpoch("distdgl", static_cast<uint32_t>(profile.steps),
-                         static_cast<uint32_t>(k), 8);
+    static constexpr obs::Phase kPhaseOrder[kStepPhases] = {
+        obs::Phase::kSampling, obs::Phase::kFeature, obs::Phase::kForward,
+        obs::Phase::kBackward, obs::Phase::kUpdate};
+    std::vector<obs::EventLink> elinks;
+    elinks.reserve(fabric->links().size());
+    for (const net::Link& l : fabric->links()) {
+      elinks.push_back({l.name, l.capacity});
     }
+    events->DeclareLinks(elinks);
+    events->BeginEpoch("distdgl", static_cast<uint32_t>(profile.steps),
+                       static_cast<uint32_t>(k), 8);
     double t = 0;
     for (size_t step = 0; step < profile.steps; ++step) {
-      if (events != nullptr) {
-        events->AddCache(static_cast<uint32_t>(step), cache_hits[step],
-                         cache_misses[step]);
-      }
+      events->AddCache(static_cast<uint32_t>(step), cache_hits[step],
+                       cache_misses[step]);
       for (size_t pi = 0; pi < kStepPhases; ++pi) {
         double barrier = 0;
         for (PartitionId w = 0; w < k; ++w) {
           barrier = std::max(
               barrier,
-              trace_dur[(step * static_cast<size_t>(k) + w) * kStepPhases +
-                        pi]);
+              span_dur[(step * static_cast<size_t>(k) + w) * kStepPhases +
+                       pi]);
         }
         for (PartitionId w = 0; w < k; ++w) {
           const size_t cell =
               (step * static_cast<size_t>(k) + w) * kStepPhases + pi;
-          trace::Span span;
-          span.step = static_cast<uint32_t>(step);
-          span.worker = static_cast<uint32_t>(w);
-          span.phase = kPhaseOrder[pi];
-          span.t_begin = t;
-          span.seconds = trace_dur[cell];
-          span.comm_seconds = trace_comm[cell];
-          span.bytes = trace_bytes[cell];
-          recorder->Add(span);
-          if (events != nullptr) {
-            events->AddSpan(span.step, static_cast<int>(w),
-                            trace::PhaseName(span.phase), span.t_begin,
-                            span.seconds, span.comm_seconds, span.bytes);
-          }
+          events->AddSpan(static_cast<uint32_t>(step), static_cast<int>(w),
+                          kPhaseOrder[pi], t, span_dur[cell], span_comm[cell],
+                          span_bytes[cell]);
         }
-        if (events != nullptr) {
-          // The communication phases carry flow + link-sample records,
-          // rebased from phase-local onto the epoch timeline (the phase
-          // entered at the barrier `t`, and every flow start already
-          // includes the worker's serial pre-comm offset).
-          const int slot = pi == 0 ? 0 : pi == 1 ? 1 : pi == 3 ? 2 : -1;
-          if (slot >= 0) {
-            const net::PhaseLog& plog = phase_logs[step * kCommPhases +
-                                                   static_cast<size_t>(slot)];
-            const char* phase_name = trace::PhaseName(kPhaseOrder[pi]);
-            for (const net::FlowDetail& fd : plog.flows) {
-              events->AddFlow(static_cast<uint32_t>(step), phase_name,
-                              fd.host, fd.dst, t + fd.start, t + fd.finish,
-                              t + fd.uncontended_finish, fd.bytes, fd.links);
-            }
-            for (const net::LinkSample& s : plog.samples) {
-              events->AddSample(s.link, t + s.t_begin, t + s.t_end, s.rate,
-                                s.flows);
-            }
+        // The communication phases carry flow + link-sample records,
+        // rebased from phase-local onto the epoch timeline (the phase
+        // entered at the barrier `t`, and every flow start already
+        // includes the worker's serial pre-comm offset).
+        const int slot = pi == 0 ? 0 : pi == 1 ? 1 : pi == 3 ? 2 : -1;
+        if (slot >= 0) {
+          const net::PhaseLog& plog =
+              phase_logs[step * kCommPhases + static_cast<size_t>(slot)];
+          for (const net::FlowDetail& fd : plog.flows) {
+            events->AddFlow(static_cast<uint32_t>(step), kPhaseOrder[pi],
+                            fd.host, fd.dst, t + fd.start, t + fd.finish,
+                            t + fd.uncontended_finish, fd.bytes, fd.links);
+          }
+          for (const net::LinkSample& s : plog.samples) {
+            events->AddSample(s.link, t + s.t_begin, t + s.t_end, s.rate,
+                              s.flows);
           }
         }
         t += barrier;

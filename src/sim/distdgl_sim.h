@@ -14,10 +14,6 @@
 
 namespace gnnpart {
 
-namespace trace {
-class TraceRecorder;
-}  // namespace trace
-
 namespace net {
 class Fabric;
 struct LinkUsage;
@@ -88,11 +84,6 @@ struct DistDglEpochReport {
 };
 
 /// Translates an epoch profile into time/traffic under the cost model.
-/// When `recorder` is non-null, additionally emits one trace::Span per
-/// (step, worker, phase) laying the epoch out on the simulated BSP timeline
-/// (see src/trace/trace.h); the recorded spans are bit-identical for every
-/// thread count and attaching a recorder never changes the report. A null
-/// recorder costs nothing.
 ///
 /// All communication (sampling RPCs, feature fetches, gradient all-reduce)
 /// is priced by gnnpart::net. `fabric`, when non-null, selects the topology
@@ -104,16 +95,15 @@ struct DistDglEpochReport {
 /// for every thread count.
 ///
 /// `events`, when non-null, appends one EpochEvents to the causal timeline
-/// (DESIGN.md §14): the epoch's spans, every flow with its uncontended
+/// (DESIGN.md §7, §14): one span per (step, worker, phase) laying the epoch
+/// out on the simulated BSP timeline, every flow with its uncontended
 /// completion, per-link utilization samples, and per-step cache hit/miss
-/// aggregates — all emitted by the same canonical serial replay as the
-/// trace, so the log is byte-identical for every thread count. Requires a
-/// recorder (events ride the replay); a null log costs nothing.
+/// aggregates — all emitted by one canonical serial replay, so the log is
+/// byte-identical for every thread count. Attaching a log never changes
+/// the report; a null log costs nothing.
 DistDglEpochReport SimulateDistDglEpoch(const DistDglEpochProfile& profile,
                                         const GnnConfig& config,
                                         const ClusterSpec& cluster,
-                                        trace::TraceRecorder* recorder =
-                                            nullptr,
                                         const net::Fabric* fabric = nullptr,
                                         net::LinkUsage* usage = nullptr,
                                         obs::EventLog* events = nullptr);

@@ -11,7 +11,6 @@
 #include "net/flowsim.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
-#include "trace/trace.h"
 
 namespace gnnpart {
 
@@ -74,13 +73,9 @@ DistGnnWorkload BuildDistGnnWorkload(const Graph& graph,
 DistGnnEpochReport SimulateDistGnnEpoch(const DistGnnWorkload& workload,
                                         const GnnConfig& config,
                                         const ClusterSpec& cluster,
-                                        trace::TraceRecorder* recorder,
                                         const net::Fabric* fabric,
                                         net::LinkUsage* usage,
                                         obs::EventLog* events) {
-  GNNPART_CHECK_CHEAP(events == nullptr || recorder != nullptr,
-                      "distgnn: the event log rides the trace replay — "
-                      "attach a recorder when requesting events");
   DistGnnEpochReport report;
   const PartitionId k = workload.k;
   report.machines.resize(k);
@@ -137,16 +132,16 @@ DistGnnEpochReport SimulateDistGnnEpoch(const DistGnnWorkload& workload,
     }
   }
 
-  // Tracing sidecar: per-(layer, machine) compute and sync costs, captured
-  // by the cost loop below and replayed onto the BSP timeline at the end.
-  // Nothing is allocated when no recorder is attached.
+  // Span sidecar: per-(layer, machine) compute and sync costs, captured by
+  // the cost loop below and replayed onto the BSP timeline at the end.
+  // Nothing is allocated when no event log is attached.
   const size_t layer_cells =
-      recorder != nullptr
+      events != nullptr
           ? static_cast<size_t>(config.num_layers) * static_cast<size_t>(k)
           : 0;
-  std::vector<double> trace_compute(layer_cells, 0);
-  std::vector<double> trace_sync(layer_cells, 0);
-  std::vector<double> trace_sync_bytes(layer_cells, 0);
+  std::vector<double> span_compute(layer_cells, 0);
+  std::vector<double> span_sync(layer_cells, 0);
+  std::vector<double> span_sync_bytes(layer_cells, 0);
 
   // Per layer, per machine: compute time and sync time; the epoch is a BSP
   // schedule with a barrier after each phase, so each phase contributes the
@@ -174,11 +169,11 @@ DistGnnEpochReport SimulateDistGnnEpoch(const DistGnnWorkload& workload,
       report.machines[p].network_bytes += 2.0 * sync_bytes;
       fwd_compute_max = std::max(fwd_compute_max, compute);
       sync_max = std::max(sync_max, sync);
-      if (recorder != nullptr) {
+      if (events != nullptr) {
         const size_t cell = static_cast<size_t>(l) * k + p;
-        trace_compute[cell] = compute;
-        trace_sync[cell] = sync;
-        trace_sync_bytes[cell] = sync_bytes;
+        span_compute[cell] = compute;
+        span_sync[cell] = sync;
+        span_sync_bytes[cell] = sync_bytes;
       }
     }
     report.forward_seconds += fwd_compute_max + sync_max;
@@ -253,32 +248,27 @@ DistGnnEpochReport SimulateDistGnnEpoch(const DistGnnWorkload& workload,
              static_cast<uint64_t>(report.total_network_bytes), "bytes");
   if (report.out_of_memory) obs::Count("sim/distgnn/oom_epochs", 1, "epochs");
 
-  if (recorder != nullptr) {
+  if (events != nullptr) {
     // Replay the per-layer costs onto the BSP timeline: forward layers in
     // order (compute then sync, barrier at the per-machine maximum), the
     // backward pass in reverse layer order (compute at 2x, same gradient
     // sync), then the optimizer as one extra pseudo-step shared by all
     // machines. step = layer index; the optimizer uses step = num_layers.
     const uint32_t layers = static_cast<uint32_t>(config.num_layers);
-    recorder->BeginEpoch(trace::Simulator::kDistGnn, layers + 1,
-                         static_cast<uint32_t>(k));
-    recorder->Reserve(layer_cells * 4 + k);
-    if (events != nullptr) {
-      std::vector<obs::EventLink> elinks;
-      elinks.reserve(fabric->links().size());
-      for (const net::Link& link : fabric->links()) {
-        elinks.push_back({link.name, link.capacity});
-      }
-      events->DeclareLinks(elinks);
-      events->BeginEpoch("distgnn", layers + 1, static_cast<uint32_t>(k), 1);
+    std::vector<obs::EventLink> elinks;
+    elinks.reserve(fabric->links().size());
+    for (const net::Link& link : fabric->links()) {
+      elinks.push_back({link.name, link.capacity});
     }
+    events->DeclareLinks(elinks);
+    events->BeginEpoch("distgnn", layers + 1, static_cast<uint32_t>(k), 1);
     double t = 0;
     // Rebases one sync phase's flow completions and link samples from the
     // phase-local clock onto the BSP timeline at the phase's begin `t`.
     auto emit_phase_log = [&](const net::PhaseLog& log, uint32_t layer,
-                              const char* phase_name) {
+                              obs::Phase phase) {
       for (const net::FlowDetail& fd : log.flows) {
-        events->AddFlow(layer, phase_name, fd.host, fd.dst, t + fd.start,
+        events->AddFlow(layer, phase, fd.host, fd.dst, t + fd.start,
                         t + fd.finish, t + fd.uncontended_finish, fd.bytes,
                         fd.links);
       }
@@ -286,9 +276,9 @@ DistGnnEpochReport SimulateDistGnnEpoch(const DistGnnWorkload& workload,
         events->AddSample(s.link, t + s.t_begin, t + s.t_end, s.rate, s.flows);
       }
     };
-    auto emit_barrier = [&](uint32_t layer, trace::Phase phase, double scale,
+    auto emit_barrier = [&](uint32_t layer, obs::Phase phase, double scale,
                             const std::vector<double>& dur,
-                            const std::vector<double>& bytes, bool comm,
+                            const std::vector<double>& bytes,
                             const net::PhaseLog* log) {
       const size_t base = static_cast<size_t>(layer) * k;
       double barrier = 0;
@@ -296,66 +286,37 @@ DistGnnEpochReport SimulateDistGnnEpoch(const DistGnnWorkload& workload,
         barrier = std::max(barrier, scale * dur[base + p]);
       }
       for (PartitionId p = 0; p < k; ++p) {
-        trace::Span span;
-        span.step = layer;
-        span.worker = static_cast<uint32_t>(p);
-        span.phase = phase;
-        span.t_begin = t;
-        span.seconds = scale * dur[base + p];
-        span.comm_seconds = comm ? span.seconds : 0;
-        span.bytes = bytes.empty() ? 0 : bytes[base + p];
-        recorder->Add(span);
-        if (events != nullptr) {
-          events->AddSpan(span.step, static_cast<int>(p),
-                          trace::PhaseName(phase), span.t_begin, span.seconds,
-                          span.comm_seconds, span.bytes);
-        }
+        const double seconds = scale * dur[base + p];
+        // Sync phases (those with a flow log) are all communication.
+        events->AddSpan(layer, static_cast<int>(p), phase, t, seconds,
+                        log != nullptr ? seconds : 0,
+                        bytes.empty() ? 0 : bytes[base + p]);
       }
-      if (events != nullptr && log != nullptr) {
-        emit_phase_log(*log, layer, trace::PhaseName(phase));
-      }
+      if (log != nullptr) emit_phase_log(*log, layer, phase);
       t += barrier;
     };
     const std::vector<double> no_bytes;
     for (uint32_t l = 0; l < layers; ++l) {
-      emit_barrier(l, trace::Phase::kForwardCompute, 1.0, trace_compute,
-                   no_bytes, false, nullptr);
-      emit_barrier(l, trace::Phase::kForwardSync, 1.0, trace_sync,
-                   trace_sync_bytes, true,
-                   events != nullptr ? &phase_logs[2 * static_cast<size_t>(l)]
-                                     : nullptr);
+      emit_barrier(l, obs::Phase::kForwardCompute, 1.0, span_compute,
+                   no_bytes, nullptr);
+      emit_barrier(l, obs::Phase::kForwardSync, 1.0, span_sync,
+                   span_sync_bytes, &phase_logs[2 * static_cast<size_t>(l)]);
     }
     for (uint32_t l = layers; l-- > 0;) {
-      emit_barrier(l, trace::Phase::kBackwardCompute, 2.0, trace_compute,
-                   no_bytes, false, nullptr);
-      emit_barrier(l, trace::Phase::kBackwardSync, 1.0, trace_sync,
-                   trace_sync_bytes, true,
-                   events != nullptr
-                       ? &phase_logs[2 * static_cast<size_t>(l) + 1]
-                       : nullptr);
+      emit_barrier(l, obs::Phase::kBackwardCompute, 2.0, span_compute,
+                   no_bytes, nullptr);
+      emit_barrier(l, obs::Phase::kBackwardSync, 1.0, span_sync,
+                   span_sync_bytes,
+                   &phase_logs[2 * static_cast<size_t>(l) + 1]);
     }
     for (PartitionId p = 0; p < k; ++p) {
-      trace::Span span;
-      span.step = layers;
-      span.worker = static_cast<uint32_t>(p);
-      span.phase = trace::Phase::kOptimizer;
-      span.t_begin = t;
-      span.seconds = report.optimizer_seconds;
-      // The all-reduce (network) part of the optimizer; the remainder of
-      // the span is the compute of the parameter step.
-      span.comm_seconds = opt_net[p];
-      span.bytes = 2.0 * params;  // model gradient all-reduce (ring)
-      recorder->Add(span);
-      if (events != nullptr) {
-        events->AddSpan(span.step, static_cast<int>(p),
-                        trace::PhaseName(span.phase), span.t_begin,
-                        span.seconds, span.comm_seconds, span.bytes);
-      }
+      // The all-reduce (network) part of the optimizer is its comm share;
+      // the remainder of the span is the compute of the parameter step.
+      // Bytes: the model gradient all-reduce (ring).
+      events->AddSpan(layers, static_cast<int>(p), obs::Phase::kOptimizer, t,
+                      report.optimizer_seconds, opt_net[p], 2.0 * params);
     }
-    if (events != nullptr) {
-      emit_phase_log(phase_logs.back(), layers,
-                     trace::PhaseName(trace::Phase::kOptimizer));
-    }
+    emit_phase_log(phase_logs.back(), layers, obs::Phase::kOptimizer);
   }
   return report;
 }

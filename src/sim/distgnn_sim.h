@@ -13,10 +13,6 @@
 
 namespace gnnpart {
 
-namespace trace {
-class TraceRecorder;
-}  // namespace trace
-
 namespace net {
 class Fabric;
 struct LinkUsage;
@@ -76,11 +72,6 @@ struct DistGnnEpochReport {
 
 /// Simulates one epoch of full-batch training. Deterministic; pure
 /// arithmetic over the workload profile.
-/// When `recorder` is non-null, additionally emits one trace::Span per
-/// (layer, machine, phase) — forward compute/sync in layer order, backward
-/// in reverse layer order, then the optimizer as one extra pseudo-step —
-/// on the simulated BSP timeline (see src/trace/trace.h). Attaching a
-/// recorder never changes the report; a null recorder costs nothing.
 ///
 /// All communication (replica sync, gradient all-reduce) is priced by
 /// gnnpart::net. `fabric`, when non-null, selects the topology (its host
@@ -90,16 +81,16 @@ struct DistGnnEpochReport {
 /// non-null, accrues per-link bytes/busy time for net-report.
 ///
 /// `events`, when non-null, appends one EpochEvents to the causal timeline
-/// (DESIGN.md §14): the epoch's spans plus every sync/all-reduce flow with
-/// its uncontended completion and the per-link utilization samples, all
-/// rebased onto the BSP timeline by the same serial replay as the trace —
-/// byte-identical for every thread count. Requires a recorder (events ride
-/// the replay); a null log costs nothing.
+/// (DESIGN.md §7, §14): one span per (layer, machine, phase) — forward
+/// compute/sync in layer order, backward in reverse layer order, then the
+/// optimizer as one extra pseudo-step — on the simulated BSP timeline, plus
+/// every sync/all-reduce flow with its uncontended completion and the
+/// per-link utilization samples, all rebased onto that timeline by one
+/// serial replay — byte-identical for every thread count. Attaching a log
+/// never changes the report; a null log costs nothing.
 DistGnnEpochReport SimulateDistGnnEpoch(const DistGnnWorkload& workload,
                                         const GnnConfig& config,
                                         const ClusterSpec& cluster,
-                                        trace::TraceRecorder* recorder =
-                                            nullptr,
                                         const net::Fabric* fabric = nullptr,
                                         net::LinkUsage* usage = nullptr,
                                         obs::EventLog* events = nullptr);

@@ -6,6 +6,10 @@ namespace gnnpart {
 namespace trace {
 namespace {
 
+using obs::Event;
+using obs::kNumPhases;
+using obs::Phase;
+
 // Dense per-(step, phase) accumulator filled in one pass over the spans.
 struct Cell {
   double max_seconds = 0;
@@ -15,20 +19,28 @@ struct Cell {
   bool seen = false;
 };
 
+// A span record the passes can index: inside the declared epoch shape
+// (malformed records are skipped defensively; ValidateTrace names them).
+bool InShape(const Event& e, const obs::EpochEvents& epoch) {
+  return e.kind == Event::Kind::kSpan && e.step < epoch.steps && e.src >= 0 &&
+         static_cast<uint32_t>(e.src) < epoch.workers;
+}
+
 // cells[step * kNumPhases + phase]; sized (steps x kNumPhases).
-std::vector<Cell> AccumulateCells(const TraceRecorder& rec) {
-  std::vector<Cell> cells(static_cast<size_t>(rec.steps()) * kNumPhases);
-  for (const Span& s : rec.spans()) {
-    if (s.step >= rec.steps()) continue;  // malformed span; skip defensively
+std::vector<Cell> AccumulateCells(const obs::EpochEvents& epoch) {
+  std::vector<Cell> cells(static_cast<size_t>(epoch.steps) * kNumPhases);
+  for (const Event& s : epoch.events) {
+    if (!InShape(s, epoch)) continue;
     Cell& c = cells[static_cast<size_t>(s.step) * kNumPhases +
                     static_cast<size_t>(s.phase)];
-    const double d = s.seconds;
+    const double d = s.dur;
+    const uint32_t worker = static_cast<uint32_t>(s.src);
     if (!c.seen || d > c.max_seconds) {
       c.max_seconds = d;
-      c.straggler = s.worker;
+      c.straggler = worker;
       c.seen = true;
-    } else if (d == c.max_seconds && s.worker < c.straggler) {
-      c.straggler = s.worker;
+    } else if (d == c.max_seconds && worker < c.straggler) {
+      c.straggler = worker;
     }
     c.sum_seconds += d;
     ++c.count;
@@ -37,6 +49,30 @@ std::vector<Cell> AccumulateCells(const TraceRecorder& rec) {
 }
 
 }  // namespace
+
+const std::vector<Phase>& StepPhases(const std::string& sim) {
+  static const std::vector<Phase> kDistDgl = {
+      Phase::kSampling, Phase::kFeature, Phase::kForward, Phase::kBackward,
+      Phase::kUpdate};
+  static const std::vector<Phase> kDistGnn = {
+      Phase::kForwardCompute, Phase::kForwardSync, Phase::kBackwardCompute,
+      Phase::kBackwardSync, Phase::kOptimizer};
+  static const std::vector<Phase> kServe = {
+      Phase::kQueue, Phase::kSampling, Phase::kFeature, Phase::kForward};
+  static const std::vector<Phase> kNone = {};
+  if (sim == "distdgl") return kDistDgl;
+  if (sim == "distgnn") return kDistGnn;
+  if (sim == "serve") return kServe;
+  return kNone;
+}
+
+double EpochEnd(const obs::EpochEvents& epoch) {
+  double end = 0;
+  for (const Event& e : epoch.events) {
+    if (e.kind == Event::Kind::kSpan) end = std::max(end, e.t0 + e.dur);
+  }
+  return end;
+}
 
 double ChunkedSum(const double* values, size_t n, size_t grain) {
   if (grain == 0) grain = 1;
@@ -50,12 +86,13 @@ double ChunkedSum(const double* values, size_t n, size_t grain) {
   return total;
 }
 
-std::vector<StepPhaseStat> ComputeStepPhaseStats(const TraceRecorder& rec) {
-  const std::vector<Cell> cells = AccumulateCells(rec);
-  const std::vector<Phase>& phases = StepPhases(rec.simulator());
+std::vector<StepPhaseStat> ComputeStepPhaseStats(
+    const obs::EpochEvents& epoch) {
+  const std::vector<Cell> cells = AccumulateCells(epoch);
+  const std::vector<Phase>& phases = StepPhases(epoch.sim);
   std::vector<StepPhaseStat> stats;
   stats.reserve(cells.size());
-  for (uint32_t step = 0; step < rec.steps(); ++step) {
+  for (uint32_t step = 0; step < epoch.steps; ++step) {
     for (Phase phase : phases) {
       const Cell& c = cells[static_cast<size_t>(step) * kNumPhases +
                             static_cast<size_t>(phase)];
@@ -92,10 +129,10 @@ uint64_t WorkerBlame::total_steps_blamed() const {
   return total;
 }
 
-std::vector<WorkerBlame> ComputeWorkerBlame(const TraceRecorder& rec) {
-  std::vector<WorkerBlame> blame(rec.workers());
-  for (uint32_t w = 0; w < rec.workers(); ++w) blame[w].worker = w;
-  const std::vector<Cell> cells = AccumulateCells(rec);
+std::vector<WorkerBlame> ComputeWorkerBlame(const obs::EpochEvents& epoch) {
+  std::vector<WorkerBlame> blame(epoch.workers);
+  for (uint32_t w = 0; w < epoch.workers; ++w) blame[w].worker = w;
+  const std::vector<Cell> cells = AccumulateCells(epoch);
   // Charge each barrier's cost to its straggler...
   for (size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
@@ -105,23 +142,15 @@ std::vector<WorkerBlame> ComputeWorkerBlame(const TraceRecorder& rec) {
     ++blame[c.straggler].steps_blamed[phase];
   }
   // ...and each worker's idle time at it to the worker itself.
-  for (const Span& s : rec.spans()) {
-    if (s.worker >= blame.size() || s.step >= rec.steps()) continue;
+  for (const Event& s : epoch.events) {
+    if (!InShape(s, epoch)) continue;
     const Cell& c = cells[static_cast<size_t>(s.step) * kNumPhases +
                           static_cast<size_t>(s.phase)];
-    blame[s.worker].wait_seconds[static_cast<size_t>(s.phase)] +=
-        c.max_seconds - s.seconds;
-    blame[s.worker].busy_seconds += s.seconds;
+    WorkerBlame& wb = blame[static_cast<size_t>(s.src)];
+    wb.wait_seconds[static_cast<size_t>(s.phase)] += c.max_seconds - s.dur;
+    wb.busy_seconds += s.dur;
   }
   return blame;
-}
-
-std::vector<std::array<double, kNumPhases>> ComputeWaitMatrix(
-    const TraceRecorder& rec) {
-  std::vector<WorkerBlame> blame = ComputeWorkerBlame(rec);
-  std::vector<std::array<double, kNumPhases>> matrix(blame.size());
-  for (size_t w = 0; w < blame.size(); ++w) matrix[w] = blame[w].wait_seconds;
-  return matrix;
 }
 
 namespace {
@@ -140,10 +169,10 @@ std::vector<double> StepMaxima(const std::vector<Cell>& cells, uint32_t steps,
 
 }  // namespace
 
-DistDglPhaseSeconds ReconstructDistDglReport(const TraceRecorder& rec) {
+DistDglPhaseSeconds ReconstructDistDglReport(const obs::EpochEvents& epoch) {
   DistDglPhaseSeconds r;
-  const std::vector<Cell> cells = AccumulateCells(rec);
-  const uint32_t steps = rec.steps();
+  const std::vector<Cell> cells = AccumulateCells(epoch);
+  const uint32_t steps = epoch.steps;
   auto total = [&](Phase phase) {
     std::vector<double> maxima = StepMaxima(cells, steps, phase);
     return ChunkedSum(maxima.data(), maxima.size(), kDistDglStepGrain);
@@ -158,13 +187,13 @@ DistDglPhaseSeconds ReconstructDistDglReport(const TraceRecorder& rec) {
   return r;
 }
 
-DistGnnPhaseSeconds ReconstructDistGnnReport(const TraceRecorder& rec) {
+DistGnnPhaseSeconds ReconstructDistGnnReport(const obs::EpochEvents& epoch) {
   DistGnnPhaseSeconds r;
-  if (rec.steps() == 0) return r;
-  const std::vector<Cell> cells = AccumulateCells(rec);
-  // DistGNN traces use step = layer for the per-layer phases and one extra
+  if (epoch.steps == 0) return r;
+  const std::vector<Cell> cells = AccumulateCells(epoch);
+  // DistGNN epochs use step = layer for the per-layer phases and one extra
   // pseudo-step (the last) for the optimizer.
-  const uint32_t layers = rec.steps() - 1;
+  const uint32_t layers = epoch.steps - 1;
   std::vector<double> fwd_c = StepMaxima(cells, layers, Phase::kForwardCompute);
   std::vector<double> fwd_s = StepMaxima(cells, layers, Phase::kForwardSync);
   std::vector<double> bwd_c =

@@ -4,17 +4,35 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
-#include "trace/trace.h"
+#include "obs/events.h"
 
 namespace gnnpart {
 namespace trace {
 
-/// Analysis passes over a recorded epoch trace: per-step critical path,
-/// per-worker straggler blame, barrier wait accounting, and bit-exact
-/// reconstruction of the epoch report's phase totals (the invariant that
-/// ties the trace path to the report path).
+/// Analysis passes over one simulated epoch of the event log (DESIGN.md
+/// §7): per-step critical path, per-worker straggler blame, barrier wait
+/// accounting, and bit-exact reconstruction of the epoch report's phase
+/// totals (the invariant that ties the span timeline to the report path).
+/// Every pass reads the epoch's span records in log order and skips the
+/// other record kinds.
+///
+/// Time semantics: both simulators model BSP execution, so every worker
+/// enters a phase at the same simulated instant (the step's barrier) and
+/// leaves after its own duration; the barrier closes at the per-phase
+/// maximum. Spans of one (step, phase) therefore share t0, and
+/// `max(t0 + dur) - (t0 + dur)` is the worker's barrier wait. A span's
+/// duration is the exact cost-model value — which is what makes the report
+/// reconstruction bit-exact — and its timeline end is derived.
+
+/// The phases an epoch kind ("distdgl" | "distgnn" | "serve") emits per
+/// step, in execution order; empty for an unknown kind.
+const std::vector<obs::Phase>& StepPhases(const std::string& sim);
+
+/// Simulated end of the epoch: max t0 + dur over its spans (0 when empty).
+double EpochEnd(const obs::EpochEvents& epoch);
 
 /// Sums `values[0, n)` exactly the way ParallelReduce(grain) does: serial
 /// partial sums per chunk, partials folded in chunk order. Reproduces the
@@ -27,7 +45,7 @@ double ChunkedSum(const double* values, size_t n, size_t grain);
 /// barrier: sum over workers of (max_seconds - own duration).
 struct StepPhaseStat {
   uint32_t step = 0;
-  Phase phase = Phase::kSampling;
+  obs::Phase phase = obs::Phase::kSampling;
   /// Worker whose duration equals the phase maximum (lowest id on ties —
   /// deterministic).
   uint32_t straggler = 0;
@@ -38,7 +56,8 @@ struct StepPhaseStat {
 
 /// All (step, phase) barriers in execution order (step ascending, phases in
 /// StepPhases() order).
-std::vector<StepPhaseStat> ComputeStepPhaseStats(const TraceRecorder& rec);
+std::vector<StepPhaseStat> ComputeStepPhaseStats(
+    const obs::EpochEvents& epoch);
 
 /// Per-worker blame/wait accounting over the epoch. "Blame" charges the
 /// full barrier cost of a (step, phase) to its straggler: the seconds in
@@ -47,9 +66,10 @@ std::vector<StepPhaseStat> ComputeStepPhaseStats(const TraceRecorder& rec);
 /// report's straggler-summed phase seconds (modulo summation order).
 struct WorkerBlame {
   uint32_t worker = 0;
-  std::array<double, kNumPhases> blame_seconds{};
-  std::array<double, kNumPhases> wait_seconds{};
-  std::array<uint64_t, kNumPhases> steps_blamed{};
+  std::array<double, obs::kNumPhases> blame_seconds{};
+  /// Seconds this worker idled at each phase's barriers over the epoch.
+  std::array<double, obs::kNumPhases> wait_seconds{};
+  std::array<uint64_t, obs::kNumPhases> steps_blamed{};
   /// Sum of the worker's own span durations (its simulated busy time).
   double busy_seconds = 0;
 
@@ -58,20 +78,14 @@ struct WorkerBlame {
   uint64_t total_steps_blamed() const;
 };
 
-std::vector<WorkerBlame> ComputeWorkerBlame(const TraceRecorder& rec);
-
-/// The barrier wait-time matrix: waits[w][p] = seconds worker `w` idled at
-/// `phase p` barriers over the epoch (same data as WorkerBlame's
-/// wait_seconds, exposed as a dense workers x kNumPhases matrix).
-std::vector<std::array<double, kNumPhases>> ComputeWaitMatrix(
-    const TraceRecorder& rec);
+std::vector<WorkerBlame> ComputeWorkerBlame(const obs::EpochEvents& epoch);
 
 /// Chunk grain SimulateDistDglEpoch uses for its step reduction; the
 /// reconstruction must sum per-step maxima with the same chunking to
 /// reproduce the report bit-exactly.
 inline constexpr size_t kDistDglStepGrain = 8;
 
-/// DistDGL phase totals recomputed from the trace with the simulator's
+/// DistDGL phase totals recomputed from the spans with the simulator's
 /// exact summation order. Equal (==, not approx) to the corresponding
 /// DistDglEpochReport fields.
 struct DistDglPhaseSeconds {
@@ -82,9 +96,9 @@ struct DistDglPhaseSeconds {
   double update = 0;
   double epoch = 0;
 };
-DistDglPhaseSeconds ReconstructDistDglReport(const TraceRecorder& rec);
+DistDglPhaseSeconds ReconstructDistDglReport(const obs::EpochEvents& epoch);
 
-/// DistGNN phase totals recomputed from the trace (per-layer maxima summed
+/// DistGNN phase totals recomputed from the spans (per-layer maxima summed
 /// in ascending layer order with the simulator's grouping). Equal (==) to
 /// the corresponding DistGnnEpochReport fields.
 struct DistGnnPhaseSeconds {
@@ -94,7 +108,7 @@ struct DistGnnPhaseSeconds {
   double optimizer = 0;
   double epoch = 0;
 };
-DistGnnPhaseSeconds ReconstructDistGnnReport(const TraceRecorder& rec);
+DistGnnPhaseSeconds ReconstructDistGnnReport(const obs::EpochEvents& epoch);
 
 }  // namespace trace
 }  // namespace gnnpart

@@ -13,23 +13,24 @@ namespace gnnpart {
 namespace trace {
 namespace {
 
-// Reverse of PhaseName; -1 when the name matches no phase.
-int PhaseIndexFromName(const std::string& name) {
-  for (int i = 0; i < kNumPhases; ++i) {
-    if (name == PhaseName(static_cast<Phase>(i))) return i;
-  }
-  return -1;
-}
+using obs::Event;
+using obs::kNumPhases;
+using obs::Phase;
 
-// Phase index inside a "serve" epoch; -1 when the name is not a serving
-// stage. "queue" is serve-only and carries no flows.
-constexpr int kNumServePhases = 4;
-int ServePhaseIndexFromName(const std::string& name) {
-  if (name == "queue") return 0;
-  if (name == "sampling") return 1;
-  if (name == "feature") return 2;
-  if (name == "forward") return 3;
-  return -1;
+// A span or flow record explain can index: a phase of the epoch's kind and
+// inside the declared epoch shape.
+Status CheckRecord(const Event& e, const obs::EpochEvents& ep,
+                   const std::vector<Phase>& phases) {
+  if (std::find(phases.begin(), phases.end(), e.phase) == phases.end()) {
+    return Status::InvalidArgument(std::string("explain: phase '") +
+                                   obs::PhaseName(e.phase) + "' outside the " +
+                                   ep.sim + " phase set");
+  }
+  if (e.step >= ep.steps || e.src < 0 ||
+      static_cast<uint32_t>(e.src) >= ep.workers) {
+    return Status::InvalidArgument("explain: record outside the epoch shape");
+  }
+  return Status::Ok();
 }
 
 // Attribution of one "serve" epoch: no straggler chain — every batch's
@@ -38,30 +39,21 @@ int ServePhaseIndexFromName(const std::string& name) {
 // between the slowest actual and slowest uncontended flow completion,
 // capped by the span's comm share) and the uncontended remainder.
 Status ExplainServeEpoch(const obs::EpochEvents& ep, EpochExplain* ee) {
-  const size_t cells =
-      static_cast<size_t>(ep.steps) * static_cast<size_t>(kNumServePhases);
+  const std::vector<Phase>& phases = StepPhases(ep.sim);
+  const size_t cells = static_cast<size_t>(ep.steps) * kNumPhases;
   std::vector<double> comm_of(cells, 0);
   std::vector<double> flow_t1(cells, 0);
   std::vector<double> flow_t1f(cells, 0);
   std::vector<uint8_t> has_flow(cells, 0);
-  for (const obs::Event& e : ep.events) {
-    if (e.kind != obs::Event::Kind::kSpan &&
-        e.kind != obs::Event::Kind::kFlow) {
+  for (const Event& e : ep.events) {
+    if (e.kind != Event::Kind::kSpan && e.kind != Event::Kind::kFlow) {
       continue;
     }
-    const int phase = ServePhaseIndexFromName(e.phase);
-    if (phase < 0) {
-      return Status::InvalidArgument("explain: unknown serve phase '" +
-                                     e.phase + "'");
-    }
-    if (e.step >= ep.steps || e.src < 0 ||
-        static_cast<uint32_t>(e.src) >= ep.workers) {
-      return Status::InvalidArgument("explain: record outside the epoch shape");
-    }
-    const size_t i =
-        static_cast<size_t>(e.step) * kNumServePhases + static_cast<size_t>(phase);
-    if (e.kind == obs::Event::Kind::kSpan) {
-      if (phase == 0) {
+    GNNPART_RETURN_NOT_OK(CheckRecord(e, ep, phases));
+    const size_t i = static_cast<size_t>(e.step) * kNumPhases +
+                     static_cast<size_t>(e.phase);
+    if (e.kind == Event::Kind::kSpan) {
+      if (e.phase == Phase::kQueue) {
         ee->queue_seconds += e.dur;
       } else {
         ee->compute_seconds += e.dur - e.comm;
@@ -121,45 +113,6 @@ double SolveWait(double total, double compute, double congestion,
   return best;
 }
 
-Result<TraceRecorder> BuildRecorderFromEvents(const obs::EpochEvents& epoch) {
-  Simulator sim;
-  if (epoch.sim == "distdgl") {
-    sim = Simulator::kDistDgl;
-  } else if (epoch.sim == "distgnn") {
-    sim = Simulator::kDistGnn;
-  } else {
-    return Status::InvalidArgument("explain: unknown simulator '" + epoch.sim +
-                                   "'");
-  }
-  TraceRecorder rec;
-  rec.BeginEpoch(sim, epoch.steps, epoch.workers);
-  for (const obs::Event& e : epoch.events) {
-    if (e.kind != obs::Event::Kind::kSpan) continue;
-    const int phase = PhaseIndexFromName(e.phase);
-    if (phase < 0) {
-      return Status::InvalidArgument("explain: unknown phase '" + e.phase +
-                                     "'");
-    }
-    if (e.step >= epoch.steps || e.src < 0 ||
-        static_cast<uint32_t>(e.src) >= epoch.workers) {
-      return Status::InvalidArgument("explain: span outside the epoch shape");
-    }
-    if (e.dur < 0) {
-      return Status::InvalidArgument("explain: span with negative duration");
-    }
-    Span span;
-    span.step = e.step;
-    span.worker = static_cast<uint32_t>(e.src);
-    span.phase = static_cast<Phase>(phase);
-    span.t_begin = e.t0;
-    span.seconds = e.dur;
-    span.comm_seconds = e.comm;
-    span.bytes = e.bytes;
-    rec.Add(span);
-  }
-  return rec;
-}
-
 Result<ExplainReport> ComputeExplain(const obs::EventLog& log) {
   ExplainReport rep;
 
@@ -187,15 +140,17 @@ Result<ExplainReport> ComputeExplain(const obs::EventLog& log) {
       // sees this epoch's flows and samples.
       continue;
     }
-    Result<TraceRecorder> rec_res = BuildRecorderFromEvents(ep);
-    GNNPART_RETURN_NOT_OK(rec_res.status());
-    const TraceRecorder& rec = *rec_res;
+    const std::vector<Phase>& phases = StepPhases(ep.sim);
+    if (phases.empty()) {
+      return Status::InvalidArgument("explain: unknown simulator '" + ep.sim +
+                                     "'");
+    }
 
     EpochExplain ee;
     ee.sim = ep.sim;
-    ee.epoch_seconds = rec.simulator() == Simulator::kDistDgl
-                           ? ReconstructDistDglReport(rec).epoch
-                           : ReconstructDistGnnReport(rec).epoch;
+    ee.epoch_seconds = ep.sim == "distdgl"
+                           ? ReconstructDistDglReport(ep).epoch
+                           : ReconstructDistGnnReport(ep).epoch;
 
     // Dense (step, phase, worker) lookups: the straggler's comm share and
     // the extremes of its flows (slowest actual vs slowest uncontended
@@ -206,29 +161,22 @@ Result<ExplainReport> ComputeExplain(const obs::EventLog& log) {
     std::vector<double> flow_t1(cells, 0);
     std::vector<double> flow_t1f(cells, 0);
     std::vector<uint8_t> has_flow(cells, 0);
-    auto cell = [&](uint32_t step, int phase, uint32_t worker) {
+    auto cell = [&](uint32_t step, Phase phase, uint32_t worker) {
       return (static_cast<size_t>(step) * kNumPhases +
               static_cast<size_t>(phase)) *
                  ep.workers +
              worker;
     };
-    for (const obs::Event& e : ep.events) {
-      if (e.kind != obs::Event::Kind::kSpan &&
-          e.kind != obs::Event::Kind::kFlow) {
+    for (const Event& e : ep.events) {
+      if (e.kind != Event::Kind::kSpan && e.kind != Event::Kind::kFlow) {
         continue;
       }
-      const int phase = PhaseIndexFromName(e.phase);
-      if (phase < 0) {
-        return Status::InvalidArgument("explain: unknown phase '" + e.phase +
-                                       "'");
+      GNNPART_RETURN_NOT_OK(CheckRecord(e, ep, phases));
+      if (e.kind == Event::Kind::kSpan && e.dur < 0) {
+        return Status::InvalidArgument("explain: span with negative duration");
       }
-      if (e.step >= ep.steps || e.src < 0 ||
-          static_cast<uint32_t>(e.src) >= ep.workers) {
-        return Status::InvalidArgument(
-            "explain: record outside the epoch shape");
-      }
-      const size_t i = cell(e.step, phase, static_cast<uint32_t>(e.src));
-      if (e.kind == obs::Event::Kind::kSpan) {
+      const size_t i = cell(e.step, e.phase, static_cast<uint32_t>(e.src));
+      if (e.kind == Event::Kind::kSpan) {
         comm_of[i] = e.comm;
       } else if (!has_flow[i]) {
         has_flow[i] = 1;
@@ -242,8 +190,8 @@ Result<ExplainReport> ComputeExplain(const obs::EventLog& log) {
 
     // Decompose each barrier along the straggler chain (the epoch's
     // critical path): compute, congestion, uncontended comm.
-    for (const StepPhaseStat& st : ComputeStepPhaseStats(rec)) {
-      const size_t i = cell(st.step, static_cast<int>(st.phase), st.straggler);
+    for (const StepPhaseStat& st : ComputeStepPhaseStats(ep)) {
+      const size_t i = cell(st.step, st.phase, st.straggler);
       const double comm = comm_of[i];
       double g = 0;
       if (has_flow[i]) g = std::max(0.0, flow_t1[i] - flow_t1f[i]);
@@ -256,7 +204,7 @@ Result<ExplainReport> ComputeExplain(const obs::EventLog& log) {
     congestion += ee.congestion_seconds;
     uncontended += ee.uncontended_comm_seconds;
 
-    const std::vector<WorkerBlame> wb = ComputeWorkerBlame(rec);
+    const std::vector<WorkerBlame> wb = ComputeWorkerBlame(ep);
     if (blame.size() < wb.size()) {
       blame.resize(wb.size(), 0);
       blamed.resize(wb.size(), 0);

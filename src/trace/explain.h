@@ -7,7 +7,6 @@
 
 #include "common/status.h"
 #include "obs/events.h"
-#include "trace/trace.h"
 
 namespace gnnpart {
 namespace trace {
@@ -124,12 +123,6 @@ struct ExplainReport {
   /// Workers ranked by blame_seconds descending, ties by id ascending.
   std::vector<StragglerStat> stragglers;
 };
-
-/// Rebuilds a TraceRecorder from one epoch's span events (the inverse of
-/// the simulators' replay emission), so the analysis passes of
-/// trace/analysis.h run unchanged on a loaded event file. Fails with
-/// InvalidArgument on unknown simulator/phase names or out-of-shape spans.
-Result<TraceRecorder> BuildRecorderFromEvents(const obs::EpochEvents& epoch);
 
 /// Computes the full attribution of an event log. Pure: bit-identical for
 /// a given log, whether collected in-process or loaded from a file.

@@ -4,11 +4,11 @@
 #include <fstream>
 #include <vector>
 
-#include "obs/events.h"
-
 namespace gnnpart {
 namespace trace {
 namespace {
+
+using obs::Event;
 
 // Fixed-format helpers so the emitted bytes depend only on the values.
 std::string Micros(double seconds) {
@@ -29,34 +29,11 @@ std::string Full(double value) {
   return buf;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
-std::string ChromeTraceJson(const TraceRecorder& rec) {
-  return ChromeTraceJson(rec, nullptr);
-}
-
-std::string ChromeTraceJson(const TraceRecorder& rec,
-                            const obs::EventLog* events) {
+std::string ChromeTraceJson(const obs::EpochEvents& epoch) {
   std::string out;
-  out.reserve(128 + rec.spans().size() * 128);
+  out.reserve(128 + epoch.events.size() * 128);
   out += "{\n\"traceEvents\": [\n";
   bool first = true;
   auto emit = [&](const std::string& event) {
@@ -65,139 +42,119 @@ std::string ChromeTraceJson(const TraceRecorder& rec,
     out += event;
   };
 
-  // Metadata: name the simulated process and one thread row per worker.
+  // Metadata: name the simulated process and one thread row per worker,
+  // then the flow process and its rows.
   emit(std::string("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,"
                    "\"args\":{\"name\":\"") +
-       SimulatorName(rec.simulator()) + " simulated epoch\"}}");
-  for (uint32_t w = 0; w < rec.workers(); ++w) {
+       epoch.sim + " simulated epoch\"}}");
+  for (uint32_t w = 0; w < epoch.workers; ++w) {
     emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" +
          std::to_string(w) + ",\"args\":{\"name\":\"worker " +
          std::to_string(w) + "\"}}");
   }
-  if (!rec.wall_spans().empty()) {
-    emit(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
-        "\"args\":{\"name\":\"wall clock\"}}");
-  }
-  // Flow rows come from the event log's last epoch — the epoch the
-  // recorder holds — so the two processes share one simulated timeline.
-  const obs::EpochEvents* flow_epoch =
-      events != nullptr && !events->epochs().empty() ? &events->epochs().back()
-                                                     : nullptr;
-  if (flow_epoch != nullptr) {
-    emit(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,"
-        "\"args\":{\"name\":\"network flows\"}}");
-    for (uint32_t w = 0; w < rec.workers(); ++w) {
-      emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":" +
-           std::to_string(w) + ",\"args\":{\"name\":\"flows from worker " +
-           std::to_string(w) + "\"}}");
-    }
+  emit(
+      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,"
+      "\"args\":{\"name\":\"network flows\"}}");
+  for (uint32_t w = 0; w < epoch.workers; ++w) {
+    emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":" +
+         std::to_string(w) + ",\"args\":{\"name\":\"flows from worker " +
+         std::to_string(w) + "\"}}");
   }
 
-  for (const Span& s : rec.spans()) {
+  for (const Event& s : epoch.events) {
+    if (s.kind != Event::Kind::kSpan) continue;
     std::string event = "{\"name\":\"";
-    event += PhaseName(s.phase);
+    event += obs::PhaseName(s.phase);
     event += "\",\"cat\":\"sim\",\"ph\":\"X\",\"ts\":";
-    event += Micros(s.t_begin);
+    event += Micros(s.t0);
     event += ",\"dur\":";
-    event += Micros(s.seconds);
+    event += Micros(s.dur);
     event += ",\"pid\":0,\"tid\":";
-    event += std::to_string(s.worker);
+    event += std::to_string(s.src);
     event += ",\"args\":{\"step\":";
     event += std::to_string(s.step);
     event += ",\"bytes\":";
     event += Bytes(s.bytes);
     event += ",\"comm_us\":";
-    event += Micros(s.comm_seconds);
+    event += Micros(s.comm);
     event += "}}";
     emit(event);
   }
-  for (const WallSpan& s : rec.wall_spans()) {
+  for (const Event& e : epoch.events) {
+    if (e.kind != Event::Kind::kFlow) continue;
     std::string event = "{\"name\":\"";
-    event += JsonEscape(s.name);
-    event += "\",\"cat\":\"wall\",\"ph\":\"X\",\"ts\":";
-    event += Micros(s.t_begin);
+    event += obs::PhaseName(e.phase);
+    event += "\",\"cat\":\"net\",\"ph\":\"X\",\"ts\":";
+    event += Micros(e.t0);
     event += ",\"dur\":";
-    event += Micros(s.seconds());
-    event += ",\"pid\":1,\"tid\":0}";
+    event += Micros(e.t1 - e.t0);
+    event += ",\"pid\":2,\"tid\":";
+    event += std::to_string(e.src);
+    event += ",\"args\":{\"step\":";
+    event += std::to_string(e.step);
+    event += ",\"dst\":";
+    event += std::to_string(e.dst);
+    event += ",\"bytes\":";
+    event += Bytes(e.bytes);
+    event += ",\"uncontended_us\":";
+    event += Micros(e.t1_free - e.t0);
+    event += "}}";
     emit(event);
   }
-  if (flow_epoch != nullptr) {
-    for (const obs::Event& e : flow_epoch->events) {
-      if (e.kind != obs::Event::Kind::kFlow) continue;
-      std::string event = "{\"name\":\"";
-      event += JsonEscape(e.phase);
-      event += "\",\"cat\":\"net\",\"ph\":\"X\",\"ts\":";
-      event += Micros(e.t0);
-      event += ",\"dur\":";
-      event += Micros(e.t1 - e.t0);
-      event += ",\"pid\":2,\"tid\":";
-      event += std::to_string(e.src);
-      event += ",\"args\":{\"step\":";
-      event += std::to_string(e.step);
-      event += ",\"dst\":";
-      event += std::to_string(e.dst);
-      event += ",\"bytes\":";
-      event += Bytes(e.bytes);
-      event += ",\"uncontended_us\":";
-      event += Micros(e.t1_free - e.t0);
-      event += "}}";
-      emit(event);
+  // Flow arrows on the simulated process: each comm span's end binds to
+  // the next span of the same worker — the compute it blocks at the
+  // barrier. Deterministic incrementing ids in span order.
+  std::vector<const Event*> pending(epoch.workers, nullptr);
+  int arrow_id = 1;
+  for (const Event& s : epoch.events) {
+    if (s.kind != Event::Kind::kSpan || s.src < 0 ||
+        static_cast<uint32_t>(s.src) >= epoch.workers) {
+      continue;
     }
-    // Flow arrows on the simulated process: each comm span's end binds to
-    // the next span of the same worker — the compute it blocks at the
-    // barrier. Deterministic incrementing ids in span order.
-    std::vector<int> pending(rec.workers(), -1);
-    int arrow_id = 1;
-    for (size_t i = 0; i < rec.spans().size(); ++i) {
-      const Span& s = rec.spans()[i];
-      if (s.worker >= rec.workers()) continue;
-      const int p = pending[s.worker];
-      if (p >= 0) {
-        const Span& c = rec.spans()[static_cast<size_t>(p)];
-        const std::string id = std::to_string(arrow_id++);
-        const std::string tid = std::to_string(s.worker);
-        emit("{\"name\":\"blocks\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":" +
-             id + ",\"pid\":0,\"tid\":" + tid + ",\"ts\":" +
-             Micros(c.t_end()) + "}");
-        emit("{\"name\":\"blocks\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\","
-             "\"id\":" +
-             id + ",\"pid\":0,\"tid\":" + tid + ",\"ts\":" +
-             Micros(s.t_begin) + "}");
-      }
-      pending[s.worker] = s.comm_seconds > 0 ? static_cast<int>(i) : -1;
+    const Event*& p = pending[static_cast<size_t>(s.src)];
+    if (p != nullptr) {
+      const std::string id = std::to_string(arrow_id++);
+      const std::string tid = std::to_string(s.src);
+      emit("{\"name\":\"blocks\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":" +
+           id + ",\"pid\":0,\"tid\":" + tid + ",\"ts\":" +
+           Micros(p->t0 + p->dur) + "}");
+      emit("{\"name\":\"blocks\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\","
+           "\"id\":" +
+           id + ",\"pid\":0,\"tid\":" + tid + ",\"ts\":" + Micros(s.t0) +
+           "}");
     }
+    p = s.comm > 0 ? &s : nullptr;
   }
 
   out += "\n],\n\"displayTimeUnit\": \"ms\",\n\"otherData\": {\"simulator\": \"";
-  out += SimulatorName(rec.simulator());
+  out += epoch.sim;
   out += "\", \"steps\": \"";
-  out += std::to_string(rec.steps());
+  out += std::to_string(epoch.steps);
   out += "\", \"workers\": \"";
-  out += std::to_string(rec.workers());
+  out += std::to_string(epoch.workers);
   out += "\"}\n}\n";
   return out;
 }
 
-std::string TraceCsv(const TraceRecorder& rec) {
+std::string TraceCsv(const obs::EpochEvents& epoch) {
   std::string out =
       "step,worker,phase,t_begin,t_end,seconds,comm_seconds,bytes\n";
-  out.reserve(out.size() + rec.spans().size() * 72);
-  for (const Span& s : rec.spans()) {
+  out.reserve(out.size() + epoch.events.size() * 72);
+  for (const Event& s : epoch.events) {
+    if (s.kind != Event::Kind::kSpan) continue;
     out += std::to_string(s.step);
     out += ',';
-    out += std::to_string(s.worker);
+    out += std::to_string(s.src);
     out += ',';
-    out += PhaseName(s.phase);
+    out += obs::PhaseName(s.phase);
     out += ',';
-    out += Full(s.t_begin);
+    out += Full(s.t0);
     out += ',';
-    out += Full(s.t_end());
+    out += Full(s.t0 + s.dur);
     out += ',';
-    out += Full(s.seconds);
+    out += Full(s.dur);
     out += ',';
-    out += Full(s.comm_seconds);
+    out += Full(s.comm);
     out += ',';
     out += Full(s.bytes);
     out += '\n';
@@ -205,17 +162,12 @@ std::string TraceCsv(const TraceRecorder& rec) {
   return out;
 }
 
-Status WriteTraceFile(const TraceRecorder& rec, const std::string& path) {
-  return WriteTraceFile(rec, path, nullptr);
-}
-
-Status WriteTraceFile(const TraceRecorder& rec, const std::string& path,
-                      const obs::EventLog* events) {
+Status WriteTraceFile(const obs::EpochEvents& epoch, const std::string& path) {
   std::ofstream f(path, std::ios::binary);
   if (!f) return Status::IoError("cannot open '" + path + "' for writing");
   const bool csv =
       path.size() > 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  const std::string body = csv ? TraceCsv(rec) : ChromeTraceJson(rec, events);
+  const std::string body = csv ? TraceCsv(epoch) : ChromeTraceJson(epoch);
   f << body;
   if (!f) return Status::IoError("failed writing '" + path + "'");
   return Status::Ok();

@@ -4,49 +4,33 @@
 #include <string>
 
 #include "common/status.h"
-#include "trace/trace.h"
+#include "obs/events.h"
 
 namespace gnnpart {
-
-namespace obs {
-class EventLog;
-}  // namespace obs
-
 namespace trace {
 
-/// Exporters for recorded epoch traces. Both emit spans in the recorder's
-/// canonical order with fixed-format numbers, so the output is
-/// byte-identical whenever the spans are (i.e. for every thread count).
+/// Exporters for one simulated epoch of the event log. Both emit records in
+/// log order with fixed-format numbers, so the output is byte-identical
+/// whenever the log is (i.e. for every thread count).
 
-/// Renders the trace in Chrome's trace_event JSON format (complete "X"
+/// Renders the epoch in Chrome's trace_event JSON format (complete "X"
 /// events, timestamps in microseconds), loadable in chrome://tracing and
-/// Perfetto. Simulated spans live on process 0 ("simulated epoch", one
-/// thread row per worker); wall-clock spans, if any, on process 1 ("wall
-/// clock") — the two time bases are never mixed on one row.
-std::string ChromeTraceJson(const TraceRecorder& rec);
-
-/// As above, and when `events` is non-null and holds at least one epoch,
-/// additionally renders the *last* epoch's network flows (the epoch the
-/// recorder holds) as their own process row — process 2 ("network flows"),
-/// one thread row per source worker, one complete event per flow — plus
-/// flow arrows ("s"/"f" pairs on the simulated process) binding each comm
-/// span's end to the next span of the same worker it blocks. A null
-/// `events` emits exactly the two-process trace of ChromeTraceJson(rec).
-std::string ChromeTraceJson(const TraceRecorder& rec,
-                            const obs::EventLog* events);
+/// Perfetto. Spans live on process 0 ("<sim> simulated epoch", one thread
+/// row per worker); the epoch's network flows on process 2 ("network
+/// flows", one thread row per source worker, one complete event per flow),
+/// plus flow arrows ("s"/"f" pairs on process 0) binding each comm span's
+/// end to the next span of the same worker it blocks. Both processes share
+/// the one simulated timeline.
+std::string ChromeTraceJson(const obs::EpochEvents& epoch);
 
 /// Flat CSV: step,worker,phase,t_begin,t_end,seconds,comm_seconds,bytes —
-/// one row per simulated span, times in (simulated) seconds with
-/// round-trip precision.
-std::string TraceCsv(const TraceRecorder& rec);
+/// one row per span, times in (simulated) seconds with round-trip
+/// precision.
+std::string TraceCsv(const obs::EpochEvents& epoch);
 
 /// Writes ChromeTraceJson / TraceCsv to `path`. The format is picked from
-/// the extension: ".csv" selects CSV, anything else Chrome JSON. The
-/// three-argument form threads `events` into the Chrome exporter (flow
-/// rows + arrows); CSV output ignores it.
-Status WriteTraceFile(const TraceRecorder& rec, const std::string& path);
-Status WriteTraceFile(const TraceRecorder& rec, const std::string& path,
-                      const obs::EventLog* events);
+/// the extension: ".csv" selects CSV, anything else Chrome JSON.
+Status WriteTraceFile(const obs::EpochEvents& epoch, const std::string& path);
 
 }  // namespace trace
 }  // namespace gnnpart

@@ -9,14 +9,17 @@ namespace gnnpart {
 namespace trace {
 namespace {
 
+using obs::Phase;
+using obs::PhaseName;
+
 std::string Ms(double seconds, int precision = 3) {
   return TablePrinter::Fmt(seconds * 1e3, precision);
 }
 
 }  // namespace
 
-TablePrinter BlameTable(const TraceRecorder& rec) {
-  const std::vector<Phase>& phases = StepPhases(rec.simulator());
+TablePrinter BlameTable(const obs::EpochEvents& epoch) {
+  const std::vector<Phase>& phases = StepPhases(epoch.sim);
   std::vector<std::string> header{"worker"};
   for (Phase p : phases) header.push_back(std::string(PhaseName(p)) + " ms");
   header.push_back("blame ms");
@@ -25,7 +28,7 @@ TablePrinter BlameTable(const TraceRecorder& rec) {
   header.push_back("busy ms");
   TablePrinter table(std::move(header));
 
-  for (const WorkerBlame& wb : ComputeWorkerBlame(rec)) {
+  for (const WorkerBlame& wb : ComputeWorkerBlame(epoch)) {
     std::vector<std::string> row{std::to_string(wb.worker)};
     for (Phase p : phases) {
       row.push_back(Ms(wb.blame_seconds[static_cast<size_t>(p)]));
@@ -39,12 +42,12 @@ TablePrinter BlameTable(const TraceRecorder& rec) {
   return table;
 }
 
-TablePrinter CriticalPathTable(const TraceRecorder& rec) {
+TablePrinter CriticalPathTable(const obs::EpochEvents& epoch) {
   TablePrinter table({"phase", "total ms", "mean step ms", "max step ms",
                       "wait ms", "top straggler"});
-  const std::vector<StepPhaseStat> stats = ComputeStepPhaseStats(rec);
-  const std::vector<WorkerBlame> blame = ComputeWorkerBlame(rec);
-  for (Phase phase : StepPhases(rec.simulator())) {
+  const std::vector<StepPhaseStat> stats = ComputeStepPhaseStats(epoch);
+  const std::vector<WorkerBlame> blame = ComputeWorkerBlame(epoch);
+  for (Phase phase : StepPhases(epoch.sim)) {
     double total = 0, max_step = 0, wait = 0;
     size_t steps = 0;
     for (const StepPhaseStat& st : stats) {
@@ -73,7 +76,7 @@ TablePrinter CriticalPathTable(const TraceRecorder& rec) {
   return table;
 }
 
-TablePrinter TopStepsTable(const TraceRecorder& rec, size_t max_steps) {
+TablePrinter TopStepsTable(const obs::EpochEvents& epoch, size_t max_steps) {
   struct StepRow {
     uint32_t step = 0;
     double cost = 0;
@@ -83,7 +86,7 @@ TablePrinter TopStepsTable(const TraceRecorder& rec, size_t max_steps) {
     std::map<uint32_t, double> blame;  // worker -> blamed seconds
   };
   std::map<uint32_t, StepRow> by_step;
-  for (const StepPhaseStat& st : ComputeStepPhaseStats(rec)) {
+  for (const StepPhaseStat& st : ComputeStepPhaseStats(epoch)) {
     StepRow& row = by_step[st.step];
     row.step = st.step;
     row.cost += st.max_seconds;

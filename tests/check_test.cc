@@ -16,12 +16,12 @@
 #include "gnn/model_config.h"
 #include "harness/cache.h"
 #include "metrics/partition_metrics.h"
+#include "obs/events.h"
 #include "partition/edge/registry.h"
 #include "partition/vertex/registry.h"
 #include "sampling/block_sampler.h"
 #include "sim/distdgl_sim.h"
 #include "sim/distgnn_sim.h"
-#include "trace/trace.h"
 
 namespace gnnpart {
 namespace {
@@ -395,68 +395,52 @@ TEST(ValidateProfileTest, CatchesEachCorruption) {
 
 // --- trace invariants ---
 
-trace::Span MakeSpan(uint32_t step, uint32_t worker, trace::Phase phase,
-                     double t_begin, double seconds) {
-  trace::Span s;
-  s.step = step;
-  s.worker = worker;
-  s.phase = phase;
-  s.t_begin = t_begin;
-  s.seconds = seconds;
-  return s;
+// A DistDGL epoch of the event log with `steps` x `workers` declared.
+obs::EventLog DistDglLog(uint32_t steps, uint32_t workers) {
+  obs::EventLog log;
+  log.BeginEpoch("distdgl", steps, workers, 8);
+  return log;
 }
 
+// An epoch with nothing recorded in it (no simulator, no spans).
 TEST(ValidateTraceTest, EmptyRecorderIsValid) {
-  trace::TraceRecorder rec;
-  EXPECT_TRUE(check::ValidateTrace(rec).ok());
+  EXPECT_TRUE(check::ValidateTrace(obs::EpochEvents{}).ok());
 }
 
 TEST(ValidateTraceTest, DeclaredEpochWithoutSpans) {
-  trace::TraceRecorder rec;
-  rec.BeginEpoch(trace::Simulator::kDistDgl, 2, 2);
-  ExpectViolation(check::ValidateTrace(rec), "trace/empty-epoch");
+  obs::EventLog log = DistDglLog(2, 2);
+  ExpectViolation(check::ValidateTrace(log.epochs().back()),
+                  "trace/empty-epoch");
 }
 
 TEST(ValidateTraceTest, PhaseOutsideSimulatorSet) {
-  trace::TraceRecorder rec;
-  rec.BeginEpoch(trace::Simulator::kDistDgl, 2, 2);
-  rec.Add(MakeSpan(0, 0, trace::Phase::kOptimizer, 0, 1));  // DistGNN phase
-  ExpectViolation(check::ValidateTrace(rec), "trace/phase-set");
+  obs::EventLog log = DistDglLog(2, 2);
+  log.AddSpan(0, 0, obs::Phase::kOptimizer, 0, 1, 0, 0);  // DistGNN phase
+  ExpectViolation(check::ValidateTrace(log.epochs().back()),
+                  "trace/phase-set");
 }
 
 TEST(ValidateTraceTest, BarrierMisalignment) {
-  trace::TraceRecorder rec;
-  rec.BeginEpoch(trace::Simulator::kDistDgl, 1, 2);
-  rec.Add(MakeSpan(0, 0, trace::Phase::kSampling, 0.0, 1));
-  rec.Add(MakeSpan(0, 1, trace::Phase::kSampling, 0.5, 1));
-  ExpectViolation(check::ValidateTrace(rec), "trace/barrier-alignment");
+  obs::EventLog log = DistDglLog(1, 2);
+  log.AddSpan(0, 0, obs::Phase::kSampling, 0.0, 1, 0, 0);
+  log.AddSpan(0, 1, obs::Phase::kSampling, 0.5, 1, 0, 0);
+  ExpectViolation(check::ValidateTrace(log.epochs().back()),
+                  "trace/barrier-alignment");
 }
 
 TEST(ValidateTraceTest, NegativeBeginAndBytes) {
   {
-    trace::TraceRecorder rec;
-    rec.BeginEpoch(trace::Simulator::kDistDgl, 1, 1);
-    trace::Span s = MakeSpan(0, 0, trace::Phase::kSampling, -1.0, 1);
-    rec.Add(s);
-    ExpectViolation(check::ValidateTrace(rec), "trace/negative-begin");
+    obs::EventLog log = DistDglLog(1, 1);
+    log.AddSpan(0, 0, obs::Phase::kSampling, -1.0, 1, 0, 0);
+    ExpectViolation(check::ValidateTrace(log.epochs().back()),
+                    "trace/negative-begin");
   }
   {
-    trace::TraceRecorder rec;
-    rec.BeginEpoch(trace::Simulator::kDistDgl, 1, 1);
-    trace::Span s = MakeSpan(0, 0, trace::Phase::kSampling, 0.0, 1);
-    s.bytes = -8;
-    rec.Add(s);
-    ExpectViolation(check::ValidateTrace(rec), "trace/negative-bytes");
+    obs::EventLog log = DistDglLog(1, 1);
+    log.AddSpan(0, 0, obs::Phase::kSampling, 0.0, 1, 0, -8);
+    ExpectViolation(check::ValidateTrace(log.epochs().back()),
+                    "trace/negative-bytes");
   }
-}
-
-TEST(ValidateTraceTest, WallSpanEndsBeforeItBegins) {
-  trace::TraceRecorder rec;
-  rec.AddWallSpan("partition/test", 2.0, 1.0);
-  EXPECT_TRUE(check::ValidateTrace(rec).ok());  // no simulated spans: fine
-  rec.BeginEpoch(trace::Simulator::kDistDgl, 1, 1);
-  rec.Add(MakeSpan(0, 0, trace::Phase::kSampling, 0.0, 1));
-  ExpectViolation(check::ValidateTrace(rec), "trace/wall-span");
 }
 
 TEST(CheckTraceTest, ReconstructionMatchesAndMismatchIsNamed) {
@@ -466,18 +450,19 @@ TEST(CheckTraceTest, ReconstructionMatchesAndMismatchIsNamed) {
   config.fanouts = {5, 5};
   ClusterSpec cluster;
   cluster.num_machines = 4;
-  trace::TraceRecorder rec;
+  obs::EventLog log;
   DistDglEpochReport report =
-      SimulateDistDglEpoch(f.profile, config, cluster, &rec);
-  EXPECT_TRUE(check::CheckTraceReconstructsReport(rec, report).ok());
+      SimulateDistDglEpoch(f.profile, config, cluster, nullptr, nullptr, &log);
+  const obs::EpochEvents& epoch = log.epochs().back();
+  EXPECT_TRUE(check::CheckTraceReconstructsReport(epoch, report).ok());
 
   DistDglEpochReport corrupt = report;
   corrupt.sampling_seconds *= 1.5;
-  ExpectViolation(check::CheckTraceReconstructsReport(rec, corrupt),
+  ExpectViolation(check::CheckTraceReconstructsReport(epoch, corrupt),
                   "trace/report-mismatch");
 
   DistGnnEpochReport wrong_simulator;
-  ExpectViolation(check::CheckTraceReconstructsReport(rec, wrong_simulator),
+  ExpectViolation(check::CheckTraceReconstructsReport(epoch, wrong_simulator),
                   "trace/simulator-mismatch");
 }
 

@@ -34,6 +34,8 @@ cmp -s "$TMP/det1" "$TMP/det8"
 
 # Timers and RSS are exempt, and must be explicitly marked non-deterministic.
 grep -q '"name":"mem/peak_rss_bytes".*"det":false' "$TMP/m1.jsonl"
+# The partitioner's wall time is the time/partition timer row.
+grep -q '"name":"time/partition".*"det":false' "$TMP/m1.jsonl"
 
 # The pretty-printer re-parses strictly and renders a table.
 "$CLI" metrics "$TMP/m1.jsonl" > "$TMP/pretty.txt"

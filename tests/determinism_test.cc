@@ -12,6 +12,7 @@
 #include "gen/datasets.h"
 #include "graph/split.h"
 #include "metrics/partition_metrics.h"
+#include "obs/events.h"
 #include "partition/edge/registry.h"
 #include "partition/vertex/registry.h"
 #include "sampling/block_sampler.h"
@@ -19,7 +20,6 @@
 #include "sim/distdgl_sim.h"
 #include "sim/distgnn_sim.h"
 #include "trace/export.h"
-#include "trace/trace.h"
 
 namespace gnnpart {
 namespace {
@@ -253,9 +253,10 @@ TEST_F(DeterminismTest, DistDglPipelineBitIdentical) {
 }
 
 // The exported trace is part of the deterministic surface: the Chrome
-// trace JSON written by --trace-out must be byte-identical for every
-// thread count (the spans are computed in the parallel loops but emitted
-// by a canonical serial replay).
+// trace JSON written by --trace-out — spans and network flows, both read
+// from the event log — must be byte-identical for every thread count (the
+// records are computed in the parallel loops but emitted by a canonical
+// serial replay).
 TEST_F(DeterminismTest, DistGnnTraceBytesIdentical) {
   auto parts = MakeEdgePartitioner(EdgePartitionerId::kHdrf)
                    ->Partition(*graph_, kParts, kSeed);
@@ -271,9 +272,10 @@ TEST_F(DeterminismTest, DistGnnTraceBytesIdentical) {
   ExpectInvariant(
       [&] {
         DistGnnWorkload workload = BuildDistGnnWorkload(*graph_, *parts);
-        trace::TraceRecorder rec;
-        SimulateDistGnnEpoch(workload, config, cluster, &rec);
-        return trace::ChromeTraceJson(rec);
+        obs::EventLog log;
+        SimulateDistGnnEpoch(workload, config, cluster, nullptr, nullptr,
+                             &log);
+        return trace::ChromeTraceJson(log.epochs().back());
       },
       [](const std::string& ref, const std::string& probe, int threads) {
         EXPECT_EQ(ref, probe) << "at " << threads << " threads";
@@ -298,9 +300,10 @@ TEST_F(DeterminismTest, DistDglTraceBytesIdentical) {
                                            config.fanouts,
                                            /*global_batch_size=*/256, kSeed);
         EXPECT_TRUE(profile.ok());
-        trace::TraceRecorder rec;
-        SimulateDistDglEpoch(*profile, config, cluster, &rec);
-        return trace::ChromeTraceJson(rec);
+        obs::EventLog log;
+        SimulateDistDglEpoch(*profile, config, cluster, nullptr, nullptr,
+                             &log);
+        return trace::ChromeTraceJson(log.epochs().back());
       },
       [](const std::string& ref, const std::string& probe, int threads) {
         EXPECT_EQ(ref, probe) << "at " << threads << " threads";

@@ -304,7 +304,7 @@ TEST(DynDriverTest, ZeroGrowthMatchesStaticDistGnnPipeline) {
   usage.EnsureShape(fabric);
   DistGnnEpochReport expected =
       SimulateDistGnnEpoch(BuildDistGnnWorkload(g, *parts), gnn, cluster,
-                           nullptr, &fabric, &usage);
+                           &fabric, &usage);
   EXPECT_EQ(report->distgnn.epoch_seconds, expected.epoch_seconds);
   EXPECT_EQ(report->distgnn.forward_seconds, expected.forward_seconds);
   EXPECT_EQ(report->distgnn.backward_seconds, expected.backward_seconds);
@@ -339,7 +339,7 @@ TEST(DynDriverTest, ZeroGrowthMatchesStaticDistDglPipeline) {
       g, *parts, split, gnn.fanouts, gnn.global_batch_size, 42);
   ASSERT_TRUE(profile.ok());
   DistDglEpochReport expected =
-      SimulateDistDglEpoch(*profile, gnn, cluster, nullptr, &fabric, &usage);
+      SimulateDistDglEpoch(*profile, gnn, cluster, &fabric, &usage);
   EXPECT_EQ(report->distdgl.epoch_seconds, expected.epoch_seconds);
   EXPECT_EQ(report->distdgl.sampling_seconds, expected.sampling_seconds);
   EXPECT_EQ(report->distdgl.feature_seconds, expected.feature_seconds);

@@ -101,6 +101,38 @@ TEST_F(GraphIoTest, BinaryRejectsTruncation) {
   ASSERT_FALSE(h.ok());
 }
 
+// Overwrites the u64 header field at `offset` of a valid binary graph:
+// 16 = |V|, 24 = |E|, 40 = name length.
+void PatchHeader(const std::string& path, std::streamoff offset,
+                 uint64_t value) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(offset);
+  f.write(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+// Hostile headers must come back as a Status naming the field, never as an
+// allocation abort (length_error / bad_alloc).
+TEST_F(GraphIoTest, BinaryRejectsHostileHeaderSizes) {
+  Result<Graph> g = ParseEdgeList("0 1\n1 2\n2 3\n", false, 4);
+  ASSERT_TRUE(g.ok());
+  const struct {
+    std::streamoff offset;
+    uint64_t value;
+    const char* field;
+  } cases[] = {{24, uint64_t{1} << 60, "num_edges"},
+               {40, uint64_t{1} << 62, "name_len"},
+               {16, uint64_t{1} << 40, "num_vertices"}};
+  for (const auto& c : cases) {
+    ASSERT_TRUE(WriteBinaryGraph(*g, Path("hostile.bin")).ok());
+    PatchHeader(Path("hostile.bin"), c.offset, c.value);
+    Result<Graph> h = ReadBinaryGraph(Path("hostile.bin"));
+    ASSERT_FALSE(h.ok()) << c.field;
+    EXPECT_EQ(h.status().code(), StatusCode::kIoError) << c.field;
+    EXPECT_NE(h.status().message().find(c.field), std::string::npos)
+        << h.status().message();
+  }
+}
+
 TEST_F(GraphIoTest, WriteToUnwritablePathFails) {
   Result<Graph> g = ParseEdgeList("0 1\n", false);
   ASSERT_TRUE(g.ok());

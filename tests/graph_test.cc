@@ -87,6 +87,23 @@ TEST(GraphBuilderTest, NeighborsAreSortedUnique) {
   EXPECT_EQ(nbrs[2], 4u);
 }
 
+// The last vertex's neighbourhood ends one past the adjacency array; the
+// span must be formed without indexing that position.
+TEST(GraphBuilderTest, LastVertexAndEdgelessGraphNeighbors) {
+  GraphBuilder b(3, false);
+  b.AddEdge(0, 2);
+  b.AddEdge(1, 2);
+  Graph g = MustBuild(&b);
+  auto last = g.Neighbors(2);
+  ASSERT_EQ(last.size(), 2u);
+  EXPECT_EQ(last[0], 0u);
+  EXPECT_EQ(last[1], 1u);
+
+  GraphBuilder empty(3, false);
+  Graph none = MustBuild(&empty);
+  for (VertexId v = 0; v < 3; ++v) EXPECT_TRUE(none.Neighbors(v).empty());
+}
+
 TEST(GraphBuilderTest, IsolatedVerticesHaveZeroDegree) {
   GraphBuilder b(4, false);
   b.AddEdge(0, 1);

@@ -5,8 +5,8 @@
 
 #include "harness/cache.h"
 #include "harness/experiment.h"
+#include "obs/events.h"
 #include "trace/analysis.h"
-#include "trace/trace.h"
 
 namespace gnnpart {
 namespace {
@@ -163,24 +163,32 @@ TEST(TraceDistDglEpochTest, RetracesFromCachedProfileWithoutResampling) {
   config.fanouts = GnnConfig::DefaultFanouts(2);
   ClusterSpec cluster = ctx.MakeCluster(4);
 
-  trace::TraceRecorder first_rec;
-  Result<DistDglEpochReport> first = TraceDistDglEpoch(
-      ctx, DatasetId::kEnwiki, bundle->graph, bundle->split,
-      VertexPartitionerId::kLdg, 4, config, cluster, &first_rec);
+  // Profile through the cache, then simulate with an event log attached.
+  auto trace_epoch = [&](obs::EventLog* log) -> Result<DistDglEpochReport> {
+    Result<DistDglEpochProfile> profile = ProfileWithCache(
+        ctx, DatasetId::kEnwiki, bundle->graph, bundle->split,
+        VertexPartitionerId::kLdg, 4, config.num_layers,
+        ctx.global_batch_size);
+    if (!profile.ok()) return profile.status();
+    return SimulateDistDglEpoch(*profile, config, cluster, nullptr, nullptr,
+                                log);
+  };
+  obs::EventLog first_log;
+  Result<DistDglEpochReport> first = trace_epoch(&first_log);
   ASSERT_TRUE(first.ok()) << first.status();
   // Second call hits the profile cache — a pure replay that must yield
   // the identical report and trace.
-  trace::TraceRecorder second_rec;
-  Result<DistDglEpochReport> second = TraceDistDglEpoch(
-      ctx, DatasetId::kEnwiki, bundle->graph, bundle->split,
-      VertexPartitionerId::kLdg, 4, config, cluster, &second_rec);
+  obs::EventLog second_log;
+  Result<DistDglEpochReport> second = trace_epoch(&second_log);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first->epoch_seconds, second->epoch_seconds);
   EXPECT_EQ(first->sampling_seconds, second->sampling_seconds);
-  ASSERT_EQ(first_rec.spans().size(), second_rec.spans().size());
-  EXPECT_GT(first_rec.spans().size(), 0u);
+  const obs::EpochEvents& first_epoch = first_log.epochs().back();
+  const obs::EpochEvents& second_epoch = second_log.epochs().back();
+  ASSERT_EQ(first_epoch.events.size(), second_epoch.events.size());
+  EXPECT_GT(first_epoch.events.size(), 0u);
   trace::DistDglPhaseSeconds rebuilt =
-      trace::ReconstructDistDglReport(second_rec);
+      trace::ReconstructDistDglReport(second_epoch);
   EXPECT_EQ(rebuilt.epoch, second->epoch_seconds);
   std::filesystem::remove_all(ctx.cache_dir);
 }

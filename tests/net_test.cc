@@ -18,11 +18,11 @@
 #include "net/flowsim.h"
 #include "net/overlap.h"
 #include "net/topology.h"
+#include "obs/events.h"
 #include "partition/edge/registry.h"
 #include "partition/vertex/registry.h"
 #include "sim/distdgl_sim.h"
 #include "sim/distgnn_sim.h"
-#include "trace/trace.h"
 
 namespace gnnpart {
 namespace {
@@ -316,7 +316,7 @@ TEST(NetSimIntegrationTest, DistGnnDefaultFabricIsBitExactLegacy) {
   DistGnnEpochReport implicit = SimulateDistGnnEpoch(w, config, cluster);
   net::Fabric fabric(net::NetworkConfig::FromCluster(cluster), 8);
   DistGnnEpochReport explicit_fabric =
-      SimulateDistGnnEpoch(w, config, cluster, nullptr, &fabric, nullptr);
+      SimulateDistGnnEpoch(w, config, cluster, &fabric, nullptr);
   EXPECT_EQ(implicit.epoch_seconds, explicit_fabric.epoch_seconds);
   EXPECT_EQ(implicit.forward_seconds, explicit_fabric.forward_seconds);
   EXPECT_EQ(implicit.backward_seconds, explicit_fabric.backward_seconds);
@@ -338,7 +338,7 @@ TEST(NetSimIntegrationTest, DistGnnDefaultFabricIsBitExactLegacy) {
   squeezed.oversubscription = 8.0;
   net::Fabric slow(squeezed, 8);
   DistGnnEpochReport contended =
-      SimulateDistGnnEpoch(w, config, cluster, nullptr, &slow, nullptr);
+      SimulateDistGnnEpoch(w, config, cluster, &slow, nullptr);
   EXPECT_GT(contended.epoch_seconds, implicit.epoch_seconds);
   EXPECT_EQ(contended.total_network_bytes, implicit.total_network_bytes);
 }
@@ -397,7 +397,7 @@ TEST(NetSimIntegrationTest, DistDglDefaultFabricIsBitExactLegacy) {
       SimulateDistDglEpoch(f.profile, config, cluster);
   net::Fabric fabric(net::NetworkConfig::FromCluster(cluster), 4);
   DistDglEpochReport explicit_fabric = SimulateDistDglEpoch(
-      f.profile, config, cluster, nullptr, &fabric, nullptr);
+      f.profile, config, cluster, &fabric, nullptr);
   ExpectReportsEqual(implicit, explicit_fabric);
 }
 
@@ -412,12 +412,12 @@ TEST(NetSimIntegrationTest, LinkUsageIsThreadCountInvariant) {
   SetDefaultThreads(1);
   net::LinkUsage reference;
   DistDglEpochReport ref_report = SimulateDistDglEpoch(
-      f.profile, config, cluster, nullptr, &fabric, &reference);
+      f.profile, config, cluster, &fabric, &reference);
   for (int threads : {2, 8}) {
     SetDefaultThreads(threads);
     net::LinkUsage probe;
     DistDglEpochReport report = SimulateDistDglEpoch(
-        f.profile, config, cluster, nullptr, &fabric, &probe);
+        f.profile, config, cluster, &fabric, &probe);
     EXPECT_EQ(report.epoch_seconds, ref_report.epoch_seconds) << threads;
     EXPECT_EQ(probe.link_bytes, reference.link_bytes) << threads;
     EXPECT_EQ(probe.link_busy_seconds, reference.link_busy_seconds) << threads;
@@ -437,10 +437,11 @@ TEST(OverlapTest, PipelinedNeverExceedsBspAndIdentityHolds) {
   ASSERT_TRUE(parts.ok());
   DistGnnWorkload w = BuildDistGnnWorkload(g, parts.value());
   ClusterSpec cluster;
-  trace::TraceRecorder rec;
+  obs::EventLog log;
   DistGnnEpochReport report =
-      SimulateDistGnnEpoch(w, SimConfig(), cluster, &rec);
-  net::OverlapReport overlap = net::ComputeOverlap(rec);
+      SimulateDistGnnEpoch(w, SimConfig(), cluster, nullptr, nullptr, &log);
+  const obs::EpochEvents& epoch = log.epochs().back();
+  net::OverlapReport overlap = net::ComputeOverlap(epoch);
 
   EXPECT_EQ(overlap.hidden_seconds,
             overlap.bsp_epoch_seconds - overlap.pipelined_epoch_seconds);
@@ -456,12 +457,12 @@ TEST(OverlapTest, PipelinedNeverExceedsBspAndIdentityHolds) {
   double blamed = 0;
   for (double b : overlap.worker_pipelined_blame) blamed += b;
   EXPECT_DOUBLE_EQ(blamed, blame);
-  EXPECT_TRUE(check::ValidateOverlapReport(rec, overlap).ok());
+  EXPECT_TRUE(check::ValidateOverlapReport(epoch, overlap).ok());
 
   // Tampered reports must not validate.
   net::OverlapReport forged = overlap;
   forged.hidden_seconds += 1e-3;
-  EXPECT_FALSE(check::ValidateOverlapReport(rec, forged).ok());
+  EXPECT_FALSE(check::ValidateOverlapReport(epoch, forged).ok());
 }
 
 TEST(ValidatorTest, FlowConservationCatchesCorruption) {

@@ -1,6 +1,6 @@
-// The trace subsystem's core contract: an attached recorder never changes
-// the simulated report, and the recorded spans carry enough exact
-// information to reconstruct the report's phase seconds bit-for-bit
+// The trace subsystem's core contract: an attached event log never changes
+// the simulated report, and its spans carry enough exact information to
+// reconstruct the report's phase seconds bit-for-bit
 // (straggler-summed per-step maxima == report totals, EXPECT_EQ on
 // doubles, no tolerance). Plus the analysis/exporter invariants that the
 // CLI's trace-report and --trace-out paths rely on.
@@ -17,6 +17,7 @@
 #include "common/parallel.h"
 #include "gen/datasets.h"
 #include "graph/split.h"
+#include "obs/events.h"
 #include "partition/edge/registry.h"
 #include "partition/vertex/registry.h"
 #include "sim/distdgl_sim.h"
@@ -24,13 +25,21 @@
 #include "trace/analysis.h"
 #include "trace/export.h"
 #include "trace/report.h"
-#include "trace/trace.h"
 
 namespace gnnpart {
 namespace {
 
 constexpr uint64_t kSeed = 42;
 constexpr PartitionId kParts = 8;
+
+// The span records of one epoch, in log order.
+std::vector<const obs::Event*> Spans(const obs::EpochEvents& epoch) {
+  std::vector<const obs::Event*> spans;
+  for (const obs::Event& e : epoch.events) {
+    if (e.kind == obs::Event::Kind::kSpan) spans.push_back(&e);
+  }
+  return spans;
+}
 
 GnnConfig TestConfig() {
   GnnConfig config;
@@ -65,17 +74,18 @@ class TraceTest : public ::testing::Test {
     return cluster;
   }
 
-  // DistGNN epoch over an HDRF edge partitioning, traced into `rec`.
-  static DistGnnEpochReport RunDistGnn(trace::TraceRecorder* rec) {
+  // DistGNN epoch over an HDRF edge partitioning, logged into `events`.
+  static DistGnnEpochReport RunDistGnn(obs::EventLog* events) {
     auto parts = MakeEdgePartitioner(EdgePartitionerId::kHdrf)
                      ->Partition(*graph_, kParts, kSeed);
     EXPECT_TRUE(parts.ok());
     DistGnnWorkload workload = BuildDistGnnWorkload(*graph_, *parts);
-    return SimulateDistGnnEpoch(workload, TestConfig(), Cluster(), rec);
+    return SimulateDistGnnEpoch(workload, TestConfig(), Cluster(), nullptr,
+                                nullptr, events);
   }
 
-  // DistDGL epoch over a Metis vertex partitioning, traced into `rec`.
-  static DistDglEpochReport RunDistDgl(trace::TraceRecorder* rec) {
+  // DistDGL epoch over a Metis vertex partitioning, logged into `events`.
+  static DistDglEpochReport RunDistDgl(obs::EventLog* events) {
     auto parts = MakeVertexPartitioner(VertexPartitionerId::kMetis)
                      ->Partition(*graph_, *split_, kParts, kSeed);
     EXPECT_TRUE(parts.ok());
@@ -83,7 +93,8 @@ class TraceTest : public ::testing::Test {
                                        TestConfig().fanouts,
                                        /*global_batch_size=*/256, kSeed);
     EXPECT_TRUE(profile.ok());
-    return SimulateDistDglEpoch(*profile, TestConfig(), Cluster(), rec);
+    return SimulateDistDglEpoch(*profile, TestConfig(), Cluster(), nullptr,
+                                nullptr, events);
   }
 
   static Graph* graph_;
@@ -96,9 +107,10 @@ VertexSplit* TraceTest::split_ = nullptr;
 // --- the central invariant: trace reconstructs the report bit-exactly ---
 
 TEST_F(TraceTest, DistGnnTraceReconstructsReportBitExactly) {
-  trace::TraceRecorder rec;
-  DistGnnEpochReport report = RunDistGnn(&rec);
-  trace::DistGnnPhaseSeconds r = trace::ReconstructDistGnnReport(rec);
+  obs::EventLog log;
+  DistGnnEpochReport report = RunDistGnn(&log);
+  trace::DistGnnPhaseSeconds r =
+      trace::ReconstructDistGnnReport(log.epochs().back());
   EXPECT_EQ(r.forward, report.forward_seconds);
   EXPECT_EQ(r.backward, report.backward_seconds);
   EXPECT_EQ(r.sync, report.sync_seconds);
@@ -107,9 +119,10 @@ TEST_F(TraceTest, DistGnnTraceReconstructsReportBitExactly) {
 }
 
 TEST_F(TraceTest, DistDglTraceReconstructsReportBitExactly) {
-  trace::TraceRecorder rec;
-  DistDglEpochReport report = RunDistDgl(&rec);
-  trace::DistDglPhaseSeconds r = trace::ReconstructDistDglReport(rec);
+  obs::EventLog log;
+  DistDglEpochReport report = RunDistDgl(&log);
+  trace::DistDglPhaseSeconds r =
+      trace::ReconstructDistDglReport(log.epochs().back());
   EXPECT_EQ(r.sampling, report.sampling_seconds);
   EXPECT_EQ(r.feature, report.feature_seconds);
   EXPECT_EQ(r.forward, report.forward_seconds);
@@ -118,12 +131,13 @@ TEST_F(TraceTest, DistDglTraceReconstructsReportBitExactly) {
   EXPECT_EQ(r.epoch, report.epoch_seconds);
 }
 
-// --- attaching a recorder never perturbs the simulation ---
+// --- attaching the event log (the span recorder) never perturbs the
+// simulation ---
 
 TEST_F(TraceTest, RecorderAttachmentDoesNotChangeDistGnnReport) {
   DistGnnEpochReport plain = RunDistGnn(nullptr);
-  trace::TraceRecorder rec;
-  DistGnnEpochReport traced = RunDistGnn(&rec);
+  obs::EventLog log;
+  DistGnnEpochReport traced = RunDistGnn(&log);
   EXPECT_EQ(plain.epoch_seconds, traced.epoch_seconds);
   EXPECT_EQ(plain.forward_seconds, traced.forward_seconds);
   EXPECT_EQ(plain.backward_seconds, traced.backward_seconds);
@@ -134,8 +148,8 @@ TEST_F(TraceTest, RecorderAttachmentDoesNotChangeDistGnnReport) {
 
 TEST_F(TraceTest, RecorderAttachmentDoesNotChangeDistDglReport) {
   DistDglEpochReport plain = RunDistDgl(nullptr);
-  trace::TraceRecorder rec;
-  DistDglEpochReport traced = RunDistDgl(&rec);
+  obs::EventLog log;
+  DistDglEpochReport traced = RunDistDgl(&log);
   EXPECT_EQ(plain.epoch_seconds, traced.epoch_seconds);
   EXPECT_EQ(plain.sampling_seconds, traced.sampling_seconds);
   EXPECT_EQ(plain.feature_seconds, traced.feature_seconds);
@@ -149,56 +163,60 @@ TEST_F(TraceTest, RecorderAttachmentDoesNotChangeDistDglReport) {
 // Every (step, phase) barrier has exactly one span per worker and all of
 // them share t_begin (workers enter a BSP phase together); span times are
 // finite and non-negative.
-void CheckBspLayout(const trace::TraceRecorder& rec) {
-  ASSERT_GT(rec.spans().size(), 0u);
+void CheckBspLayout(const obs::EpochEvents& epoch) {
+  ASSERT_GT(Spans(epoch).size(), 0u);
   std::map<std::pair<uint32_t, int>, std::pair<double, uint32_t>> barriers;
-  std::map<std::pair<uint32_t, int>, std::set<uint32_t>> workers;
-  for (const trace::Span& s : rec.spans()) {
-    EXPECT_LT(s.step, rec.steps());
-    EXPECT_LT(s.worker, rec.workers());
-    EXPECT_GE(s.seconds, 0.0);
-    EXPECT_GE(s.t_begin, 0.0);
-    const auto key = std::make_pair(s.step, static_cast<int>(s.phase));
-    auto [it, fresh] = barriers.emplace(key, std::make_pair(s.t_begin, 1u));
+  std::map<std::pair<uint32_t, int>, std::set<int>> workers;
+  for (const obs::Event* s : Spans(epoch)) {
+    EXPECT_LT(s->step, epoch.steps);
+    EXPECT_GE(s->src, 0);
+    EXPECT_LT(static_cast<uint32_t>(s->src), epoch.workers);
+    EXPECT_GE(s->dur, 0.0);
+    EXPECT_GE(s->t0, 0.0);
+    const auto key = std::make_pair(s->step, static_cast<int>(s->phase));
+    auto [it, fresh] = barriers.emplace(key, std::make_pair(s->t0, 1u));
     if (!fresh) {
-      EXPECT_EQ(it->second.first, s.t_begin)
-          << "workers of step " << s.step << " phase "
-          << trace::PhaseName(s.phase) << " must enter at the same barrier";
+      EXPECT_EQ(it->second.first, s->t0)
+          << "workers of step " << s->step << " phase "
+          << obs::PhaseName(s->phase) << " must enter at the same barrier";
       ++it->second.second;
     }
-    EXPECT_TRUE(workers[key].insert(s.worker).second)
-        << "duplicate span for worker " << s.worker;
+    EXPECT_TRUE(workers[key].insert(s->src).second)
+        << "duplicate span for worker " << s->src;
   }
   for (const auto& [key, entry] : barriers) {
-    EXPECT_EQ(entry.second, rec.workers())
+    EXPECT_EQ(entry.second, epoch.workers)
         << "step " << key.first << " phase " << key.second
         << " must have one span per worker";
   }
 }
 
 TEST_F(TraceTest, DistGnnSpansFollowBspLayout) {
-  trace::TraceRecorder rec;
-  RunDistGnn(&rec);
-  CheckBspLayout(rec);
+  obs::EventLog log;
+  RunDistGnn(&log);
+  const obs::EpochEvents& epoch = log.epochs().back();
+  CheckBspLayout(epoch);
   // layers + 1 pseudo-step (optimizer), 8 workers, 2 phases per layer in
   // each direction + optimizer.
-  EXPECT_EQ(rec.simulator(), trace::Simulator::kDistGnn);
-  EXPECT_EQ(rec.steps(), 4u);  // 3 layers + optimizer pseudo-step
-  EXPECT_EQ(rec.workers(), static_cast<uint32_t>(kParts));
-  EXPECT_EQ(rec.spans().size(), (3u * 4u + 1u) * kParts);
+  EXPECT_EQ(epoch.sim, "distgnn");
+  EXPECT_EQ(epoch.steps, 4u);  // 3 layers + optimizer pseudo-step
+  EXPECT_EQ(epoch.workers, static_cast<uint32_t>(kParts));
+  EXPECT_EQ(Spans(epoch).size(), (3u * 4u + 1u) * kParts);
 }
 
 TEST_F(TraceTest, DistDglSpansFollowBspLayout) {
-  trace::TraceRecorder rec;
-  DistDglEpochReport report = RunDistDgl(&rec);
-  CheckBspLayout(rec);
-  EXPECT_EQ(rec.simulator(), trace::Simulator::kDistDgl);
-  EXPECT_EQ(rec.workers(), static_cast<uint32_t>(kParts));
-  EXPECT_EQ(rec.spans().size(), static_cast<size_t>(rec.steps()) * 5 * kParts);
+  obs::EventLog log;
+  DistDglEpochReport report = RunDistDgl(&log);
+  const obs::EpochEvents& epoch = log.epochs().back();
+  CheckBspLayout(epoch);
+  EXPECT_EQ(epoch.sim, "distdgl");
+  EXPECT_EQ(epoch.workers, static_cast<uint32_t>(kParts));
+  EXPECT_EQ(Spans(epoch).size(),
+            static_cast<size_t>(epoch.steps) * 5 * kParts);
   // The epoch ends when the last barrier closes; with per-step barrier
   // accumulation this is the sum of all barrier maxima, which can differ
   // from the report's chunk-summed total only in FP grouping.
-  EXPECT_NEAR(rec.epoch_end(), report.epoch_seconds,
+  EXPECT_NEAR(trace::EpochEnd(epoch), report.epoch_seconds,
               1e-12 * report.epoch_seconds);
 }
 
@@ -208,11 +226,12 @@ TEST_F(TraceTest, DistDglSpansFollowBspLayout) {
 // maxima reconstructed from the trace (both are "straggler-summed" phase
 // totals; plain double sums on both sides, so EXPECT_EQ holds).
 TEST_F(TraceTest, BlameSumsMatchStepMaxima) {
-  trace::TraceRecorder rec;
-  RunDistDgl(&rec);
-  const auto stats = trace::ComputeStepPhaseStats(rec);
-  const auto blame = trace::ComputeWorkerBlame(rec);
-  for (trace::Phase phase : trace::StepPhases(rec.simulator())) {
+  obs::EventLog log;
+  RunDistDgl(&log);
+  const obs::EpochEvents& epoch = log.epochs().back();
+  const auto stats = trace::ComputeStepPhaseStats(epoch);
+  const auto blame = trace::ComputeWorkerBlame(epoch);
+  for (obs::Phase phase : trace::StepPhases(epoch.sim)) {
     const size_t p = static_cast<size_t>(phase);
     double max_total = 0, blame_total = 0;
     uint64_t barriers = 0;
@@ -223,32 +242,34 @@ TEST_F(TraceTest, BlameSumsMatchStepMaxima) {
       blame_total += b.blame_seconds[p];
       barriers += b.steps_blamed[p];
     }
-    EXPECT_EQ(blame_total, max_total)
-        << "phase " << trace::PhaseName(phase);
-    EXPECT_EQ(barriers, rec.steps()) << "each step has one "
-                                     << trace::PhaseName(phase) << " barrier";
+    EXPECT_EQ(blame_total, max_total) << "phase " << obs::PhaseName(phase);
+    EXPECT_EQ(barriers, epoch.steps)
+        << "each step has one " << obs::PhaseName(phase) << " barrier";
   }
 }
 
+// The wait matrix is WorkerBlame::wait_seconds: waits[w][p] = seconds
+// worker `w` idled at phase `p` barriers over the epoch.
 TEST_F(TraceTest, WaitMatrixIsNonNegativeAndStragglersNeverWait) {
-  trace::TraceRecorder rec;
-  RunDistGnn(&rec);
-  const auto matrix = trace::ComputeWaitMatrix(rec);
-  ASSERT_EQ(matrix.size(), rec.workers());
-  for (const auto& row : matrix) {
-    for (double wait : row) EXPECT_GE(wait, 0.0);
+  obs::EventLog log;
+  RunDistGnn(&log);
+  const obs::EpochEvents& epoch = log.epochs().back();
+  const auto blame = trace::ComputeWorkerBlame(epoch);
+  ASSERT_EQ(blame.size(), epoch.workers);
+  for (const trace::WorkerBlame& wb : blame) {
+    for (double wait : wb.wait_seconds) EXPECT_GE(wait, 0.0);
   }
   // A barrier's straggler is the max by construction, so its own wait
   // contribution at that barrier is exactly zero.
-  const auto stats = trace::ComputeStepPhaseStats(rec);
+  const auto stats = trace::ComputeStepPhaseStats(epoch);
   for (const auto& st : stats) {
     double total_wait_check = 0;
-    for (const trace::Span& s : rec.spans()) {
-      if (s.step != st.step || s.phase != st.phase) continue;
-      if (s.worker == st.straggler) {
-        EXPECT_EQ(s.seconds, st.max_seconds);
+    for (const obs::Event* s : Spans(epoch)) {
+      if (s->step != st.step || s->phase != st.phase) continue;
+      if (static_cast<uint32_t>(s->src) == st.straggler) {
+        EXPECT_EQ(s->dur, st.max_seconds);
       }
-      total_wait_check += st.max_seconds - s.seconds;
+      total_wait_check += st.max_seconds - s->dur;
     }
     // count*max - sum vs sum of (max - d): same quantity, different FP
     // grouping, so compare with a tiny absolute tolerance.
@@ -352,10 +373,10 @@ bool ValidJson(const std::string& t, size_t& p) {
 }
 
 TEST_F(TraceTest, ChromeTraceJsonIsSyntacticallyValidAndComplete) {
-  trace::TraceRecorder rec;
-  rec.AddWallSpan("partition/test", 0.0, 1.5);
-  RunDistGnn(&rec);
-  const std::string json = trace::ChromeTraceJson(rec);
+  obs::EventLog log;
+  RunDistGnn(&log);
+  const obs::EpochEvents& epoch = log.epochs().back();
+  const std::string json = trace::ChromeTraceJson(epoch);
   size_t pos = 0;
   EXPECT_TRUE(ValidJson(json, pos)) << "invalid JSON near byte " << pos;
   SkipWs(json, pos);
@@ -363,50 +384,54 @@ TEST_F(TraceTest, ChromeTraceJsonIsSyntacticallyValidAndComplete) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"displayTimeUnit\""), std::string::npos);
   EXPECT_NE(json.find("\"distgnn simulated epoch\""), std::string::npos);
-  // One complete ("X") event per span + the wall span.
+  // One complete ("X") event per span and per flow; flows live on their
+  // own process row, and no wall-clock row exists.
   size_t x_events = 0;
   for (size_t at = json.find("\"ph\":\"X\""); at != std::string::npos;
        at = json.find("\"ph\":\"X\"", at + 1)) {
     ++x_events;
   }
-  EXPECT_EQ(x_events, rec.spans().size() + rec.wall_spans().size());
-  // Wall-clock spans live in their own process so the two time domains
-  // never share a track.
-  EXPECT_NE(json.find("\"cat\":\"wall\",\"ph\":\"X\",\"ts\":0.000000,"
-                      "\"dur\":1500000.000000,\"pid\":1"),
-            std::string::npos);
+  size_t flows = 0;
+  for (const obs::Event& e : epoch.events) {
+    flows += e.kind == obs::Event::Kind::kFlow;
+  }
+  EXPECT_GT(flows, 0u);
+  EXPECT_EQ(x_events, Spans(epoch).size() + flows);
+  EXPECT_NE(json.find("\"network flows\""), std::string::npos);
+  EXPECT_EQ(json.find("\"pid\":1"), std::string::npos);
 }
 
 // Within one worker's track the simulated spans must not overlap —
 // otherwise Perfetto renders garbage and the timeline lies.
 TEST_F(TraceTest, SpansWithinAWorkerTrackAreDisjoint) {
   for (int sim = 0; sim < 2; ++sim) {
-    trace::TraceRecorder rec;
+    obs::EventLog log;
     if (sim == 0) {
-      RunDistGnn(&rec);
+      RunDistGnn(&log);
     } else {
-      RunDistDgl(&rec);
+      RunDistDgl(&log);
     }
-    std::map<uint32_t, std::vector<const trace::Span*>> tracks;
-    for (const trace::Span& s : rec.spans()) tracks[s.worker].push_back(&s);
+    const obs::EpochEvents& epoch = log.epochs().back();
+    std::map<int, std::vector<const obs::Event*>> tracks;
+    for (const obs::Event* s : Spans(epoch)) tracks[s->src].push_back(s);
     for (auto& [worker, spans] : tracks) {
       // Spans are emitted in timeline order by the canonical replay pass.
       for (size_t i = 1; i < spans.size(); ++i) {
-        EXPECT_GE(spans[i]->t_begin, spans[i - 1]->t_end())
-            << trace::SimulatorName(rec.simulator()) << " worker " << worker
-            << " span " << i;
+        EXPECT_GE(spans[i]->t0, spans[i - 1]->t0 + spans[i - 1]->dur)
+            << epoch.sim << " worker " << worker << " span " << i;
       }
     }
   }
 }
 
 TEST_F(TraceTest, CsvExportHasOneRowPerSpan) {
-  trace::TraceRecorder rec;
-  RunDistDgl(&rec);
-  const std::string csv = trace::TraceCsv(rec);
+  obs::EventLog log;
+  RunDistDgl(&log);
+  const obs::EpochEvents& epoch = log.epochs().back();
+  const std::string csv = trace::TraceCsv(epoch);
   size_t lines = 0;
   for (char c : csv) lines += (c == '\n');
-  EXPECT_EQ(lines, rec.spans().size() + 1);  // + header
+  EXPECT_EQ(lines, Spans(epoch).size() + 1);  // + header
   EXPECT_EQ(
       csv.rfind("step,worker,phase,t_begin,t_end,seconds,comm_seconds,bytes\n",
                 0),
@@ -417,16 +442,17 @@ TEST_F(TraceTest, CsvExportHasOneRowPerSpan) {
 
 TEST_F(TraceTest, ReportTablesRenderForBothSimulators) {
   for (int sim = 0; sim < 2; ++sim) {
-    trace::TraceRecorder rec;
+    obs::EventLog log;
     if (sim == 0) {
-      RunDistGnn(&rec);
+      RunDistGnn(&log);
     } else {
-      RunDistDgl(&rec);
+      RunDistDgl(&log);
     }
+    const obs::EpochEvents& epoch = log.epochs().back();
     std::ostringstream blame, critical, steps;
-    trace::BlameTable(rec).Print(blame);
-    trace::CriticalPathTable(rec).Print(critical);
-    trace::TopStepsTable(rec).Print(steps);
+    trace::BlameTable(epoch).Print(blame);
+    trace::CriticalPathTable(epoch).Print(critical);
+    trace::TopStepsTable(epoch).Print(steps);
     EXPECT_NE(blame.str().find("worker"), std::string::npos);
     EXPECT_NE(blame.str().find("blame ms"), std::string::npos);
     EXPECT_NE(critical.str().find("top straggler"), std::string::npos);
@@ -438,15 +464,18 @@ TEST_F(TraceTest, ReportTablesRenderForBothSimulators) {
   }
 }
 
+// One event log records successive epochs side by side; the analyses read
+// any one of them, and the last reconstructs its own report.
 TEST_F(TraceTest, RecorderReusableAcrossEpochs) {
-  trace::TraceRecorder rec;
-  rec.AddWallSpan("partition/hdrf", 0.0, 0.25);
-  RunDistGnn(&rec);
-  const size_t gnn_spans = rec.spans().size();
-  RunDistDgl(&rec);  // BeginEpoch resets simulated spans, keeps wall spans
-  EXPECT_EQ(rec.simulator(), trace::Simulator::kDistDgl);
-  EXPECT_NE(rec.spans().size(), gnn_spans);
-  EXPECT_EQ(rec.wall_spans().size(), 1u);
+  obs::EventLog log;
+  RunDistGnn(&log);
+  DistDglEpochReport report = RunDistDgl(&log);
+  ASSERT_EQ(log.epochs().size(), 2u);
+  EXPECT_EQ(log.epochs()[0].sim, "distgnn");
+  EXPECT_EQ(log.epochs()[1].sim, "distdgl");
+  EXPECT_NE(Spans(log.epochs()[0]).size(), Spans(log.epochs()[1]).size());
+  EXPECT_EQ(trace::ReconstructDistDglReport(log.epochs()[1]).epoch,
+            report.epoch_seconds);
 }
 
 }  // namespace

@@ -73,7 +73,6 @@
 #include "trace/explain.h"
 #include "trace/export.h"
 #include "trace/report.h"
-#include "trace/trace.h"
 
 using namespace gnnpart;
 
@@ -95,6 +94,7 @@ int Usage() {
          "      [--hidden N] [--layers N] [--gbs N] [--directed] [--seed N]\n"
          "      [--trace-out FILE]  per-(step,worker,phase) timeline;\n"
          "      .csv -> flat CSV, else Chrome trace_event JSON (Perfetto)\n"
+         "      with spans on pid 0 and network flows on pid 2\n"
          "      [--topology full-bisection|fat-tree|ring]  cluster fabric\n"
          "      [--oversubscription N] [--rack-size N]  fat-tree shape\n"
          "      [--nic-gbps N]  per-host NIC bandwidth\n"
@@ -816,15 +816,26 @@ int ExplainFromFile(const std::string& path,
   return FinishExplain(*log, args);
 }
 
-/// Shared pipeline of `simulate`, `trace-report` and `net-report`: load,
-/// partition, simulate one epoch — with a trace recorder attached when the
-/// trace file, the report tables or the overlap analysis ask for one. In a
-/// paranoid-check build the graph and the partitioning are fully validated
-/// between the partition and simulate stages. Tracing verifies the
-/// trace/report invariant (per-step phase maxima must reproduce the
-/// report's phase seconds bit-exactly) before anything is written;
-/// net-report additionally verifies flow conservation and the overlap
-/// report's serial re-derivation.
+/// Number of span records in one epoch of the event log.
+size_t SpanCount(const obs::EpochEvents& epoch) {
+  size_t spans = 0;
+  for (const obs::Event& e : epoch.events) {
+    spans += e.kind == obs::Event::Kind::kSpan;
+  }
+  return spans;
+}
+
+/// Shared pipeline of `simulate`, `trace-report`, `net-report` and
+/// `explain`: load, partition (timed as `time/partition` in the
+/// --metrics-out manifest), simulate one epoch — with an event log
+/// attached when the trace file, the event file, the report tables or the
+/// overlap analysis ask for one. In a paranoid-check build the graph and
+/// the partitioning are fully validated between the partition and simulate
+/// stages. With a log attached, the trace/report invariant (per-step phase
+/// maxima must reproduce the report's phase seconds bit-exactly), the log's
+/// shape and its attribution identity are verified before anything is
+/// written; net-report additionally verifies flow conservation and the
+/// overlap report's serial re-derivation.
 int RunSimulation(const std::vector<std::string>& args, SimMode mode) {
   std::vector<FlagSpec> flags = {{"--feature", true},
                                  {"--hidden", true},
@@ -875,30 +886,22 @@ int RunSimulation(const std::vector<std::string>& args, SimMode mode) {
   const net::NetworkConfig netcfg = ParseNetworkConfig(args, cluster);
   const net::Fabric fabric(netcfg, static_cast<int>(k));
   net::LinkUsage usage;
-  trace::TraceRecorder recorder;
-  trace::TraceRecorder* rec = (mode != SimMode::kSimulate || netcfg.overlap ||
-                               !trace_out.empty() || !events_out.empty())
-                                  ? &recorder
-                                  : nullptr;
-  // The event log rides the trace replay; explain and net-report collect
-  // one internally even without --events-out (attribution / peak + p99
-  // columns). A null log costs the simulators nothing.
+  // Every trace view reads the event log; a null log costs the simulators
+  // nothing.
   obs::EventLog event_log;
-  obs::EventLog* events = (mode == SimMode::kExplain ||
-                           mode == SimMode::kNetReport || !events_out.empty())
+  obs::EventLog* events = (mode != SimMode::kSimulate || netcfg.overlap ||
+                           !trace_out.empty() || !events_out.empty())
                               ? &event_log
                               : nullptr;
-  // The partition wall time only feeds the trace; without a recorder the
-  // timer stays in its disabled null mode and never touches the clock.
-  WallTimer partition_timer =
-      rec != nullptr ? WallTimer() : WallTimer::Disabled();
 
   if (Result<EdgePartitionerId> id = ParseEdgePartitionerName(name); id.ok()) {
     auto partitioner =
         MakeEdgePartitionerOrDie(*id, ParseSplitFactor(args));
-    Result<EdgePartitioning> parts = partitioner->Partition(*graph, k, seed);
+    Result<EdgePartitioning> parts = [&] {
+      obs::ScopedTimer timer("time/partition");
+      return partitioner->Partition(*graph, k, seed);
+    }();
     if (!parts.ok()) return Fail(parts.status());
-    const double partition_seconds = partition_timer.ElapsedSeconds();
     if constexpr (check::ParanoidEnabled()) {
       if (Status st = check::ValidateEdgePartitioning(*graph, *parts);
           !st.ok()) {
@@ -907,17 +910,16 @@ int RunSimulation(const std::vector<std::string>& args, SimMode mode) {
     }
     DistGnnEpochReport r =
         SimulateDistGnnEpoch(BuildDistGnnWorkload(*graph, *parts), config,
-                             cluster, rec, &fabric, &usage, events);
+                             cluster, &fabric, &usage, events);
     std::cout << "full-batch epoch " << r.epoch_seconds * 1e3 << " ms"
               << " (fwd " << r.forward_seconds * 1e3 << ", bwd "
               << r.backward_seconds * 1e3 << "), network "
               << r.total_network_bytes / 1e6 << " MB, peak memory "
               << r.max_memory_bytes / 1e6 << " MB"
               << (r.out_of_memory ? " (OOM!)" : "") << "\n";
-    if (rec != nullptr) {
-      rec->AddWallSpan("partition/" + partitioner->name(), 0,
-                       partition_seconds);
-      if (Status st = check::CheckTraceReconstructsReport(recorder, r);
+    if (events != nullptr) {
+      if (Status st = check::CheckTraceReconstructsReport(
+              event_log.epochs().back(), r);
           !st.ok()) {
         return Fail(st);
       }
@@ -934,10 +936,11 @@ int RunSimulation(const std::vector<std::string>& args, SimMode mode) {
     if (!vid.ok()) return Fail(vid.status());
     VertexSplit split =
         VertexSplit::MakeRandom(graph->num_vertices(), 0.1, 0.1, seed);
-    Result<VertexPartitioning> parts =
-        MakeVertexPartitioner(*vid)->Partition(*graph, split, k, seed);
+    Result<VertexPartitioning> parts = [&] {
+      obs::ScopedTimer timer("time/partition");
+      return MakeVertexPartitioner(*vid)->Partition(*graph, split, k, seed);
+    }();
     if (!parts.ok()) return Fail(parts.status());
-    const double partition_seconds = partition_timer.ElapsedSeconds();
     if constexpr (check::ParanoidEnabled()) {
       if (Status st = check::ValidateVertexPartitioning(*graph, *parts);
           !st.ok()) {
@@ -952,7 +955,7 @@ int RunSimulation(const std::vector<std::string>& args, SimMode mode) {
         return Fail(st);
       }
     }
-    DistDglEpochReport r = SimulateDistDglEpoch(*profile, config, cluster, rec,
+    DistDglEpochReport r = SimulateDistDglEpoch(*profile, config, cluster,
                                                 &fabric, &usage, events);
     std::cout << "mini-batch epoch " << r.epoch_seconds * 1e3
               << " ms (sampling " << r.sampling_seconds * 1e3 << ", fetch "
@@ -960,10 +963,9 @@ int RunSimulation(const std::vector<std::string>& args, SimMode mode) {
               << ", bwd " << r.backward_seconds * 1e3 << "), remote vertices "
               << r.remote_input_vertices << ", network "
               << r.total_network_bytes / 1e6 << " MB\n";
-    if (rec != nullptr) {
-      rec->AddWallSpan("partition/" + MakeVertexPartitioner(*vid)->name(), 0,
-                       partition_seconds);
-      if (Status st = check::CheckTraceReconstructsReport(recorder, r);
+    if (events != nullptr) {
+      if (Status st = check::CheckTraceReconstructsReport(
+              event_log.epochs().back(), r);
           !st.ok()) {
         return Fail(st);
       }
@@ -971,14 +973,10 @@ int RunSimulation(const std::vector<std::string>& args, SimMode mode) {
   }
 
   if (events != nullptr) {
-    // Cross-layer integrity before anything is printed or written: the
-    // event stream must be well-formed, bit-equal to the trace spans, and
-    // its attribution must close the component-sum identity.
+    // Integrity before anything is printed or written: the event stream
+    // must be well-formed and its attribution must close the
+    // component-sum identity.
     if (Status st = check::ValidateEventLog(event_log); !st.ok()) {
-      return Fail(st);
-    }
-    if (Status st = check::CheckEventSpansMatchTrace(event_log, recorder);
-        !st.ok()) {
       return Fail(st);
     }
     if (Status st = check::CheckEventAttribution(event_log); !st.ok()) {
@@ -1003,16 +1001,18 @@ int RunSimulation(const std::vector<std::string>& args, SimMode mode) {
               << event_log.links().size() << " links, "
               << event_log.epochs().size() << " epoch(s))\n";
   }
+  if (events == nullptr) return 0;
+  const obs::EpochEvents& epoch = event_log.epochs().back();
   if (!trace_out.empty()) {
-    Status st = trace::WriteTraceFile(recorder, trace_out, events);
+    Status st = trace::WriteTraceFile(epoch, trace_out);
     if (!st.ok()) return Fail(st);
-    std::cout << "trace: " << trace_out << " (" << recorder.spans().size()
-              << " spans, " << recorder.steps() << " steps, "
-              << recorder.workers() << " workers)\n";
+    std::cout << "trace: " << trace_out << " (" << SpanCount(epoch)
+              << " spans, " << epoch.steps << " steps, " << epoch.workers
+              << " workers)\n";
   }
   if (netcfg.overlap || mode == SimMode::kNetReport) {
-    const net::OverlapReport overlap = net::ComputeOverlap(recorder);
-    if (Status st = check::ValidateOverlapReport(recorder, overlap);
+    const net::OverlapReport overlap = net::ComputeOverlap(epoch);
+    if (Status st = check::ValidateOverlapReport(epoch, overlap);
         !st.ok()) {
       return Fail(st);
     }
@@ -1043,7 +1043,7 @@ int RunSimulation(const std::vector<std::string>& args, SimMode mode) {
         p99[static_cast<size_t>(lc.link)] = lc.p99_utilization;
       }
       std::cout << "\n--- network: " << netcfg.Summary() << " ---\n";
-      const double epoch_end = recorder.epoch_end();
+      const double epoch_end = trace::EpochEnd(epoch);
       TablePrinter links({"link", "MB", "busy ms", "util %", "peak %",
                           "p99 %"});
       for (size_t l = 0; l < fabric.links().size(); ++l) {
@@ -1060,11 +1060,11 @@ int RunSimulation(const std::vector<std::string>& args, SimMode mode) {
       links.Print(std::cout);
       std::cout << "\n--- overlap-adjusted straggler blame ---\n";
       const std::vector<trace::WorkerBlame> bsp_blame =
-          trace::ComputeWorkerBlame(recorder);
+          trace::ComputeWorkerBlame(epoch);
       TablePrinter blame(
           {"worker", "bsp blame ms", "pipelined blame ms", "comm ms",
            "compute ms"});
-      for (uint32_t w = 0; w < recorder.workers(); ++w) {
+      for (uint32_t w = 0; w < epoch.workers; ++w) {
         blame.AddRow(
             {std::to_string(w),
              TablePrinter::Fmt(bsp_blame[w].total_blame() * 1e3, 3),
@@ -1077,11 +1077,11 @@ int RunSimulation(const std::vector<std::string>& args, SimMode mode) {
   }
   if (mode == SimMode::kTraceReport) {
     std::cout << "\n--- critical path (straggler-summed, per phase) ---\n";
-    trace::CriticalPathTable(recorder).Print(std::cout);
+    trace::CriticalPathTable(epoch).Print(std::cout);
     std::cout << "\n--- per-worker straggler blame ---\n";
-    trace::BlameTable(recorder).Print(std::cout);
+    trace::BlameTable(epoch).Print(std::cout);
     std::cout << "\n--- most expensive steps ---\n";
-    trace::TopStepsTable(recorder).Print(std::cout);
+    trace::TopStepsTable(epoch).Print(std::cout);
   }
   if (mode == SimMode::kExplain) {
     return FinishExplain(event_log, args);
@@ -1172,16 +1172,13 @@ int CmdDynRun(const std::vector<std::string>& args) {
 
   const std::string trace_out = StringFlagValue(args, "--trace-out");
   const std::string events_out = StringFlagValue(args, "--events-out");
-  trace::TraceRecorder recorder;
-  // The event log rides the trace replay, so --events-out forces a
-  // recorder even when no trace file was requested.
-  trace::TraceRecorder* rec =
-      (trace_out.empty() && events_out.empty()) ? nullptr : &recorder;
+  // The trace file exports the final batch's epoch of the event log.
   obs::EventLog event_log;
-  obs::EventLog* events = events_out.empty() ? nullptr : &event_log;
+  obs::EventLog* events =
+      (trace_out.empty() && events_out.empty()) ? nullptr : &event_log;
 
   Result<dyn::DynReport> report =
-      dyn::RunDynamic(*graph, spec, k, config, rec, events);
+      dyn::RunDynamic(*graph, spec, k, config, events);
   if (!report.ok()) return Fail(report.status());
 
   TablePrinter table({"batch", "edges", "vertices",
@@ -1214,12 +1211,6 @@ int CmdDynRun(const std::vector<std::string>& args) {
     if (Status st = check::ValidateEventLog(event_log); !st.ok()) {
       return Fail(st);
     }
-    // The recorder holds the final batch's epoch; the log's last epoch
-    // must be its bit-equal event-stream twin.
-    if (Status st = check::CheckEventSpansMatchTrace(event_log, recorder);
-        !st.ok()) {
-      return Fail(st);
-    }
     if (Status st = check::CheckEventAttribution(event_log); !st.ok()) {
       return Fail(st);
     }
@@ -1242,9 +1233,10 @@ int CmdDynRun(const std::vector<std::string>& args) {
               << event_log.epochs().size() << " epoch(s))\n";
   }
   if (!trace_out.empty()) {
-    Status st = trace::WriteTraceFile(recorder, trace_out, events);
+    const obs::EpochEvents& epoch = event_log.epochs().back();
+    Status st = trace::WriteTraceFile(epoch, trace_out);
     if (!st.ok()) return Fail(st);
-    std::cout << "trace: " << trace_out << " (" << recorder.spans().size()
+    std::cout << "trace: " << trace_out << " (" << SpanCount(epoch)
               << " spans)\n";
   }
   return 0;
