@@ -69,9 +69,44 @@ Result<DatasetId> ParseDatasetCode(const std::string& code) {
   return Status::NotFound("unknown dataset code '" + code + "'");
 }
 
+namespace {
+
+// Scale-1 vertex count of a power-law dataset (the road grid DI is sized
+// by its side instead).
+size_t BaseVertexCount(DatasetId id) {
+  switch (id) {
+    case DatasetId::kHollywood:
+      return 32000;
+    case DatasetId::kEnwiki:
+      return 40000;
+    case DatasetId::kEu:
+      return 44000;
+    case DatasetId::kOrkut:
+      return 24000;
+    case DatasetId::kDimacsUsa:
+      break;
+  }
+  return 0;
+}
+
+}  // namespace
+
 Result<Graph> MakeDataset(DatasetId id, double scale, uint64_t seed) {
+  if (!std::isfinite(scale)) {
+    return Status::InvalidArgument("dataset scale must be finite");
+  }
   if (scale <= 0) {
     return Status::InvalidArgument("dataset scale must be > 0");
+  }
+  // The road grid is side x side; the other datasets scale a base vertex
+  // count. Refuse before allocating when the ids would not fit.
+  const double side = std::max(8.0, std::round(220 * std::sqrt(scale)));
+  const double vertices = id == DatasetId::kDimacsUsa
+                              ? side * side
+                              : std::round(BaseVertexCount(id) * scale);
+  if (vertices >= static_cast<double>(kInvalidVertex)) {
+    return Status::OutOfRange(
+        "dataset scale too large: more vertices than a 32-bit id holds");
   }
   uint64_t s = HashCombine64(seed, static_cast<uint64_t>(id));
   auto scaled = [&](size_t base) {
@@ -84,7 +119,7 @@ Result<Graph> MakeDataset(DatasetId id, double scale, uint64_t seed) {
       // Collaboration network: dense power law (orig. mean degree ~114
       // symmetrized) with strong community structure (productions).
       PowerLawCommunityParams p;
-      p.num_vertices = scaled(32000);
+      p.num_vertices = scaled(BaseVertexCount(id));
       p.num_edges = scaled(640000);
       p.skew = 0.78;
       p.num_communities = 96;
@@ -96,9 +131,8 @@ Result<Graph> MakeDataset(DatasetId id, double scale, uint64_t seed) {
     case DatasetId::kDimacsUsa: {
       // Road network: tiny mean degree, no skew, huge diameter.
       RoadParams p;
-      double side = std::sqrt(scale);
-      p.width = std::max<size_t>(8, static_cast<size_t>(std::llround(220 * side)));
-      p.height = std::max<size_t>(8, static_cast<size_t>(std::llround(220 * side)));
+      p.width = static_cast<size_t>(side);
+      p.height = static_cast<size_t>(side);
       p.diagonal_prob = 0.05;
       p.deletion_prob = 0.03;
       p.directed = true;
@@ -108,7 +142,7 @@ Result<Graph> MakeDataset(DatasetId id, double scale, uint64_t seed) {
     case DatasetId::kEnwiki: {
       // Wiki link graph: directed power law with looser topical communities.
       PowerLawCommunityParams p;
-      p.num_vertices = scaled(40000);
+      p.num_vertices = scaled(BaseVertexCount(id));
       p.num_edges = scaled(600000);
       p.skew = 0.82;
       p.num_communities = 64;
@@ -120,7 +154,7 @@ Result<Graph> MakeDataset(DatasetId id, double scale, uint64_t seed) {
     case DatasetId::kEu: {
       // Web crawl: extreme hub skew and very strong host locality.
       PowerLawCommunityParams p;
-      p.num_vertices = scaled(44000);
+      p.num_vertices = scaled(BaseVertexCount(id));
       p.num_edges = scaled(700000);
       p.skew = 0.95;
       p.num_communities = 128;
@@ -133,7 +167,7 @@ Result<Graph> MakeDataset(DatasetId id, double scale, uint64_t seed) {
       // Social network: dense, heavy-tailed but flatter than web, with
       // weaker community structure than the collaboration graph.
       PowerLawCommunityParams p;
-      p.num_vertices = scaled(24000);
+      p.num_vertices = scaled(BaseVertexCount(id));
       p.num_edges = scaled(600000);
       p.skew = 0.75;
       p.num_communities = 48;

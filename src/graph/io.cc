@@ -29,8 +29,14 @@ Result<Graph> ParseEdgeStream(std::istream& in, bool directed,
                              std::to_string(line_no) + ": '" + line + "'");
     }
     if (u > kInvalidVertex - 1 || v > kInvalidVertex - 1) {
-      return Status::OutOfRange("vertex id too large at line " +
-                                std::to_string(line_no));
+      // Extraction wraps "-1" to 2^64 - 1; name the real fault.
+      std::istringstream tokens(line);
+      std::string a, b;
+      tokens >> a >> b;
+      const bool negative = a[0] == '-' || b[0] == '-';
+      return Status::OutOfRange(
+          std::string(negative ? "negative vertex id" : "vertex id too large") +
+          " at line " + std::to_string(line_no));
     }
     edges.push_back({static_cast<VertexId>(u), static_cast<VertexId>(v)});
     max_id = std::max({max_id, static_cast<VertexId>(u),

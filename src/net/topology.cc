@@ -36,7 +36,6 @@ NetworkConfig NetworkConfig::FromCluster(const ClusterSpec& cluster) {
   config.oversubscription = 1.0;
   config.nic_bandwidth = cluster.network_bandwidth;
   config.link_latency = cluster.network_latency;
-  config.overlap = false;
   return config;
 }
 
@@ -54,9 +53,8 @@ std::string NetworkConfig::CacheKeyTag() const {
       break;
   }
   char buf[128];
-  std::snprintf(buf, sizeof(buf), "%s-o%g-r%d-n%g-l%g-ol%d", code,
-                oversubscription, rack_size, nic_bandwidth, link_latency,
-                overlap ? 1 : 0);
+  std::snprintf(buf, sizeof(buf), "%s-o%g-r%d-n%g-l%g", code,
+                oversubscription, rack_size, nic_bandwidth, link_latency);
   return buf;
 }
 
@@ -64,10 +62,9 @@ std::string NetworkConfig::Summary() const {
   char buf[160];
   std::snprintf(buf, sizeof(buf),
                 "topology=%s oversubscription=%g rack-size=%d nic=%g Gbps "
-                "latency=%g us overlap=%s",
+                "latency=%g us",
                 TopologyName(topology), oversubscription, rack_size,
-                nic_bandwidth / 125e6, link_latency * 1e6,
-                overlap ? "on" : "off");
+                nic_bandwidth / 125e6, link_latency * 1e6);
   return buf;
 }
 

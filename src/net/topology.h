@@ -39,7 +39,7 @@ const char* TopologyName(TopologyKind kind);
 /// Parses a CLI topology name; InvalidArgument on anything else.
 Result<TopologyKind> ParseTopologyName(const std::string& name);
 
-/// Everything that parameterizes the fabric (and the overlap analysis).
+/// Everything that parameterizes the fabric.
 /// Defaults are FromCluster(ClusterSpec{}): the legacy cost model's fabric,
 /// under which the simulators reproduce their pre-net reports bit-exactly.
 struct NetworkConfig {
@@ -52,10 +52,6 @@ struct NetworkConfig {
   double nic_bandwidth = 125e6;
   /// Per-message/RPC latency charged per round (seconds).
   double link_latency = 100e-6;
-  /// Whether analyses report the pipelined (comm/compute overlapped)
-  /// schedule as the headline epoch time. Never changes the simulators'
-  /// BSP reports — overlap is an analysis over the recorded trace.
-  bool overlap = false;
 
   /// The fabric the legacy closed-form model priced implicitly: a
   /// full-bisection switch with the cluster's point-to-point bandwidth

@@ -15,8 +15,8 @@
 /// engine can attribute epoch time to compute / wait / congestion /
 /// migration and name the links and flows responsible.
 ///
-/// It is the only sink for simulated spans: trace-report, the Chrome/CSV
-/// exporters, the overlap analysis and `explain` all read it. Discipline:
+/// It is the only sink for simulated spans: the Chrome/CSV exporters, the
+/// overlap analysis and every `explain` table read it. Discipline:
 ///   - null EventLog* = zero cost (one pointer test per emission site);
 ///   - all records are appended by the simulators' canonical serial
 ///     replays, so the stream is byte-identical for every `--threads N`;

@@ -90,7 +90,8 @@ struct DistDglEpochReport {
 /// (its host count must equal profile.workers); a null fabric uses the
 /// legacy one — NetworkConfig::FromCluster(cluster) — under which the
 /// report is bit-exactly the pre-net closed form (DESIGN.md §10). `usage`,
-/// when non-null, accrues per-link bytes/busy time for net-report;
+/// when non-null, accrues per-link bytes/busy time (the CLI's
+/// flow-conservation check and net/ manifest rows);
 /// per-chunk partials are merged in chunk order, so it is bit-identical
 /// for every thread count.
 ///

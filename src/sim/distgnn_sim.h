@@ -78,7 +78,8 @@ struct DistGnnEpochReport {
 /// count must equal workload.k); a null fabric uses the legacy one —
 /// NetworkConfig::FromCluster(cluster) — under which the report is
 /// bit-exactly the pre-net closed form (DESIGN.md §10). `usage`, when
-/// non-null, accrues per-link bytes/busy time for net-report.
+/// non-null, accrues per-link bytes/busy time (the CLI's flow-conservation
+/// check and net/ manifest rows).
 ///
 /// `events`, when non-null, appends one EpochEvents to the causal timeline
 /// (DESIGN.md §7, §14): one span per (layer, machine, phase) — forward

@@ -66,14 +66,6 @@ const std::vector<Phase>& StepPhases(const std::string& sim) {
   return kNone;
 }
 
-double EpochEnd(const obs::EpochEvents& epoch) {
-  double end = 0;
-  for (const Event& e : epoch.events) {
-    if (e.kind == Event::Kind::kSpan) end = std::max(end, e.t0 + e.dur);
-  }
-  return end;
-}
-
 double ChunkedSum(const double* values, size_t n, size_t grain) {
   if (grain == 0) grain = 1;
   double total = 0;

@@ -31,9 +31,6 @@ namespace trace {
 /// step, in execution order; empty for an unknown kind.
 const std::vector<obs::Phase>& StepPhases(const std::string& sim);
 
-/// Simulated end of the epoch: max t0 + dur over its spans (0 when empty).
-double EpochEnd(const obs::EpochEvents& epoch);
-
 /// Sums `values[0, n)` exactly the way ParallelReduce(grain) does: serial
 /// partial sums per chunk, partials folded in chunk order. Reproduces the
 /// simulators' floating-point phase totals bit-for-bit, which a plain

@@ -7,6 +7,7 @@
 #include <map>
 #include <utility>
 
+#include "net/overlap.h"
 #include "trace/analysis.h"
 
 namespace gnnpart {
@@ -123,8 +124,7 @@ Result<ExplainReport> ComputeExplain(const obs::EventLog& log) {
   double congestion = 0;
   double uncontended = 0;
   double queue = 0;
-  std::vector<double> blame;
-  std::vector<uint64_t> blamed;
+  std::vector<StragglerStat> workers;
 
   for (const obs::EpochEvents& ep : log.epochs()) {
     if (ep.sim == "serve") {
@@ -205,14 +205,24 @@ Result<ExplainReport> ComputeExplain(const obs::EventLog& log) {
     uncontended += ee.uncontended_comm_seconds;
 
     const std::vector<WorkerBlame> wb = ComputeWorkerBlame(ep);
-    if (blame.size() < wb.size()) {
-      blame.resize(wb.size(), 0);
-      blamed.resize(wb.size(), 0);
+    const net::OverlapReport overlap = net::ComputeOverlap(ep);
+    if (workers.size() < ep.workers) workers.resize(ep.workers);
+    for (size_t w = 0; w < ep.workers; ++w) {
+      StragglerStat& s = workers[w];
+      for (size_t p = 0; p < s.phase_blame_seconds.size(); ++p) {
+        s.phase_blame_seconds[p] += wb[w].blame_seconds[p];
+      }
+      s.blame_seconds += wb[w].total_blame();
+      s.steps_blamed += wb[w].total_steps_blamed();
+      s.wait_seconds += wb[w].total_wait();
+      s.busy_seconds += wb[w].busy_seconds;
+      s.pipelined_blame_seconds += overlap.worker_pipelined_blame[w];
+      s.comm_seconds += overlap.worker_comm_seconds[w];
+      s.compute_seconds += overlap.worker_compute_seconds[w];
     }
-    for (size_t w = 0; w < wb.size(); ++w) {
-      blame[w] += wb[w].total_blame();
-      blamed[w] += wb[w].total_steps_blamed();
-    }
+    rep.bsp_seconds += overlap.bsp_epoch_seconds;
+    rep.pipelined_seconds += overlap.pipelined_epoch_seconds;
+    rep.hidden_seconds += overlap.hidden_seconds;
     rep.epochs.push_back(std::move(ee));
   }
 
@@ -299,6 +309,7 @@ Result<ExplainReport> ComputeExplain(const obs::EventLog& log) {
     double window = 0;
     for (const auto& seg : a.segments) window += seg.second;
     if (window > 0) {
+      lc.utilization = a.busy / window;
       const double threshold = 0.99 * window;
       double cum = 0;
       for (const auto& seg : a.segments) {
@@ -333,11 +344,10 @@ Result<ExplainReport> ComputeExplain(const obs::EventLog& log) {
               return x.link < y.link;
             });
 
-  rep.stragglers.reserve(blame.size());
-  for (size_t w = 0; w < blame.size(); ++w) {
-    rep.stragglers.push_back(
-        {static_cast<int>(w), blame[w], blamed[w]});
+  for (size_t w = 0; w < workers.size(); ++w) {
+    workers[w].worker = static_cast<int>(w);
   }
+  rep.stragglers = std::move(workers);
   std::sort(rep.stragglers.begin(), rep.stragglers.end(),
             [](const StragglerStat& x, const StragglerStat& y) {
               if (x.blame_seconds != y.blame_seconds) {

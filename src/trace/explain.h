@@ -1,6 +1,7 @@
 #ifndef GNNPART_TRACE_EXPLAIN_H_
 #define GNNPART_TRACE_EXPLAIN_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -63,7 +64,10 @@ struct LinkContention {
   double busy_seconds = 0;     // time with >= 1 active flow
   double contended_seconds = 0;  // time with >= 2 active flows
   double peak_utilization = 0;   // max over samples of rate / capacity
-  /// Time-weighted p99 of utilization over the run's observation window
+  /// busy_seconds over the run's observation window (the run total, or the
+  /// link's busy time when that is longer).
+  double utilization = 0;
+  /// Time-weighted p99 of utilization over the same observation window
   /// (idle time counts at 0).
   double p99_utilization = 0;
 
@@ -78,12 +82,26 @@ struct LinkContention {
   std::vector<Talker> talkers;
 };
 
-/// One worker's straggler blame across every epoch of the log: seconds the
-/// whole cluster spent at barriers because this worker was slowest.
+/// One worker's straggler accounting across the training epochs of the
+/// log, each column summed in epoch order: the barrier blame/wait/busy
+/// split of trace::ComputeWorkerBlame and the pipelined-schedule split of
+/// net::ComputeOverlap. For a one-epoch log every field is bit-equal to
+/// those two passes over the epoch.
 struct StragglerStat {
   int worker = 0;
+  /// Seconds the whole cluster spent at each phase's barriers because this
+  /// worker was slowest, indexed by obs::Phase.
+  std::array<double, obs::kNumPhases> phase_blame_seconds{};
   double blame_seconds = 0;
   uint64_t steps_blamed = 0;
+  /// Seconds this worker idled at barriers.
+  double wait_seconds = 0;
+  /// Sum of the worker's own span durations.
+  double busy_seconds = 0;
+  /// Pipelined step cost charged to this worker as the step's straggler.
+  double pipelined_blame_seconds = 0;
+  double comm_seconds = 0;
+  double compute_seconds = 0;
 };
 
 /// One epoch's attribution.
@@ -122,6 +140,12 @@ struct ExplainReport {
   std::vector<LinkContention> links;
   /// Workers ranked by blame_seconds descending, ties by id ascending.
   std::vector<StragglerStat> stragglers;
+  /// The training epochs replayed under the pipelined schedule
+  /// (net::ComputeOverlap), summed in epoch order; hidden is bsp minus
+  /// pipelined per epoch.
+  double bsp_seconds = 0;
+  double pipelined_seconds = 0;
+  double hidden_seconds = 0;
 };
 
 /// Computes the full attribution of an event log. Pure: bit-identical for

@@ -1,9 +1,13 @@
 #include "trace/report.h"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <string>
 #include <vector>
+
+#include "common/table.h"
+#include "trace/analysis.h"
 
 namespace gnnpart {
 namespace trace {
@@ -16,33 +20,125 @@ std::string Ms(double seconds, int precision = 3) {
   return TablePrinter::Fmt(seconds * 1e3, precision);
 }
 
-}  // namespace
-
-TablePrinter BlameTable(const obs::EpochEvents& epoch) {
-  const std::vector<Phase>& phases = StepPhases(epoch.sim);
-  std::vector<std::string> header{"worker"};
-  for (Phase p : phases) header.push_back(std::string(PhaseName(p)) + " ms");
-  header.push_back("blame ms");
-  header.push_back("barriers");
-  header.push_back("wait ms");
-  header.push_back("busy ms");
-  TablePrinter table(std::move(header));
-
-  for (const WorkerBlame& wb : ComputeWorkerBlame(epoch)) {
-    std::vector<std::string> row{std::to_string(wb.worker)};
-    for (Phase p : phases) {
-      row.push_back(Ms(wb.blame_seconds[static_cast<size_t>(p)]));
-    }
-    row.push_back(Ms(wb.total_blame()));
-    row.push_back(std::to_string(wb.total_steps_blamed()));
-    row.push_back(Ms(wb.total_wait()));
-    row.push_back(Ms(wb.busy_seconds));
-    table.AddRow(std::move(row));
+/// Formats a link's top talkers as "src->dst N MB" triples; dst -1 (an
+/// aggregate route fanning out to several destinations) prints as "*".
+std::string FormatTalkers(const LinkContention& link, size_t top) {
+  std::string out;
+  for (size_t t = 0; t < link.talkers.size() && t < top; ++t) {
+    const LinkContention::Talker& talker = link.talkers[t];
+    if (!out.empty()) out += "; ";
+    out += std::to_string(talker.src);
+    out += "->";
+    out += talker.dst < 0 ? std::string("*") : std::to_string(talker.dst);
+    out += " ";
+    out += TablePrinter::Fmt(talker.bytes / 1e6, 2);
+    out += " MB";
   }
-  return table;
+  return out;
 }
 
-TablePrinter CriticalPathTable(const obs::EpochEvents& epoch) {
+void PrintAttribution(std::ostream& out, const ExplainReport& rep,
+                      const ExplainReport* baseline) {
+  out << "\n--- explain: critical-path attribution ---\n";
+  std::vector<std::string> header = {"component", "ms", "% of total"};
+  if (baseline != nullptr) {
+    header.push_back("baseline ms");
+    header.push_back("delta ms");
+  }
+  TablePrinter comp(header);
+  auto row = [&](const char* name, double seconds, double base_seconds) {
+    std::vector<std::string> cells = {
+        name, Ms(seconds),
+        TablePrinter::Fmt(
+            rep.total_seconds > 0 ? 100.0 * seconds / rep.total_seconds : 0.0,
+            1)};
+    if (baseline != nullptr) {
+      cells.push_back(Ms(base_seconds));
+      cells.push_back(Ms(seconds - base_seconds));
+    }
+    comp.AddRow(cells);
+  };
+  const ExplainReport zero;
+  const ExplainReport& base = baseline != nullptr ? *baseline : zero;
+  row("compute", rep.compute_seconds, base.compute_seconds);
+  row("wait", rep.wait_seconds, base.wait_seconds);
+  // Serving runs split the wait between request queueing and uncontended
+  // comm; training runs have no queueing and skip the row.
+  if (rep.queue_seconds > 0 || base.queue_seconds > 0) {
+    row("  of which queueing", rep.queue_seconds, base.queue_seconds);
+  }
+  row("congestion", rep.congestion_seconds, base.congestion_seconds);
+  row("migration", rep.migration_seconds, base.migration_seconds);
+  row("total", rep.total_seconds, base.total_seconds);
+  comp.Print(out);
+  out << "(components sum to the total bit-exactly; solved wait "
+         "cross-checks against "
+      << Ms(rep.uncontended_comm_seconds + rep.queue_seconds)
+      << " ms of uncontended comm + queueing; " << rep.epochs.size()
+      << " epoch(s))\n";
+}
+
+void PrintLinks(std::ostream& out, const ExplainReport& rep, size_t top) {
+  out << "\n--- top contended links ---\n";
+  TablePrinter links({"link", "MB", "busy ms", "util %", "contended ms",
+                      "peak %", "p99 %", "top talkers"});
+  for (size_t l = 0; l < rep.links.size() && l < top; ++l) {
+    const LinkContention& link = rep.links[l];
+    links.AddRow({link.name, TablePrinter::Fmt(link.bytes / 1e6, 2),
+                  Ms(link.busy_seconds),
+                  TablePrinter::Fmt(100.0 * link.utilization, 1),
+                  Ms(link.contended_seconds),
+                  TablePrinter::Fmt(100.0 * link.peak_utilization, 1),
+                  TablePrinter::Fmt(100.0 * link.p99_utilization, 1),
+                  FormatTalkers(link, 3)});
+  }
+  links.Print(out);
+}
+
+/// One row per worker, in the report's straggler ranking. The phase
+/// columns are those of the log's training epochs, in obs::Phase order.
+void PrintWorkers(std::ostream& out, const obs::EventLog& log,
+                  const ExplainReport& rep, size_t top) {
+  std::array<bool, obs::kNumPhases> seen{};
+  for (const obs::EpochEvents& ep : log.epochs()) {
+    if (ep.sim == "serve") continue;
+    for (Phase p : StepPhases(ep.sim)) seen[static_cast<size_t>(p)] = true;
+  }
+  std::vector<Phase> phases;
+  for (size_t p = 0; p < seen.size(); ++p) {
+    if (seen[p]) phases.push_back(static_cast<Phase>(p));
+  }
+  std::vector<std::string> header{"worker"};
+  for (Phase p : phases) header.push_back(std::string(PhaseName(p)) + " ms");
+  for (const char* column :
+       {"blame ms", "barriers blamed", "wait ms", "busy ms",
+        "pipelined blame ms", "comm ms", "compute ms"}) {
+    header.push_back(column);
+  }
+  out << "\n--- straggler ranking ---\n";
+  TablePrinter table(std::move(header));
+  for (size_t w = 0; w < rep.stragglers.size() && w < top; ++w) {
+    const StragglerStat& s = rep.stragglers[w];
+    std::vector<std::string> row{std::to_string(s.worker)};
+    for (Phase p : phases) {
+      row.push_back(Ms(s.phase_blame_seconds[static_cast<size_t>(p)]));
+    }
+    row.push_back(Ms(s.blame_seconds));
+    row.push_back(std::to_string(s.steps_blamed));
+    row.push_back(Ms(s.wait_seconds));
+    row.push_back(Ms(s.busy_seconds));
+    row.push_back(Ms(s.pipelined_blame_seconds));
+    row.push_back(Ms(s.comm_seconds));
+    row.push_back(Ms(s.compute_seconds));
+    table.AddRow(std::move(row));
+  }
+  table.Print(out);
+}
+
+/// Per-phase critical-path summary of one epoch: straggler-summed total,
+/// mean/max step cost, total barrier wait and the most-blamed worker.
+void PrintCriticalPath(std::ostream& out, const obs::EpochEvents& epoch) {
+  out << "\n--- critical path (straggler-summed, per phase) ---\n";
   TablePrinter table({"phase", "total ms", "mean step ms", "max step ms",
                       "wait ms", "top straggler"});
   const std::vector<StepPhaseStat> stats = ComputeStepPhaseStats(epoch);
@@ -73,10 +169,14 @@ TablePrinter CriticalPathTable(const obs::EpochEvents& epoch) {
                   Ms(wait),
                   "w" + std::to_string(top) + " (" + Ms(top_blame) + " ms)"});
   }
-  return table;
+  table.Print(out);
 }
 
-TablePrinter TopStepsTable(const obs::EpochEvents& epoch, size_t max_steps) {
+/// The `top` most expensive steps of one epoch (by straggler-summed step
+/// cost): step id, cost, critical worker (largest blame share within the
+/// step) and the phase that dominates the step.
+void PrintTopSteps(std::ostream& out, const obs::EpochEvents& epoch,
+                   size_t top) {
   struct StepRow {
     uint32_t step = 0;
     double cost = 0;
@@ -105,8 +205,9 @@ TablePrinter TopStepsTable(const obs::EpochEvents& epoch, size_t max_steps) {
                      if (a.cost != b.cost) return a.cost > b.cost;
                      return a.step < b.step;
                    });
-  if (rows.size() > max_steps) rows.resize(max_steps);
+  if (rows.size() > top) rows.resize(top);
 
+  out << "\n--- most expensive steps ---\n";
   TablePrinter table(
       {"step", "step ms", "wait ms", "critical worker", "dominant phase"});
   for (const StepRow& row : rows) {
@@ -123,7 +224,33 @@ TablePrinter TopStepsTable(const obs::EpochEvents& epoch, size_t max_steps) {
                       " ms)",
                   PhaseName(row.dominant)});
   }
-  return table;
+  table.Print(out);
+}
+
+}  // namespace
+
+void PrintExplain(std::ostream& out, const obs::EventLog& log,
+                  const ExplainReport& rep, const ExplainReport* baseline,
+                  size_t top) {
+  PrintAttribution(out, rep, baseline);
+  if (!rep.links.empty()) PrintLinks(out, rep, top);
+  if (!rep.stragglers.empty()) PrintWorkers(out, log, rep, top);
+
+  // Serving epochs have no barriers; the per-epoch views and the overlap
+  // replay cover the training epochs only.
+  const obs::EpochEvents* last = nullptr;
+  for (const obs::EpochEvents& ep : log.epochs()) {
+    if (ep.sim != "serve") last = &ep;
+  }
+  if (last == nullptr) return;
+  PrintCriticalPath(out, *last);
+  PrintTopSteps(out, *last, top);
+  const double pct =
+      rep.bsp_seconds > 0 ? 100.0 * rep.hidden_seconds / rep.bsp_seconds : 0.0;
+  out << "\noverlap: bsp " << rep.bsp_seconds * 1e3 << " ms, pipelined "
+      << rep.pipelined_seconds * 1e3 << " ms, hidden "
+      << rep.hidden_seconds * 1e3 << " ms (" << TablePrinter::Fmt(pct, 1)
+      << "% of bsp)\n";
 }
 
 }  // namespace trace

@@ -2,33 +2,32 @@
 #define GNNPART_TRACE_REPORT_H_
 
 #include <cstddef>
+#include <ostream>
 
-#include "common/table.h"
 #include "obs/events.h"
-#include "trace/analysis.h"
+#include "trace/explain.h"
 
 namespace gnnpart {
 namespace trace {
 
-/// Human-readable views of one simulated epoch's spans, rendered with the same
-/// common/table printer the bench binaries use (so trace-report output can
-/// be re-plotted via GNNPART_CSV_DIR-style post-processing too).
-
-/// Per-worker straggler-blame table: one row per worker, per-phase blame
-/// milliseconds (barrier time charged while this worker was the straggler),
-/// total blame, number of (step, phase) barriers blamed, total barrier wait
-/// and busy time. The phase columns follow StepPhases(epoch.sim).
-TablePrinter BlameTable(const obs::EpochEvents& epoch);
-
-/// Per-phase critical-path summary: straggler-summed total, mean/max step
-/// cost, total barrier wait and the most-blamed worker per phase.
-TablePrinter CriticalPathTable(const obs::EpochEvents& epoch);
-
-/// The `max_steps` most expensive steps (by straggler-summed step cost):
-/// step id, cost, critical worker (largest blame share within the step) and
-/// the phase that dominates the step.
-TablePrinter TopStepsTable(const obs::EpochEvents& epoch,
-                           size_t max_steps = 10);
+/// Renders the `explain` report (DESIGN.md §14) of an event log with the
+/// common/table printer the bench binaries use:
+///   1. the critical-path attribution (compute / wait / congestion /
+///      migration), with baseline and delta columns when `baseline` is set;
+///   2. the link table: bytes, busy time, utilization, contended time,
+///      peak/p99 utilization and the top talkers per link;
+///   3. the worker table: per-phase and total straggler blame, barriers
+///      blamed, barrier wait, busy time and the pipelined blame with its
+///      comm/compute split;
+///   4. the per-phase critical path and the most expensive steps of the
+///      log's last training epoch (the one --trace-out exports);
+///   5. the "overlap: bsp ... pipelined ... hidden ..." line.
+/// Every number comes from `log` and `rep` (= ComputeExplain(log)), so a
+/// replayed log prints the same tables as the run that wrote it. `top`
+/// bounds the ranked tables (links, workers, steps).
+void PrintExplain(std::ostream& out, const obs::EventLog& log,
+                  const ExplainReport& rep, const ExplainReport* baseline,
+                  size_t top);
 
 }  // namespace trace
 }  // namespace gnnpart

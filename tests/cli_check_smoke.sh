@@ -104,9 +104,40 @@ grep -q 'usage:' "$TMP/err.txt" || {
   exit 1
 }
 
+# The two report subcommands `explain` absorbed are unknown now: exit 2
+# with the usage message.
+for old in trace net; do
+  set +e
+  "$CLI" "$old-report" "$TMP/HW.bin" HDRF 4 > /dev/null 2> "$TMP/err.txt"
+  rc=$?
+  set -e
+  if [ "$rc" -ne 2 ] || ! grep -q 'usage:' "$TMP/err.txt"; then
+    echo "FAIL: $old-report exited $rc or printed no usage, want 2 + usage" >&2
+    exit 1
+  fi
+done
+
+# A bad generate scale fails with a status (1) or a usage error (2), never
+# an abort: NaN/inf used to throw std::length_error, 1e9 std::bad_alloc,
+# and atof read 'banana' as 0.
+for scale in nan inf 1e9 banana; do
+  set +e
+  "$CLI" generate OR "$scale" "$TMP/bad.txt" > /dev/null 2> "$TMP/err.txt"
+  rc=$?
+  set -e
+  if [ "$rc" -ne 1 ] && [ "$rc" -ne 2 ]; then
+    echo "FAIL: generate OR $scale exited $rc, want 1 or 2" >&2
+    exit 1
+  fi
+  grep -q 'scale' "$TMP/err.txt" || {
+    echo "FAIL: generate OR $scale error does not name the scale" >&2
+    exit 1
+  }
+done
+
 # String-valued flags given without a value must also fail loudly (the
 # value would otherwise silently swallow the next argument or default).
-for flag in --metrics-out --trace-out --topology --overlap; do
+for flag in --metrics-out --trace-out --topology --events-out; do
   if "$CLI" simulate "$TMP/HW.bin" HDRF 4 "$flag" 2> "$TMP/err.txt"; then
     echo "FAIL: trailing $flag without a value accepted" >&2
     exit 1

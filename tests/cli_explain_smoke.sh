@@ -61,6 +61,15 @@ grep '^|' "$TMP/explain.txt" > "$TMP/explain_tables.txt"
 grep '^|' "$TMP/replay.txt" > "$TMP/replay_tables.txt"
 cmp -s "$TMP/explain_tables.txt" "$TMP/replay_tables.txt"
 
+# ... and the same for a mini-batch (DistDGL) run on a contended ring.
+"$CLI" explain "$TMP/g.txt" Metis 4 --topology ring \
+    --events-out "$TMP/dgl.jsonl" > "$TMP/dgl_explain.txt"
+"$CLI" explain "$TMP/dgl.jsonl" > "$TMP/dgl_replay.txt"
+grep '^|' "$TMP/dgl_explain.txt" > "$TMP/dgl_explain_tables.txt"
+grep '^|' "$TMP/dgl_replay.txt" > "$TMP/dgl_replay_tables.txt"
+grep -q 'sampling ms' "$TMP/dgl_explain_tables.txt"
+cmp -s "$TMP/dgl_explain_tables.txt" "$TMP/dgl_replay_tables.txt"
+
 # Baseline diff: the full-bisection run as baseline adds delta columns.
 "$CLI" explain "$TMP/g.txt" HDRF 8 --events-out "$TMP/fb.jsonl" > /dev/null
 "$CLI" explain "$TMP/g.txt" HDRF 8 \

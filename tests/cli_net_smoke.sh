@@ -1,9 +1,9 @@
 #!/bin/sh
-# Tier-1 smoke for the gnnpart::net CLI surface: `net-report` must be
+# Tier-1 smoke for the gnnpart::net CLI surface: `explain` must be
 # byte-identical across thread counts and across runs, the default fabric
 # must be indistinguishable from spelling the legacy flags out (the
 # bit-exactness contract of DESIGN.md §10), every topology must render its
-# utilization tables, and malformed network flags must exit loudly.
+# link and worker tables, and malformed network flags must exit loudly.
 # Usage: cli_net_smoke.sh <path-to-gnnpart_cli>
 set -eu
 
@@ -13,54 +13,53 @@ trap 'rm -rf "$TMP"' EXIT
 
 "$CLI" generate OR 0.02 "$TMP/g.txt" 7 > /dev/null
 
-# Determinism: net-report (overlap on, contended ring) at 1/2/8 threads and
-# a repeated same-seed run must be byte-identical.
-"$CLI" net-report "$TMP/g.txt" Metis 4 --topology ring --overlap on \
-  --threads 1 > "$TMP/nr1.txt"
+# Determinism: explain on a contended ring at 1/2/8 threads and a repeated
+# same-seed run must be byte-identical.
+"$CLI" explain "$TMP/g.txt" Metis 4 --topology ring --threads 1 \
+  > "$TMP/nr1.txt"
 for t in 2 8; do
-  "$CLI" net-report "$TMP/g.txt" Metis 4 --topology ring --overlap on \
-    --threads "$t" > "$TMP/nrt.txt"
+  "$CLI" explain "$TMP/g.txt" Metis 4 --topology ring --threads "$t" \
+    > "$TMP/nrt.txt"
   cmp -s "$TMP/nr1.txt" "$TMP/nrt.txt" || {
-    echo "FAIL: net-report differs between --threads 1 and --threads $t" >&2
+    echo "FAIL: explain differs between --threads 1 and --threads $t" >&2
     exit 1
   }
 done
-"$CLI" net-report "$TMP/g.txt" Metis 4 --topology ring --overlap on \
-  --threads 1 > "$TMP/nr_again.txt"
+"$CLI" explain "$TMP/g.txt" Metis 4 --topology ring --threads 1 \
+  > "$TMP/nr_again.txt"
 cmp -s "$TMP/nr1.txt" "$TMP/nr_again.txt" || {
-  echo "FAIL: net-report differs between identical runs" >&2
+  echo "FAIL: explain differs between identical runs" >&2
   exit 1
 }
+grep -q '^overlap: bsp ' "$TMP/nr1.txt"
 
 # Defaults are the legacy fabric: spelling them out must change nothing.
 "$CLI" simulate "$TMP/g.txt" HDRF 8 > "$TMP/sim_default.txt"
 "$CLI" simulate "$TMP/g.txt" HDRF 8 --topology full-bisection \
-  --oversubscription 1 --nic-gbps 1 --overlap off > "$TMP/sim_explicit.txt"
+  --oversubscription 1 --nic-gbps 1 > "$TMP/sim_explicit.txt"
 cmp -s "$TMP/sim_default.txt" "$TMP/sim_explicit.txt" || {
   echo "FAIL: explicit default network flags changed simulate output" >&2
   exit 1
 }
 
-# Every topology renders the link table and the overlap blame table, on
+# Every topology renders the link table and the pipelined worker blame, on
 # both simulators (HDRF -> DistGNN full-batch, Metis -> DistDGL mini-batch).
+# --top 64 lists every link of these fabrics.
 for topo in full-bisection fat-tree ring; do
-  "$CLI" net-report "$TMP/g.txt" HDRF 8 --topology "$topo" \
-    --oversubscription 4 --rack-size 4 > "$TMP/nr_$topo.txt"
+  "$CLI" explain "$TMP/g.txt" HDRF 8 --topology "$topo" \
+    --oversubscription 4 --rack-size 4 --top 64 > "$TMP/nr_$topo.txt"
   grep -q "topology=$topo" "$TMP/nr_$topo.txt"
   grep -q 'util %' "$TMP/nr_$topo.txt"
-  grep -q 'overlap-adjusted straggler blame' "$TMP/nr_$topo.txt"
+  grep -q 'pipelined blame ms' "$TMP/nr_$topo.txt"
   grep -q '^overlap: bsp ' "$TMP/nr_$topo.txt"
 done
 grep -q 'uplink0' "$TMP/nr_fat-tree.txt"
 grep -q 'ccw0' "$TMP/nr_ring.txt"
-"$CLI" net-report "$TMP/g.txt" Metis 4 --topology fat-tree --rack-size 2 \
-  --oversubscription 8 | grep -q 'uplink1'
-
-# --overlap on adds the overlap summary to plain simulate output too.
-"$CLI" simulate "$TMP/g.txt" Metis 4 --overlap on | grep -q '^overlap: bsp '
+"$CLI" explain "$TMP/g.txt" Metis 4 --topology fat-tree --rack-size 2 \
+  --oversubscription 8 --top 64 | grep -q 'uplink1'
 
 # Malformed network flags must exit non-zero, not default silently.
-for bad in "--topology mesh" "--overlap maybe" "--nic-gbps banana" \
+for bad in "--topology mesh" "--nic-gbps banana" \
            "--nic-gbps 0" "--oversubscription 0" "--oversubscription 65" \
            "--rack-size -2" "--topology" "--nic-gbps"; do
   # shellcheck disable=SC2086

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Tier-1 smoke for the CLI trace path: generate a small graph, simulate
-# with --trace-out (JSON and CSV), and render the trace-report tables.
+# with --trace-out (JSON and CSV), and render explain's straggler-blame and
+# critical-path tables.
 # Usage: cli_trace_smoke.sh <path-to-gnnpart_cli>
 set -eu
 
@@ -21,10 +22,12 @@ grep -q '"distgnn simulated epoch"' "$TMP/t.json"
 head -1 "$TMP/t.csv" | grep -q '^step,worker,phase,t_begin,t_end,seconds,comm_seconds,bytes$'
 grep -q ',sampling,' "$TMP/t.csv"
 
-# trace-report prints the straggler-blame and critical-path tables.
-"$CLI" trace-report "$TMP/g.txt" HDRF 8 > "$TMP/report.txt"
-grep -q 'straggler blame' "$TMP/report.txt"
+# explain prints the per-phase straggler-blame and critical-path tables.
+"$CLI" explain "$TMP/g.txt" HDRF 8 > "$TMP/report.txt"
+grep -q 'straggler ranking' "$TMP/report.txt"
+grep -q 'fwd_sync ms' "$TMP/report.txt"
 grep -q 'critical path' "$TMP/report.txt"
+grep -q 'most expensive steps' "$TMP/report.txt"
 
 # Garbage flag values must fail loudly, not default silently.
 if "$CLI" simulate "$TMP/g.txt" HDRF 8 --layers banana 2> /dev/null; then

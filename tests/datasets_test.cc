@@ -1,3 +1,5 @@
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "gen/datasets.h"
@@ -51,6 +53,24 @@ TEST(DatasetsTest, ScaleControlsSize) {
 TEST(DatasetsTest, RejectsNonPositiveScale) {
   EXPECT_FALSE(MakeDataset(DatasetId::kOrkut, 0.0, 1).ok());
   EXPECT_FALSE(MakeDataset(DatasetId::kOrkut, -1.0, 1).ok());
+}
+
+// Non-finite and absurd scales fail with a status instead of aborting in
+// an allocation (std::length_error / std::bad_alloc).
+TEST(DatasetsTest, RejectsNonFiniteScale) {
+  for (double scale : {std::nan(""), HUGE_VAL}) {
+    Result<Graph> g = MakeDataset(DatasetId::kOrkut, scale, 1);
+    ASSERT_FALSE(g.ok());
+    EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(DatasetsTest, RejectsScaleBeyondVertexIdSpace) {
+  for (DatasetId id : AllDatasets()) {
+    Result<Graph> g = MakeDataset(id, 1e9, 1);
+    ASSERT_FALSE(g.ok()) << DatasetCode(id);
+    EXPECT_EQ(g.status().code(), StatusCode::kOutOfRange) << DatasetCode(id);
+  }
 }
 
 TEST(DatasetsTest, DeterministicInSeed) {

@@ -42,6 +42,24 @@ TEST_F(GraphIoTest, ParseMalformedLineFails) {
   EXPECT_NE(g.status().message().find("line 2"), std::string::npos);
 }
 
+// "-1" extracts into an unsigned id as 2^64 - 1; the error must name the
+// sign, not the magnitude.
+TEST_F(GraphIoTest, ParseNegativeVertexIdNamesTheFault) {
+  for (const char* text : {"0 1\n-1 2\n", "0 1\n2 -3\n"}) {
+    Result<Graph> g = ParseEdgeList(text, false);
+    ASSERT_FALSE(g.ok()) << text;
+    EXPECT_EQ(g.status().code(), StatusCode::kOutOfRange);
+    EXPECT_NE(g.status().message().find("negative vertex id at line 2"),
+              std::string::npos)
+        << g.status();
+  }
+  Result<Graph> big = ParseEdgeList("0 4294967295\n", false);
+  ASSERT_FALSE(big.ok());
+  EXPECT_NE(big.status().message().find("vertex id too large at line 1"),
+            std::string::npos)
+      << big.status();
+}
+
 TEST_F(GraphIoTest, ParseExplicitVertexCount) {
   Result<Graph> g = ParseEdgeList("0 1\n", false, 10);
   ASSERT_TRUE(g.ok()) << g.status();

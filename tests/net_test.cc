@@ -50,11 +50,8 @@ TEST(TopologyTest, CacheKeyTagDistinguishesFabrics) {
   fat.oversubscription = 4.0;
   net::NetworkConfig ring = base;
   ring.topology = net::TopologyKind::kRing;
-  net::NetworkConfig overlapped = base;
-  overlapped.overlap = true;
   EXPECT_NE(base.CacheKeyTag(), fat.CacheKeyTag());
   EXPECT_NE(base.CacheKeyTag(), ring.CacheKeyTag());
-  EXPECT_NE(base.CacheKeyTag(), overlapped.CacheKeyTag());
   EXPECT_NE(fat.CacheKeyTag(), ring.CacheKeyTag());
 }
 

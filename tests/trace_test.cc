@@ -3,7 +3,8 @@
 // reconstruct the report's phase seconds bit-for-bit
 // (straggler-summed per-step maxima == report totals, EXPECT_EQ on
 // doubles, no tolerance). Plus the analysis/exporter invariants that the
-// CLI's trace-report and --trace-out paths rely on.
+// CLI's explain and --trace-out paths rely on.
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <map>
@@ -17,12 +18,14 @@
 #include "common/parallel.h"
 #include "gen/datasets.h"
 #include "graph/split.h"
+#include "net/overlap.h"
 #include "obs/events.h"
 #include "partition/edge/registry.h"
 #include "partition/vertex/registry.h"
 #include "sim/distdgl_sim.h"
 #include "sim/distgnn_sim.h"
 #include "trace/analysis.h"
+#include "trace/explain.h"
 #include "trace/export.h"
 #include "trace/report.h"
 
@@ -216,8 +219,11 @@ TEST_F(TraceTest, DistDglSpansFollowBspLayout) {
   // The epoch ends when the last barrier closes; with per-step barrier
   // accumulation this is the sum of all barrier maxima, which can differ
   // from the report's chunk-summed total only in FP grouping.
-  EXPECT_NEAR(trace::EpochEnd(epoch), report.epoch_seconds,
-              1e-12 * report.epoch_seconds);
+  double end = 0;
+  for (const obs::Event* span : Spans(epoch)) {
+    end = std::max(end, span->t0 + span->dur);
+  }
+  EXPECT_NEAR(end, report.epoch_seconds, 1e-12 * report.epoch_seconds);
 }
 
 // --- analysis invariants (satellite: straggler sums == per-step maxima) ---
@@ -448,19 +454,61 @@ TEST_F(TraceTest, ReportTablesRenderForBothSimulators) {
     } else {
       RunDistDgl(&log);
     }
+    Result<trace::ExplainReport> rep = trace::ComputeExplain(log);
+    ASSERT_TRUE(rep.ok()) << rep.status();
+    std::ostringstream out;
+    trace::PrintExplain(out, log, *rep, nullptr, kParts);
+    const std::string text = out.str();
+    for (const char* needle :
+         {"critical-path attribution", "straggler ranking", "blame ms",
+          "pipelined blame ms", "top straggler", "dominant phase",
+          "\noverlap: bsp "}) {
+      EXPECT_NE(text.find(needle), std::string::npos) << sim << ": " << needle;
+    }
+    // One worker-table row per worker: heading, header and rule lines,
+    // then kParts rows up to the blank line before the next section.
+    const size_t begin = text.find("--- straggler ranking ---\n");
+    ASSERT_NE(begin, std::string::npos);
+    const size_t end = text.find("\n\n", begin) + 1;
+    size_t lines = 0;
+    for (size_t i = begin; i < end; ++i) lines += (text[i] == '\n');
+    EXPECT_EQ(lines, 3 + static_cast<size_t>(kParts));
+  }
+}
+
+// For a one-epoch log every worker column of the explain report is the
+// per-epoch pass itself: 0 + x == x, so == holds on the doubles.
+TEST_F(TraceTest, ExplainWorkerColumnsEqualPerEpochPasses) {
+  for (int sim = 0; sim < 2; ++sim) {
+    obs::EventLog log;
+    if (sim == 0) {
+      RunDistGnn(&log);
+    } else {
+      RunDistDgl(&log);
+    }
     const obs::EpochEvents& epoch = log.epochs().back();
-    std::ostringstream blame, critical, steps;
-    trace::BlameTable(epoch).Print(blame);
-    trace::CriticalPathTable(epoch).Print(critical);
-    trace::TopStepsTable(epoch).Print(steps);
-    EXPECT_NE(blame.str().find("worker"), std::string::npos);
-    EXPECT_NE(blame.str().find("blame ms"), std::string::npos);
-    EXPECT_NE(critical.str().find("top straggler"), std::string::npos);
-    EXPECT_NE(steps.str().find("dominant phase"), std::string::npos);
-    // One blame row per worker (plus the header/rule lines).
-    size_t rows = 0;
-    for (char c : blame.str()) rows += (c == '\n');
-    EXPECT_GE(rows, static_cast<size_t>(kParts));
+    const std::vector<trace::WorkerBlame> blame =
+        trace::ComputeWorkerBlame(epoch);
+    const net::OverlapReport overlap = net::ComputeOverlap(epoch);
+    Result<trace::ExplainReport> rep = trace::ComputeExplain(log);
+    ASSERT_TRUE(rep.ok()) << rep.status();
+    ASSERT_EQ(rep->stragglers.size(), static_cast<size_t>(kParts));
+    for (const trace::StragglerStat& s : rep->stragglers) {
+      const size_t w = static_cast<size_t>(s.worker);
+      ASSERT_LT(w, blame.size());
+      EXPECT_EQ(s.phase_blame_seconds, blame[w].blame_seconds) << w;
+      EXPECT_EQ(s.blame_seconds, blame[w].total_blame()) << w;
+      EXPECT_EQ(s.steps_blamed, blame[w].total_steps_blamed()) << w;
+      EXPECT_EQ(s.wait_seconds, blame[w].total_wait()) << w;
+      EXPECT_EQ(s.busy_seconds, blame[w].busy_seconds) << w;
+      EXPECT_EQ(s.pipelined_blame_seconds, overlap.worker_pipelined_blame[w])
+          << w;
+      EXPECT_EQ(s.comm_seconds, overlap.worker_comm_seconds[w]) << w;
+      EXPECT_EQ(s.compute_seconds, overlap.worker_compute_seconds[w]) << w;
+    }
+    EXPECT_EQ(rep->bsp_seconds, overlap.bsp_epoch_seconds);
+    EXPECT_EQ(rep->pipelined_seconds, overlap.pipelined_epoch_seconds);
+    EXPECT_EQ(rep->hidden_seconds, overlap.hidden_seconds);
   }
 }
 

@@ -12,12 +12,10 @@
 //   gnnpart_cli simulate <graph-file> <partitioner> <k>
 //       [--feature N] [--hidden N] [--layers N] [--gbs N] [--directed]
 //       [--trace-out FILE] [--topology T] [--oversubscription N]
-//       [--rack-size N] [--nic-gbps N] [--overlap on|off]
-//       [--split-factor N]
-//   gnnpart_cli trace-report <graph-file> <partitioner> <k> [same flags]
-//   gnnpart_cli net-report <graph-file> <partitioner> <k> [same flags]
+//       [--rack-size N] [--nic-gbps N] [--split-factor N]
 //   gnnpart_cli explain <graph-file> <partitioner> <k> [same flags]
 //       [--baseline FILE] [--top N]
+//   gnnpart_cli explain <events.jsonl> [--baseline FILE] [--top N]
 //   gnnpart_cli dyn-run <graph-file> <partitioner> <k>
 //       [--growth-batches N] [--initial-fraction PCT]
 //       [--epochs-per-batch N] [--repartition-every N] [--rf-threshold PCT]
@@ -69,7 +67,6 @@
 #include "serve/workload.h"
 #include "sim/distdgl_sim.h"
 #include "sim/distgnn_sim.h"
-#include "trace/analysis.h"
 #include "trace/explain.h"
 #include "trace/export.h"
 #include "trace/report.h"
@@ -98,24 +95,20 @@ int Usage() {
          "      [--topology full-bisection|fat-tree|ring]  cluster fabric\n"
          "      [--oversubscription N] [--rack-size N]  fat-tree shape\n"
          "      [--nic-gbps N]  per-host NIC bandwidth\n"
-         "      [--overlap on|off]  also report the pipelined epoch time\n"
          "      [--split-factor N]  split-merge parallel streaming mode\n"
          "      (HDRF/2PS-L/HEP only; 1 = sequential, bit-identical)\n"
-         "  gnnpart_cli trace-report <graph> <partitioner> <k>\n"
-         "      [simulate flags]  straggler-blame / critical-path tables\n"
-         "  gnnpart_cli net-report <graph> <partitioner> <k>\n"
-         "      [simulate flags]  per-link bytes, busy time, and peak/p99\n"
-         "      utilization plus overlap-adjusted straggler blame on the\n"
-         "      selected fabric\n"
          "  gnnpart_cli explain <graph> <partitioner> <k> | <events.jsonl>\n"
          "      [simulate flags]  attribute the epoch's critical path to\n"
-         "      compute / barrier wait / congestion / migration, name the\n"
-         "      top contended links with the partition pairs responsible,\n"
-         "      and rank straggler workers; a single event-log argument\n"
+         "      compute / barrier wait / congestion / migration; per link:\n"
+         "      bytes, busy time, utilization, contention, peak/p99 and the\n"
+         "      partition pairs responsible; per worker: per-phase and\n"
+         "      pipelined straggler blame, wait, busy, comm and compute;\n"
+         "      the last epoch's critical path and most expensive steps; the\n"
+         "      bsp-vs-pipelined overlap line. A single event-log argument\n"
          "      (written by --events-out) replays a saved run bit-exactly\n"
          "      [--baseline FILE]  diff against an event log written by\n"
          "      --events-out\n"
-         "      [--top N]  rows in the link/straggler tables (default 5)\n"
+         "      [--top N]  rows in the link/worker/step tables (default 5)\n"
          "  gnnpart_cli dyn-run <graph> <partitioner> <k>\n"
          "      [--growth-batches N]  growth batches after the initial\n"
          "      snapshot (0 = static run, bit-identical to 'simulate')\n"
@@ -160,9 +153,8 @@ int Usage() {
          "              all counters/gauges/histograms/timers at exit\n"
          "shared flag:  --events-out FILE  write the causal event timeline\n"
          "              (spans, flows, link samples, repartitions) as JSONL;\n"
-         "              accepted by simulate/trace-report/net-report/\n"
-         "              explain/dyn-run, byte-identical for every\n"
-         "              --threads N\n";
+         "              accepted by simulate/explain/dyn-run/serve-run,\n"
+         "              byte-identical for every --threads N\n";
   return 2;
 }
 
@@ -376,11 +368,46 @@ std::unique_ptr<EdgePartitioner> MakeEdgePartitionerOrDie(
   return partitioner;
 }
 
-/// Network flags shared by simulate / trace-report / net-report. Starts
+/// A partitioner named on the command line.
+struct PartitionerChoice {
+  bool vertex_mode = false;
+  EdgePartitionerId edge{};
+  VertexPartitionerId vertex{};
+  /// The name as given, without a vertex partitioner's 'v' prefix.
+  std::string lookup;
+};
+
+/// Resolves a partitioner name: an edge (vertex-cut) partitioner by its
+/// registry name, else a vertex partitioner by its name with an optional
+/// 'v' prefix (vRandom is the vertex Random, Random the edge one).
+/// `split_merge` marks an explicit split-merge request, which exits 2 when
+/// the name is not an edge partitioner.
+Result<PartitionerChoice> ResolvePartitioner(const std::string& name,
+                                             bool split_merge) {
+  PartitionerChoice choice;
+  choice.lookup = name;
+  if (Result<EdgePartitionerId> id = ParseEdgePartitionerName(name); id.ok()) {
+    choice.edge = *id;
+    return choice;
+  }
+  if (split_merge) {
+    std::cerr << "error: --split-factor applies to edge (vertex-cut) "
+                 "streaming partitioners only\n";
+    std::exit(2);
+  }
+  if (!name.empty() && name[0] == 'v') choice.lookup = name.substr(1);
+  Result<VertexPartitionerId> id = ParseVertexPartitionerName(choice.lookup);
+  if (!id.ok()) return id.status();
+  choice.vertex_mode = true;
+  choice.vertex = *id;
+  return choice;
+}
+
+/// Network flags shared by simulate / explain / dyn-run / serve-run. Starts
 /// from the legacy fabric (NetworkConfig::FromCluster) and only overrides
 /// what was passed explicitly, so the default run is byte-identical to the
 /// pre-net cost model. All numeric values go through ParsePositiveInt via
-/// FlagValue (loud exit 2 on garbage); --overlap only accepts on|off.
+/// FlagValue (loud exit 2 on garbage).
 net::NetworkConfig ParseNetworkConfig(const std::vector<std::string>& args,
                                       const ClusterSpec& cluster) {
   net::NetworkConfig cfg = net::NetworkConfig::FromCluster(cluster);
@@ -404,18 +431,6 @@ net::NetworkConfig ParseNetworkConfig(const std::vector<std::string>& args,
     cfg.nic_bandwidth =
         static_cast<double>(FlagValue(args, "--nic-gbps", 1, 1000)) * 1.25e8;
   }
-  if (HasFlag(args, "--overlap")) {
-    const std::string value = StringFlagValue(args, "--overlap");
-    if (value == "on") {
-      cfg.overlap = true;
-    } else if (value == "off") {
-      cfg.overlap = false;
-    } else {
-      std::cerr << "error: invalid --overlap value '" << value
-                << "' (expected on or off)\n";
-      std::exit(2);
-    }
-  }
   return cfg;
 }
 
@@ -435,7 +450,12 @@ int CmdGenerate(const std::vector<std::string>& args) {
   std::vector<std::string> pos = Positionals(args, {}, 3, 4);
   Result<DatasetId> id = ParseDatasetCode(pos[0]);
   if (!id.ok()) return Fail(id.status());
-  double scale = atof(pos[1].c_str());
+  const double scale = ParsePositiveDouble(pos[1].c_str());
+  if (scale < 0) {
+    std::cerr << "error: invalid scale '" << pos[1]
+              << "' (expected a positive finite number)\n";
+    return 2;
+  }
   uint64_t seed = 42;
   if (pos.size() > 3) {
     const long v = ParsePositiveInt(pos[3].c_str());
@@ -483,43 +503,30 @@ int CmdPartition(const std::vector<std::string>& args) {
   uint64_t seed = static_cast<uint64_t>(FlagValue(args, "--seed", 42));
   const int split_factor = ParseSplitFactor(args);
   std::string out = pos.size() > 3 ? pos[3] : "";
-  std::string name = pos[1];
 
   VertexSplit split =
       VertexSplit::MakeRandom(graph->num_vertices(), 0.1, 0.1, seed);
-  bool vertex_mode = !name.empty() && name[0] == 'v';
-  std::string lookup = vertex_mode ? name.substr(1) : name;
+  Result<PartitionerChoice> choice =
+      ResolvePartitioner(pos[1], split_factor > 1);
+  if (!choice.ok()) return Fail(choice.status());
 
   WallTimer timer;
   std::vector<PartitionId> assignment;
-  if (!vertex_mode) {
-    if (Result<EdgePartitionerId> id = ParseEdgePartitionerName(lookup);
-        id.ok()) {
-      auto partitioner = MakeEdgePartitionerOrDie(*id, split_factor);
-      Result<EdgePartitioning> parts = partitioner->Partition(*graph, k, seed);
-      if (!parts.ok()) return Fail(parts.status());
-      std::cout << partitioner->name() << " k=" << k << " took "
-                << timer.ElapsedSeconds() << " s: "
-                << ComputeEdgePartitionMetrics(*graph, *parts).ToString()
-                << "\n";
-      assignment = parts->assignment;
-    } else {
-      vertex_mode = true;  // fall through to vertex lookup
-    }
-  }
-  if (vertex_mode) {
-    if (split_factor > 1) {
-      std::cerr << "error: --split-factor applies to edge (vertex-cut) "
-                   "streaming partitioners only\n";
-      return 2;
-    }
-    Result<VertexPartitionerId> id = ParseVertexPartitionerName(lookup);
-    if (!id.ok()) return Fail(id.status());
-    Result<VertexPartitioning> parts =
-        MakeVertexPartitioner(*id)->Partition(*graph, split, k, seed);
+  if (!choice->vertex_mode) {
+    auto partitioner = MakeEdgePartitionerOrDie(choice->edge, split_factor);
+    Result<EdgePartitioning> parts = partitioner->Partition(*graph, k, seed);
     if (!parts.ok()) return Fail(parts.status());
-    std::cout << lookup << " k=" << k << " took " << timer.ElapsedSeconds()
-              << " s: "
+    std::cout << partitioner->name() << " k=" << k << " took "
+              << timer.ElapsedSeconds() << " s: "
+              << ComputeEdgePartitionMetrics(*graph, *parts).ToString()
+              << "\n";
+    assignment = parts->assignment;
+  } else {
+    Result<VertexPartitioning> parts = MakeVertexPartitioner(choice->vertex)
+                                           ->Partition(*graph, split, k, seed);
+    if (!parts.ok()) return Fail(parts.status());
+    std::cout << choice->lookup << " k=" << k << " took "
+              << timer.ElapsedSeconds() << " s: "
               << ComputeVertexPartitionMetrics(*graph, *parts, split)
                      .ToString()
               << "\n";
@@ -672,121 +679,30 @@ int CmdCheck(const std::vector<std::string>& args) {
     return 0;
   }
 
-  bool vertex_mode = !name.empty() && name[0] == 'v';
-  std::string lookup = vertex_mode ? name.substr(1) : name;
-  if (!vertex_mode) {
-    if (Result<EdgePartitionerId> id = ParseEdgePartitionerName(lookup);
-        id.ok()) {
-      return CheckOneEdgePartitioner(*graph, *id, k, seed, split_factor);
-    }
+  Result<PartitionerChoice> choice =
+      ResolvePartitioner(name, split_factor >= 1);
+  if (!choice.ok()) return Fail(choice.status());
+  if (!choice->vertex_mode) {
+    return CheckOneEdgePartitioner(*graph, choice->edge, k, seed,
+                                   split_factor);
   }
-  if (split_factor >= 1) {
-    std::cerr << "error: --split-factor applies to edge (vertex-cut) "
-                 "streaming partitioners only\n";
-    return 2;
-  }
-  Result<VertexPartitionerId> id = ParseVertexPartitionerName(lookup);
-  if (!id.ok()) return Fail(id.status());
-  return CheckOneVertexPartitioner(*graph, split, *id, k, seed);
+  return CheckOneVertexPartitioner(*graph, split, choice->vertex, k, seed);
 }
 
-/// What the shared simulate pipeline should print at the end.
-enum class SimMode { kSimulate, kTraceReport, kNetReport, kExplain };
-
-/// Formats a link's top talkers as "src->dst N MB" triples; dst -1 (an
-/// aggregate route fanning out to several destinations) prints as "*".
-std::string FormatTalkers(const trace::LinkContention& link, size_t top) {
-  std::string out;
-  for (size_t t = 0; t < link.talkers.size() && t < top; ++t) {
-    const trace::LinkContention::Talker& talker = link.talkers[t];
-    if (!out.empty()) out += "; ";
-    out += std::to_string(talker.src);
-    out += "->";
-    out += talker.dst < 0 ? std::string("*") : std::to_string(talker.dst);
-    out += " ";
-    out += TablePrinter::Fmt(talker.bytes / 1e6, 2);
-    out += " MB";
-  }
-  return out;
-}
-
-/// Prints the attribution tables of the `explain` subcommand, optionally
-/// against a baseline report loaded from --baseline.
-void PrintExplain(const trace::ExplainReport& rep,
-                  const trace::ExplainReport* baseline, size_t top) {
-  std::cout << "\n--- explain: critical-path attribution ---\n";
-  std::vector<std::string> header = {"component", "ms", "% of total"};
-  if (baseline != nullptr) {
-    header.push_back("baseline ms");
-    header.push_back("delta ms");
-  }
-  TablePrinter comp(header);
-  auto row = [&](const char* name, double seconds, double base_seconds) {
-    std::vector<std::string> cells = {
-        name, TablePrinter::Fmt(seconds * 1e3, 3),
-        TablePrinter::Fmt(
-            rep.total_seconds > 0 ? 100.0 * seconds / rep.total_seconds : 0.0,
-            1)};
-    if (baseline != nullptr) {
-      cells.push_back(TablePrinter::Fmt(base_seconds * 1e3, 3));
-      cells.push_back(TablePrinter::Fmt((seconds - base_seconds) * 1e3, 3));
-    }
-    comp.AddRow(cells);
-  };
-  const trace::ExplainReport zero;
-  const trace::ExplainReport& base = baseline != nullptr ? *baseline : zero;
-  row("compute", rep.compute_seconds, base.compute_seconds);
-  row("wait", rep.wait_seconds, base.wait_seconds);
-  // Serving runs split the wait between request queueing and uncontended
-  // comm; training runs have no queueing and skip the row.
-  if (rep.queue_seconds > 0 || base.queue_seconds > 0) {
-    row("  of which queueing", rep.queue_seconds, base.queue_seconds);
-  }
-  row("congestion", rep.congestion_seconds, base.congestion_seconds);
-  row("migration", rep.migration_seconds, base.migration_seconds);
-  row("total", rep.total_seconds, base.total_seconds);
-  comp.Print(std::cout);
-  std::cout << "(components sum to the total bit-exactly; solved wait "
-               "cross-checks against "
-            << TablePrinter::Fmt(
-                   (rep.uncontended_comm_seconds + rep.queue_seconds) * 1e3, 3)
-            << " ms of uncontended comm + queueing; " << rep.epochs.size()
-            << " epoch(s))\n";
-
-  if (!rep.links.empty()) {
-    std::cout << "\n--- top contended links ---\n";
-    TablePrinter links({"link", "MB", "busy ms", "contended ms", "peak %",
-                        "p99 %", "top talkers"});
-    for (size_t l = 0; l < rep.links.size() && l < top; ++l) {
-      const trace::LinkContention& link = rep.links[l];
-      links.AddRow({link.name, TablePrinter::Fmt(link.bytes / 1e6, 2),
-                    TablePrinter::Fmt(link.busy_seconds * 1e3, 3),
-                    TablePrinter::Fmt(link.contended_seconds * 1e3, 3),
-                    TablePrinter::Fmt(100.0 * link.peak_utilization, 1),
-                    TablePrinter::Fmt(100.0 * link.p99_utilization, 1),
-                    FormatTalkers(link, 3)});
-    }
-    links.Print(std::cout);
-  }
-
-  if (!rep.stragglers.empty()) {
-    std::cout << "\n--- straggler ranking ---\n";
-    TablePrinter stragglers({"worker", "blame ms", "barriers blamed"});
-    for (size_t w = 0; w < rep.stragglers.size() && w < top; ++w) {
-      const trace::StragglerStat& s = rep.stragglers[w];
-      stragglers.AddRow({std::to_string(s.worker),
-                         TablePrinter::Fmt(s.blame_seconds * 1e3, 3),
-                         std::to_string(s.steps_blamed)});
-    }
-    stragglers.Print(std::cout);
-  }
-}
-
-/// Shared tail of the two `explain` entry points: attribution from a
-/// just-collected (or loaded) event log, the optional --baseline diff,
-/// the tables.
+/// Shared tail of the two `explain` entry points: the overlap replay of
+/// every training epoch, re-derived serially (pure on the log, so a replay
+/// checks it too) and recorded in the manifest; attribution, the optional
+/// --baseline diff, the tables.
 int FinishExplain(const obs::EventLog& log,
                   const std::vector<std::string>& args) {
+  for (const obs::EpochEvents& ep : log.epochs()) {
+    if (ep.sim == "serve") continue;
+    const net::OverlapReport overlap = net::ComputeOverlap(ep);
+    if (Status st = check::ValidateOverlapReport(ep, overlap); !st.ok()) {
+      return Fail(st);
+    }
+    net::RecordOverlapMetrics(overlap);
+  }
   Result<trace::ExplainReport> rep = trace::ComputeExplain(log);
   if (!rep.ok()) return Fail(rep.status());
   const size_t top = static_cast<size_t>(FlagValue(args, "--top", 5));
@@ -801,19 +717,45 @@ int FinishExplain(const obs::EventLog& log,
     baseline_rep = *brep;
     baseline = &baseline_rep;
   }
-  PrintExplain(*rep, baseline, top);
+  trace::PrintExplain(std::cout, log, *rep, baseline, top);
   return 0;
 }
 
 /// `explain <events.jsonl>`: attribution straight from a saved event log,
 /// no simulation. The file's %.17g doubles parse back bit-equal, so the
-/// report reproduces the in-process attribution of the run that wrote it.
+/// report reproduces the in-process tables of the run that wrote it.
 int ExplainFromFile(const std::string& path,
                     const std::vector<std::string>& args) {
   Result<obs::EventLog> log = obs::LoadEventsFile(path);
   if (!log.ok()) return Fail(log.status());
   if (Status st = check::ValidateEventLog(*log); !st.ok()) return Fail(st);
   return FinishExplain(*log, args);
+}
+
+/// Checks a collected event log (well-formed, attribution closing the
+/// component-sum identity) and, when `path` is set, writes it and prints
+/// the "events:" summary line. The meta pairs deliberately exclude
+/// anything thread- or machine-dependent: the file is byte-identical for
+/// every --threads N.
+Status CheckAndWriteEvents(const obs::EventLog& log, const std::string& path,
+                           const std::string& graph,
+                           const std::string& partitioner, PartitionId k,
+                           uint64_t seed) {
+  GNNPART_RETURN_NOT_OK(check::ValidateEventLog(log));
+  GNNPART_RETURN_NOT_OK(check::CheckEventAttribution(log));
+  if (path.empty()) return Status::Ok();
+  GNNPART_RETURN_NOT_OK(obs::WriteEventsFile(log, path,
+                                             {{"tool", "gnnpart_cli"},
+                                              {"graph", graph},
+                                              {"partitioner", partitioner},
+                                              {"k", std::to_string(k)},
+                                              {"seed", std::to_string(seed)}}));
+  size_t records = log.run_events().size();
+  for (const obs::EpochEvents& ep : log.epochs()) records += ep.events.size();
+  std::cout << "events: " << path << " (" << records << " records, "
+            << log.links().size() << " links, " << log.epochs().size()
+            << " epoch(s))\n";
+  return Status::Ok();
 }
 
 /// Number of span records in one epoch of the event log.
@@ -825,18 +767,17 @@ size_t SpanCount(const obs::EpochEvents& epoch) {
   return spans;
 }
 
-/// Shared pipeline of `simulate`, `trace-report`, `net-report` and
-/// `explain`: load, partition (timed as `time/partition` in the
-/// --metrics-out manifest), simulate one epoch — with an event log
-/// attached when the trace file, the event file, the report tables or the
-/// overlap analysis ask for one. In a paranoid-check build the graph and
+/// Shared pipeline of `simulate` and `explain`: load, partition (timed as
+/// `time/partition` in the --metrics-out manifest), simulate one epoch —
+/// with an event log attached when the trace file, the event file or the
+/// explain report asks for one. In a paranoid-check build the graph and
 /// the partitioning are fully validated between the partition and simulate
 /// stages. With a log attached, the trace/report invariant (per-step phase
 /// maxima must reproduce the report's phase seconds bit-exactly), the log's
 /// shape and its attribution identity are verified before anything is
-/// written; net-report additionally verifies flow conservation and the
+/// written; explain additionally verifies flow conservation and the
 /// overlap report's serial re-derivation.
-int RunSimulation(const std::vector<std::string>& args, SimMode mode) {
+int RunSimulation(const std::vector<std::string>& args, bool explain) {
   std::vector<FlagSpec> flags = {{"--feature", true},
                                  {"--hidden", true},
                                  {"--layers", true},
@@ -849,20 +790,16 @@ int RunSimulation(const std::vector<std::string>& args, SimMode mode) {
                                  {"--oversubscription", true},
                                  {"--rack-size", true},
                                  {"--nic-gbps", true},
-                                 {"--overlap", true},
                                  {"--split-factor", true}};
-  if (mode == SimMode::kExplain) {
+  if (explain) {
     flags.push_back({"--baseline", true});
     flags.push_back({"--top", true});
   }
   // `explain` alone also accepts a single saved event file in place of
   // the graph/partitioner/k triple; two positionals are still a usage
   // error.
-  std::vector<std::string> pos =
-      Positionals(args, flags, mode == SimMode::kExplain ? 1 : 3, 3);
-  if (mode == SimMode::kExplain && pos.size() == 1) {
-    return ExplainFromFile(pos[0], args);
-  }
+  std::vector<std::string> pos = Positionals(args, flags, explain ? 1 : 3, 3);
+  if (explain && pos.size() == 1) return ExplainFromFile(pos[0], args);
   if (pos.size() != 3) return Usage();
   Result<Graph> graph = LoadGraph(pos[0], HasFlag(args, "--directed"));
   if (!graph.ok()) return Fail(graph.status());
@@ -889,14 +826,16 @@ int RunSimulation(const std::vector<std::string>& args, SimMode mode) {
   // Every trace view reads the event log; a null log costs the simulators
   // nothing.
   obs::EventLog event_log;
-  obs::EventLog* events = (mode != SimMode::kSimulate || netcfg.overlap ||
-                           !trace_out.empty() || !events_out.empty())
-                              ? &event_log
-                              : nullptr;
+  obs::EventLog* events =
+      (explain || !trace_out.empty() || !events_out.empty()) ? &event_log
+                                                             : nullptr;
 
-  if (Result<EdgePartitionerId> id = ParseEdgePartitionerName(name); id.ok()) {
-    auto partitioner =
-        MakeEdgePartitionerOrDie(*id, ParseSplitFactor(args));
+  const int split_factor = ParseSplitFactor(args);
+  Result<PartitionerChoice> choice =
+      ResolvePartitioner(name, split_factor > 1);
+  if (!choice.ok()) return Fail(choice.status());
+  if (!choice->vertex_mode) {
+    auto partitioner = MakeEdgePartitionerOrDie(choice->edge, split_factor);
     Result<EdgePartitioning> parts = [&] {
       obs::ScopedTimer timer("time/partition");
       return partitioner->Partition(*graph, k, seed);
@@ -925,20 +864,12 @@ int RunSimulation(const std::vector<std::string>& args, SimMode mode) {
       }
     }
   } else {
-    if (ParseSplitFactor(args) > 1) {
-      std::cerr << "error: --split-factor applies to edge (vertex-cut) "
-                   "streaming partitioners only\n";
-      return 2;
-    }
-    std::string lookup =
-        !name.empty() && name[0] == 'v' ? name.substr(1) : name;
-    Result<VertexPartitionerId> vid = ParseVertexPartitionerName(lookup);
-    if (!vid.ok()) return Fail(vid.status());
     VertexSplit split =
         VertexSplit::MakeRandom(graph->num_vertices(), 0.1, 0.1, seed);
     Result<VertexPartitioning> parts = [&] {
       obs::ScopedTimer timer("time/partition");
-      return MakeVertexPartitioner(*vid)->Partition(*graph, split, k, seed);
+      return MakeVertexPartitioner(choice->vertex)
+          ->Partition(*graph, split, k, seed);
     }();
     if (!parts.ok()) return Fail(parts.status());
     if constexpr (check::ParanoidEnabled()) {
@@ -972,36 +903,12 @@ int RunSimulation(const std::vector<std::string>& args, SimMode mode) {
     }
   }
 
-  if (events != nullptr) {
-    // Integrity before anything is printed or written: the event stream
-    // must be well-formed and its attribution must close the
-    // component-sum identity.
-    if (Status st = check::ValidateEventLog(event_log); !st.ok()) {
-      return Fail(st);
-    }
-    if (Status st = check::CheckEventAttribution(event_log); !st.ok()) {
-      return Fail(st);
-    }
-  }
-  if (!events_out.empty()) {
-    // The meta pairs deliberately exclude anything thread- or
-    // machine-dependent: the file is byte-identical for every --threads N.
-    Status st = obs::WriteEventsFile(event_log, events_out,
-                                     {{"tool", "gnnpart_cli"},
-                                      {"graph", pos[0]},
-                                      {"partitioner", name},
-                                      {"k", std::to_string(k)},
-                                      {"seed", std::to_string(seed)}});
-    if (!st.ok()) return Fail(st);
-    size_t records = event_log.run_events().size();
-    for (const obs::EpochEvents& ep : event_log.epochs()) {
-      records += ep.events.size();
-    }
-    std::cout << "events: " << events_out << " (" << records << " records, "
-              << event_log.links().size() << " links, "
-              << event_log.epochs().size() << " epoch(s))\n";
-  }
   if (events == nullptr) return 0;
+  if (Status st = CheckAndWriteEvents(event_log, events_out, pos[0], name, k,
+                                      seed);
+      !st.ok()) {
+    return Fail(st);
+  }
   const obs::EpochEvents& epoch = event_log.epochs().back();
   if (!trace_out.empty()) {
     Status st = trace::WriteTraceFile(epoch, trace_out);
@@ -1010,85 +917,14 @@ int RunSimulation(const std::vector<std::string>& args, SimMode mode) {
               << " spans, " << epoch.steps << " steps, " << epoch.workers
               << " workers)\n";
   }
-  if (netcfg.overlap || mode == SimMode::kNetReport) {
-    const net::OverlapReport overlap = net::ComputeOverlap(epoch);
-    if (Status st = check::ValidateOverlapReport(epoch, overlap);
-        !st.ok()) {
-      return Fail(st);
-    }
-    net::RecordOverlapMetrics(overlap);
-    const double pct = overlap.bsp_epoch_seconds > 0
-                           ? 100.0 * overlap.hidden_seconds /
-                                 overlap.bsp_epoch_seconds
-                           : 0.0;
-    std::cout << "overlap: bsp " << overlap.bsp_epoch_seconds * 1e3
-              << " ms, pipelined " << overlap.pipelined_epoch_seconds * 1e3
-              << " ms, hidden " << overlap.hidden_seconds * 1e3 << " ms ("
-              << TablePrinter::Fmt(pct, 1) << "% of bsp)\n";
-    if (mode == SimMode::kNetReport) {
-      if (Status st = check::ValidateFlowConservation(fabric, usage);
-          !st.ok()) {
-        return Fail(st);
-      }
-      net::RecordUsageMetrics(fabric, usage);
-      // The event log's link time series yields per-link peak and p99
-      // utilization (time-weighted, idle time included) on top of the
-      // aggregate byte/busy accounting.
-      Result<trace::ExplainReport> xr = trace::ComputeExplain(event_log);
-      if (!xr.ok()) return Fail(xr.status());
-      std::vector<double> peak(fabric.links().size(), 0.0);
-      std::vector<double> p99(fabric.links().size(), 0.0);
-      for (const trace::LinkContention& lc : xr->links) {
-        peak[static_cast<size_t>(lc.link)] = lc.peak_utilization;
-        p99[static_cast<size_t>(lc.link)] = lc.p99_utilization;
-      }
-      std::cout << "\n--- network: " << netcfg.Summary() << " ---\n";
-      const double epoch_end = trace::EpochEnd(epoch);
-      TablePrinter links({"link", "MB", "busy ms", "util %", "peak %",
-                          "p99 %"});
-      for (size_t l = 0; l < fabric.links().size(); ++l) {
-        const double busy = usage.link_busy_seconds[l];
-        links.AddRow({fabric.links()[l].name,
-                      TablePrinter::Fmt(usage.link_bytes[l] / 1e6, 2),
-                      TablePrinter::Fmt(busy * 1e3, 3),
-                      TablePrinter::Fmt(
-                          epoch_end > 0 ? 100.0 * busy / epoch_end : 0.0,
-                          1),
-                      TablePrinter::Fmt(100.0 * peak[l], 1),
-                      TablePrinter::Fmt(100.0 * p99[l], 1)});
-      }
-      links.Print(std::cout);
-      std::cout << "\n--- overlap-adjusted straggler blame ---\n";
-      const std::vector<trace::WorkerBlame> bsp_blame =
-          trace::ComputeWorkerBlame(epoch);
-      TablePrinter blame(
-          {"worker", "bsp blame ms", "pipelined blame ms", "comm ms",
-           "compute ms"});
-      for (uint32_t w = 0; w < epoch.workers; ++w) {
-        blame.AddRow(
-            {std::to_string(w),
-             TablePrinter::Fmt(bsp_blame[w].total_blame() * 1e3, 3),
-             TablePrinter::Fmt(overlap.worker_pipelined_blame[w] * 1e3, 3),
-             TablePrinter::Fmt(overlap.worker_comm_seconds[w] * 1e3, 3),
-             TablePrinter::Fmt(overlap.worker_compute_seconds[w] * 1e3, 3)});
-      }
-      blame.Print(std::cout);
-    }
+  if (!explain) return 0;
+  if (Status st = check::ValidateFlowConservation(fabric, usage); !st.ok()) {
+    return Fail(st);
   }
-  if (mode == SimMode::kTraceReport) {
-    std::cout << "\n--- critical path (straggler-summed, per phase) ---\n";
-    trace::CriticalPathTable(epoch).Print(std::cout);
-    std::cout << "\n--- per-worker straggler blame ---\n";
-    trace::BlameTable(epoch).Print(std::cout);
-    std::cout << "\n--- most expensive steps ---\n";
-    trace::TopStepsTable(epoch).Print(std::cout);
-  }
-  if (mode == SimMode::kExplain) {
-    return FinishExplain(event_log, args);
-  }
-  return 0;
+  net::RecordUsageMetrics(fabric, usage);
+  std::cout << "network: " << netcfg.Summary() << "\n";
+  return FinishExplain(event_log, args);
 }
-
 
 /// Dynamic-graph run (DESIGN.md §12): grow the graph in deterministic
 /// batches, incrementally assign arrivals, repartition when a trigger
@@ -1117,28 +953,21 @@ int CmdDynRun(const std::vector<std::string>& args) {
        {"--topology", true},
        {"--oversubscription", true},
        {"--rack-size", true},
-       {"--nic-gbps", true},
-       {"--overlap", true}},
+       {"--nic-gbps", true}},
       3, 3);
   Result<Graph> graph = LoadGraph(pos[0], HasFlag(args, "--directed"));
   if (!graph.ok()) return Fail(graph.status());
   PartitionId k = ParseK(pos[2]);
 
+  Result<PartitionerChoice> choice = ResolvePartitioner(pos[1], false);
+  if (!choice.ok()) return Fail(choice.status());
   dyn::DynPartitionerSpec spec;
-  const std::string& name = pos[1];
-  if (Result<EdgePartitionerId> id = ParseEdgePartitionerName(name); id.ok()) {
-    spec.vertex_mode = false;
-    spec.edge = *id;
-    spec.display = MakeEdgePartitioner(*id)->name();
-  } else {
-    std::string lookup =
-        !name.empty() && name[0] == 'v' ? name.substr(1) : name;
-    Result<VertexPartitionerId> vid = ParseVertexPartitionerName(lookup);
-    if (!vid.ok()) return Fail(vid.status());
-    spec.vertex_mode = true;
-    spec.vertex = *vid;
-    spec.display = "v" + MakeVertexPartitioner(*vid)->name();
-  }
+  spec.vertex_mode = choice->vertex_mode;
+  spec.edge = choice->edge;
+  spec.vertex = choice->vertex;
+  spec.display = choice->vertex_mode
+                     ? "v" + MakeVertexPartitioner(choice->vertex)->name()
+                     : MakeEdgePartitioner(choice->edge)->name();
 
   dyn::DynConfig config;
   config.growth_batches = static_cast<size_t>(
@@ -1208,29 +1037,11 @@ int CmdDynRun(const std::vector<std::string>& args) {
             << TablePrinter::Fmt(report->final_quality, 4) << "\n";
 
   if (events != nullptr) {
-    if (Status st = check::ValidateEventLog(event_log); !st.ok()) {
+    if (Status st = CheckAndWriteEvents(event_log, events_out, pos[0],
+                                        spec.display, k, config.seed);
+        !st.ok()) {
       return Fail(st);
     }
-    if (Status st = check::CheckEventAttribution(event_log); !st.ok()) {
-      return Fail(st);
-    }
-  }
-  if (!events_out.empty()) {
-    Status st = obs::WriteEventsFile(
-        event_log, events_out,
-        {{"tool", "gnnpart_cli"},
-         {"graph", pos[0]},
-         {"partitioner", spec.display},
-         {"k", std::to_string(k)},
-         {"seed", std::to_string(config.seed)}});
-    if (!st.ok()) return Fail(st);
-    size_t records = event_log.run_events().size();
-    for (const obs::EpochEvents& ep : event_log.epochs()) {
-      records += ep.events.size();
-    }
-    std::cout << "events: " << events_out << " (" << records << " records, "
-              << event_log.links().size() << " links, "
-              << event_log.epochs().size() << " epoch(s))\n";
   }
   if (!trace_out.empty()) {
     const obs::EpochEvents& epoch = event_log.epochs().back();
@@ -1304,20 +1115,19 @@ int CmdServeRun(const std::vector<std::string>& args) {
   // footing.
   VertexPartitioning owners;
   uint64_t part_seed = config.seed;
-  if (Result<EdgePartitionerId> id = ParseEdgePartitionerName(name); id.ok()) {
+  Result<PartitionerChoice> choice = ResolvePartitioner(name, false);
+  if (!choice.ok()) return Fail(choice.status());
+  if (!choice->vertex_mode) {
     Result<EdgePartitioning> parts =
-        MakeEdgePartitioner(*id)->Partition(*graph, k, part_seed);
+        MakeEdgePartitioner(choice->edge)->Partition(*graph, k, part_seed);
     if (!parts.ok()) return Fail(parts.status());
     owners = serve::DeriveVertexOwnership(*graph, *parts);
   } else {
-    std::string lookup =
-        !name.empty() && name[0] == 'v' ? name.substr(1) : name;
-    Result<VertexPartitionerId> vid = ParseVertexPartitionerName(lookup);
-    if (!vid.ok()) return Fail(vid.status());
     VertexSplit split =
         VertexSplit::MakeRandom(graph->num_vertices(), 0.1, 0.1, part_seed);
-    Result<VertexPartitioning> parts =
-        MakeVertexPartitioner(*vid)->Partition(*graph, split, k, part_seed);
+    Result<VertexPartitioning> parts = MakeVertexPartitioner(choice->vertex)
+                                           ->Partition(*graph, split, k,
+                                                       part_seed);
     if (!parts.ok()) return Fail(parts.status());
     owners = std::move(*parts);
   }
@@ -1351,26 +1161,11 @@ int CmdServeRun(const std::vector<std::string>& args) {
             << TablePrinter::Fmt(report->network_bytes / 1e6, 3) << " MB\n";
 
   if (events != nullptr) {
-    if (Status st = check::ValidateEventLog(event_log); !st.ok()) {
+    if (Status st = CheckAndWriteEvents(event_log, events_out, pos[0], name,
+                                        k, config.seed);
+        !st.ok()) {
       return Fail(st);
     }
-    if (Status st = check::CheckEventAttribution(event_log); !st.ok()) {
-      return Fail(st);
-    }
-    Status st = obs::WriteEventsFile(event_log, events_out,
-                                     {{"tool", "gnnpart_cli"},
-                                      {"graph", pos[0]},
-                                      {"partitioner", name},
-                                      {"k", std::to_string(k)},
-                                      {"seed", std::to_string(config.seed)}});
-    if (!st.ok()) return Fail(st);
-    size_t records = event_log.run_events().size();
-    for (const obs::EpochEvents& ep : event_log.epochs()) {
-      records += ep.events.size();
-    }
-    std::cout << "events: " << events_out << " (" << records << " records, "
-              << event_log.links().size() << " links, "
-              << event_log.epochs().size() << " epoch(s))\n";
   }
   return 0;
 }
@@ -1412,19 +1207,11 @@ int CmdMetrics(const std::vector<std::string>& args) {
 }
 
 int CmdSimulate(const std::vector<std::string>& args) {
-  return RunSimulation(args, SimMode::kSimulate);
-}
-
-int CmdTraceReport(const std::vector<std::string>& args) {
-  return RunSimulation(args, SimMode::kTraceReport);
-}
-
-int CmdNetReport(const std::vector<std::string>& args) {
-  return RunSimulation(args, SimMode::kNetReport);
+  return RunSimulation(args, /*explain=*/false);
 }
 
 int CmdExplain(const std::vector<std::string>& args) {
-  return RunSimulation(args, SimMode::kExplain);
+  return RunSimulation(args, /*explain=*/true);
 }
 
 }  // namespace
@@ -1478,8 +1265,6 @@ int main(int argc, char** argv) {
   else if (cmd == "partition") rc = CmdPartition(args);
   else if (cmd == "check") rc = CmdCheck(args);
   else if (cmd == "simulate") rc = CmdSimulate(args);
-  else if (cmd == "trace-report") rc = CmdTraceReport(args);
-  else if (cmd == "net-report") rc = CmdNetReport(args);
   else if (cmd == "explain") rc = CmdExplain(args);
   else if (cmd == "dyn-run") rc = CmdDynRun(args);
   else if (cmd == "serve-run") rc = CmdServeRun(args);
