@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <utility>
 
 #include "check/check.h"
@@ -15,12 +16,98 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Flat state of one SimulateFlows run, indexed by *slot*. An admitted
+/// flow takes a free slot and returns it when it retires, so the state is
+/// sized by the peak number of concurrently active flows, not by the flow
+/// count, and is reused across events. The active set and every per-link
+/// crossing list append at admission and compact in place, so each stays
+/// in admission order, which FairShare's bit-exactness rests on
+/// (DESIGN.md §10 "Event model").
+struct Engine {
+  Engine(size_t num_links, size_t max_route)
+      : stride(max_route),
+        crossing(num_links),
+        cap(num_links),
+        wsum(num_links),
+        nflows(num_links) {}
+
+  size_t stride;  // longest route: slot q's links start at path[q*stride]
+  // Per slot.
+  std::vector<size_t> flow;  // index into the caller's flows
+  std::vector<int> path;
+  std::vector<size_t> path_len;
+  std::vector<double> weight;
+  std::vector<double> anchor_t;   // finish projection: anchor_t +
+  std::vector<double> remaining;  //   remaining / rate, cached in `finish`
+  std::vector<double> rate;
+  std::vector<double> finish;
+  std::vector<double> fill;  // the current event's fair-share rate
+  std::vector<char> assigned;
+  std::vector<size_t> free_slots;
+  std::vector<size_t> active;  // slots, admission order
+  // Per link.
+  std::vector<std::vector<size_t>> crossing;  // active slots, admission order
+  std::vector<double> cap;
+  std::vector<double> wsum;
+  std::vector<int> nflows;
+
+  std::span<const int> Path(size_t q) const {
+    return {path.data() + q * stride, path_len[q]};
+  }
+
+  /// The anchored projection; re-evaluated only when the anchor moves.
+  double Project(size_t q) const {
+    return remaining[q] <= 0 ? anchor_t[q]
+                             : anchor_t[q] + remaining[q] / rate[q];
+  }
+
+  /// Puts flow `idx` in a slot (a recycled one first) and appends it to
+  /// the active set and to its links' crossing lists.
+  void Admit(size_t idx, const Flow& f) {
+    size_t q;
+    if (!free_slots.empty()) {
+      q = free_slots.back();
+      free_slots.pop_back();
+    } else {
+      q = flow.size();
+      for (auto* v : {&weight, &anchor_t, &remaining, &rate, &finish, &fill}) {
+        v->resize(q + 1);
+      }
+      flow.resize(q + 1);
+      path.resize((q + 1) * stride);
+      path_len.resize(q + 1);
+      assigned.resize(q + 1);
+    }
+    flow[q] = idx;
+    std::copy(f.links.begin(), f.links.end(), path.begin() + q * stride);
+    path_len[q] = f.links.size();
+    weight[q] = f.weight;
+    anchor_t[q] = f.start;
+    remaining[q] = f.bytes;
+    rate[q] = 0.0;
+    finish[q] = Project(q);
+    active.push_back(q);
+    for (int l : Path(q)) crossing[static_cast<size_t>(l)].push_back(q);
+  }
+
+  uint64_t FairShare(const std::vector<Link>& links);
+};
+
 /// Weighted max-min fair-share allocation (progressive water-filling) over
-/// the active flows: a link's per-weight-unit share is capacity / (sum of
-/// crossing flow weights), and a flow crossing the bottleneck receives
-/// `share * weight`. Deterministic: the bottleneck link is the strict
-/// minimum of capacity/weight-sum with ties broken on the lowest link
-/// index, and flows are fixed in ascending active-set order.
+/// the active flows into `fill`: a link's per-weight-unit share is
+/// capacity / (sum of crossing flow weights), and a flow crossing the
+/// bottleneck receives `share * weight`. Deterministic: the bottleneck link
+/// is the strict minimum of capacity/weight-sum with ties broken on the
+/// lowest link index, and flows are fixed in ascending admission order.
+/// Returns the number of water-fill rounds.
+///
+/// Each round walks only the bottleneck's crossing list; since a link's
+/// list empties (nflows hits 0) the round it is the bottleneck, every list
+/// is walked at most once per call. Lists are in admission order, so the
+/// flows crossing the bottleneck are fixed, and each weight sum is
+/// accumulated, in the order a scan of the whole active set would use;
+/// every `cap`/`wsum` operation and every rate is therefore bitwise that
+/// scan's (the reference engine in tests/flowsim_oracle.cc).
 ///
 /// Bit-exactness with the historical unweighted engine: with every weight
 /// at 1.0 each weight sum is a sum of exact 1.0s — the same double the
@@ -29,33 +116,24 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// arithmetic. The integer `nflows` count stays alongside the weight sums
 /// as the crossing-flows guard so an emptied link is skipped exactly, not
 /// via a residue-prone `wsum > 0` comparison.
-void FairShareRates(const std::vector<Link>& links,
-                    const std::vector<Flow>& flows,
-                    const std::vector<size_t>& active,
-                    std::vector<double>* rates, std::vector<double>* cap,
-                    std::vector<int>* nflows, std::vector<double>* wsum,
-                    std::vector<char>* assigned) {
-  const size_t n = active.size();
-  rates->assign(n, 0.0);
-  cap->resize(links.size());
-  nflows->assign(links.size(), 0);
-  wsum->assign(links.size(), 0.0);
-  for (size_t l = 0; l < links.size(); ++l) (*cap)[l] = links[l].capacity;
-  for (size_t i = 0; i < n; ++i) {
-    const Flow& f = flows[active[i]];
-    for (int l : f.links) {
-      ++(*nflows)[static_cast<size_t>(l)];
-      (*wsum)[static_cast<size_t>(l)] += f.weight;
-    }
+uint64_t Engine::FairShare(const std::vector<Link>& links) {
+  for (size_t l = 0; l < links.size(); ++l) {
+    cap[l] = links[l].capacity;
+    nflows[l] = static_cast<int>(crossing[l].size());
+    double w = 0.0;
+    for (size_t q : crossing[l]) w += weight[q];
+    wsum[l] = w;
   }
-  assigned->assign(n, 0);
-  size_t left = n;
+  for (size_t q : active) assigned[q] = 0;
+  size_t left = active.size();
+  uint64_t rounds = 0;
   while (left > 0) {
+    ++rounds;
     int bottleneck = -1;
     double fair = 0;
     for (size_t l = 0; l < links.size(); ++l) {
-      if ((*nflows)[l] == 0) continue;
-      const double share = (*cap)[l] / (*wsum)[l];
+      if (nflows[l] == 0) continue;
+      const double share = cap[l] / wsum[l];
       if (bottleneck < 0 || share < fair) {
         bottleneck = static_cast<int>(l);
         fair = share;
@@ -63,27 +141,19 @@ void FairShareRates(const std::vector<Link>& links,
     }
     GNNPART_CHECK_CHEAP(bottleneck >= 0 && fair > 0,
                         "net/fair-share: no capacity left for active flows");
-    for (size_t i = 0; i < n; ++i) {
-      if ((*assigned)[i]) continue;
-      const Flow& f = flows[active[i]];
-      bool crosses = false;
-      for (int l : f.links) {
-        if (l == bottleneck) {
-          crosses = true;
-          break;
-        }
-      }
-      if (!crosses) continue;
-      (*rates)[i] = fair * f.weight;
-      (*assigned)[i] = 1;
+    for (size_t q : crossing[static_cast<size_t>(bottleneck)]) {
+      if (assigned[q]) continue;
+      fill[q] = fair * weight[q];
+      assigned[q] = 1;
       --left;
-      for (int l : f.links) {
-        (*cap)[static_cast<size_t>(l)] -= fair * f.weight;
-        --(*nflows)[static_cast<size_t>(l)];
-        (*wsum)[static_cast<size_t>(l)] -= f.weight;
+      for (int l : Path(q)) {
+        cap[static_cast<size_t>(l)] -= fair * weight[q];
+        --nflows[static_cast<size_t>(l)];
+        wsum[static_cast<size_t>(l)] -= weight[q];
       }
     }
   }
+  return rounds;
 }
 
 }  // namespace
@@ -111,12 +181,18 @@ void LinkUsage::MergeFrom(const LinkUsage& other) {
 std::vector<double> SimulateFlows(const Fabric& fabric,
                                   const std::vector<Flow>& flows,
                                   LinkUsage* usage, PhaseLog* log) {
+  static const obs::Counter event_count =
+      obs::GetCounter("net/flowsim/events", "events");
+  static const obs::Counter round_count =
+      obs::GetCounter("net/flowsim/fill_rounds", "rounds");
   const std::vector<Link>& links = fabric.links();
   const double latency = fabric.config().link_latency;
   std::vector<double> completion(flows.size(), 0.0);
   if (usage != nullptr) usage->EnsureShape(fabric);
   if (log != nullptr) log->flows.resize(flows.size());
+  size_t max_route = 0;
   for (const Flow& f : flows) {
+    max_route = std::max(max_route, f.links.size());
     GNNPART_CHECK_CHEAP(!f.links.empty(), "net/flow: flow without links");
     GNNPART_CHECK_CHEAP(f.bytes >= 0 && f.start >= 0 && f.latency_rounds >= 0,
                         "net/flow: negative bytes, start or rounds");
@@ -140,30 +216,15 @@ std::vector<double> SimulateFlows(const Fabric& fabric,
   // moves ONLY when the fair-share rate changes (bitwise), so uncontended
   // flows keep anchor_t == start, remaining == bytes and finish exactly at
   // start + bytes/rate — the closed form (see flowsim.h).
-  struct Anchor {
-    double t = 0;
-    double remaining = 0;
-    double rate = 0;
-  };
-  std::vector<size_t> active;         // flow indices, admission order
-  std::vector<Anchor> anchors;        // parallel to `active`
-  std::vector<double> rates, cap;     // FairShareRates scratch
-  std::vector<int> nflows;
-  std::vector<double> wsum;
-  std::vector<char> assigned;
-  std::vector<char> link_active;
-  std::vector<double> link_rate;      // per-interval sample scratch
-  std::vector<uint64_t> link_flows;
+  Engine e(links.size(), max_route);
   size_t next_arrival = 0;
   double now = 0.0;
+  uint64_t events = 0;
+  uint64_t rounds = 0;
 
-  auto project = [&](size_t i) {
-    const Anchor& a = anchors[i];
-    return a.remaining <= 0 ? a.t : a.t + a.remaining / a.rate;
-  };
-
-  while (next_arrival < order.size() || !active.empty()) {
-    if (active.empty()) {
+  while (next_arrival < order.size() || !e.active.empty()) {
+    ++events;
+    if (e.active.empty()) {
       // Idle fabric: jump straight to the next arrival. Arrivals at or
       // before `now` were admitted at an earlier event, so time moves
       // forward (event-queue monotonicity).
@@ -173,29 +234,24 @@ std::vector<double> SimulateFlows(const Fabric& fabric,
     }
     while (next_arrival < order.size() &&
            flows[order[next_arrival]].start <= now) {
-      const size_t idx = order[next_arrival];
-      active.push_back(idx);
-      anchors.push_back({flows[idx].start, flows[idx].bytes, 0.0});
-      ++next_arrival;
+      const size_t idx = order[next_arrival++];
+      e.Admit(idx, flows[idx]);
     }
 
     // Reallocate bandwidth; re-anchor only flows whose rate changed.
-    FairShareRates(links, flows, active, &rates, &cap, &nflows, &wsum,
-                   &assigned);
-    for (size_t i = 0; i < active.size(); ++i) {
-      Anchor& a = anchors[i];
-      if (a.rate == rates[i]) continue;
-      if (a.rate > 0) {
-        a.remaining -= a.rate * (now - a.t);
-        if (a.remaining < 0) a.remaining = 0;
-      }
-      a.t = now;
-      a.rate = rates[i];
-    }
-
+    rounds += e.FairShare(links);
     double t_finish = kInf;
-    for (size_t i = 0; i < active.size(); ++i) {
-      t_finish = std::min(t_finish, project(i));
+    for (size_t q : e.active) {
+      if (e.rate[q] != e.fill[q]) {
+        if (e.rate[q] > 0) {
+          e.remaining[q] -= e.rate[q] * (now - e.anchor_t[q]);
+          if (e.remaining[q] < 0) e.remaining[q] = 0;
+        }
+        e.anchor_t[q] = now;
+        e.rate[q] = e.fill[q];
+        e.finish[q] = e.Project(q);
+      }
+      t_finish = std::min(t_finish, e.finish[q]);
     }
     const double t_arrive = next_arrival < order.size()
                                 ? flows[order[next_arrival]].start
@@ -205,34 +261,19 @@ std::vector<double> SimulateFlows(const Fabric& fabric,
                         "net/event-monotonic: next event not in the future");
 
     if ((usage != nullptr || log != nullptr) && t_next > now) {
-      link_active.assign(links.size(), 0);
-      for (size_t i = 0; i < active.size(); ++i) {
-        for (int l : flows[active[i]].links) {
-          link_active[static_cast<size_t>(l)] = 1;
-        }
-      }
-      if (usage != nullptr) {
-        const double dt = t_next - now;
-        for (size_t l = 0; l < links.size(); ++l) {
-          if (link_active[l]) usage->link_busy_seconds[l] += dt;
-        }
-      }
-      if (log != nullptr) {
-        // One utilization sample per active link per event interval, in
-        // link-index order — the piecewise-constant rate profile the
-        // explain engine derives peak/p99 utilization from.
-        link_rate.assign(links.size(), 0.0);
-        link_flows.assign(links.size(), 0);
-        for (size_t i = 0; i < active.size(); ++i) {
-          for (int l : flows[active[i]].links) {
-            link_rate[static_cast<size_t>(l)] += anchors[i].rate;
-            ++link_flows[static_cast<size_t>(l)];
-          }
-        }
-        for (size_t l = 0; l < links.size(); ++l) {
-          if (!link_active[l]) continue;
-          log->samples.push_back({static_cast<int>(l), now, t_next,
-                                  link_rate[l], link_flows[l]});
+      // A link is busy over the interval iff some active flow crosses it.
+      // Samples: one per active link per event interval, in link-index
+      // order — the piecewise-constant rate profile the explain engine
+      // derives peak/p99 utilization from.
+      for (size_t l = 0; l < links.size(); ++l) {
+        const std::vector<size_t>& list = e.crossing[l];
+        if (list.empty()) continue;
+        if (usage != nullptr) usage->link_busy_seconds[l] += t_next - now;
+        if (log != nullptr) {
+          double link_rate = 0.0;
+          for (size_t q : list) link_rate += e.rate[q];
+          log->samples.push_back(
+              {static_cast<int>(l), now, t_next, link_rate, list.size()});
         }
       }
     }
@@ -241,47 +282,54 @@ std::vector<double> SimulateFlows(const Fabric& fabric,
     // Retire flows whose projection is due. The completion uses the flow's
     // own projection (not `now`) so the closed form survives bit-exactly.
     size_t kept = 0;
-    for (size_t i = 0; i < active.size(); ++i) {
-      const double finish = project(i);
-      if (finish <= now) {
-        const size_t idx = active[i];
-        completion[idx] = finish + flows[idx].latency_rounds * latency;
-        if (log != nullptr) {
-          // The solo rate is the min capacity over the flow's links —
-          // exactly the fair share the water-filling assigns a lone flow,
-          // so the closed form below matches the engine's completion
-          // bitwise whenever the flow was never throttled (flowsim.h).
-          double solo = kInf;
-          for (int l : flows[idx].links) {
-            solo = std::min(solo, links[static_cast<size_t>(l)].capacity);
-          }
-          FlowDetail& fd = log->flows[idx];
-          fd.host = flows[idx].host;
-          fd.dst = flows[idx].dst;
-          fd.start = flows[idx].start;
-          fd.bytes = flows[idx].bytes;
-          fd.finish = completion[idx];
-          fd.uncontended_finish = (flows[idx].start + flows[idx].bytes / solo) +
-                                  flows[idx].latency_rounds * latency;
-          fd.links = flows[idx].links;
-        }
-        if (usage != nullptr) {
-          for (int l : flows[idx].links) {
-            usage->link_bytes[static_cast<size_t>(l)] += flows[idx].bytes;
-          }
-          usage->host_egress_bytes[static_cast<size_t>(flows[idx].host)] +=
-              flows[idx].bytes;
-        }
+    for (size_t q : e.active) {
+      if (!(e.finish[q] <= now)) {
+        e.active[kept++] = q;
         continue;
       }
-      active[kept] = active[i];
-      anchors[kept] = anchors[i];
-      ++kept;
+      e.free_slots.push_back(q);
+      const size_t idx = e.flow[q];
+      completion[idx] = e.finish[q] + flows[idx].latency_rounds * latency;
+      if (log != nullptr) {
+        // The solo rate is the min capacity over the flow's links —
+        // exactly the fair share the water-filling assigns a lone flow,
+        // so the closed form below matches the engine's completion
+        // bitwise whenever the flow was never throttled (flowsim.h).
+        double solo = kInf;
+        for (int l : flows[idx].links) {
+          solo = std::min(solo, links[static_cast<size_t>(l)].capacity);
+        }
+        FlowDetail& fd = log->flows[idx];
+        fd.host = flows[idx].host;
+        fd.dst = flows[idx].dst;
+        fd.start = flows[idx].start;
+        fd.bytes = flows[idx].bytes;
+        fd.finish = completion[idx];
+        fd.uncontended_finish = (flows[idx].start + flows[idx].bytes / solo) +
+                                flows[idx].latency_rounds * latency;
+        fd.links = flows[idx].links;
+      }
+      if (usage != nullptr) {
+        for (int l : flows[idx].links) {
+          usage->link_bytes[static_cast<size_t>(l)] += flows[idx].bytes;
+        }
+        usage->host_egress_bytes[static_cast<size_t>(flows[idx].host)] +=
+            flows[idx].bytes;
+      }
     }
-    active.resize(kept);
-    anchors.resize(kept);
+    if (kept < e.active.size()) {
+      // A crossing-list entry is retired iff its projection is due — the
+      // predicate that just retired it from the active set. Freed slots
+      // are reused only by the next event's admissions, after this.
+      e.active.resize(kept);
+      for (std::vector<size_t>& list : e.crossing) {
+        std::erase_if(list, [&](size_t q) { return e.finish[q] <= now; });
+      }
+    }
   }
   if (usage != nullptr) usage->flows += flows.size();
+  event_count.Add(events);
+  round_count.Add(rounds);
   return completion;
 }
 

@@ -108,7 +108,9 @@ struct LinkUsage {
 /// Runs the flows to completion and returns the per-flow completion time
 /// (bandwidth term + latency rounds). `usage`, when non-null, accrues link
 /// bytes/busy time and per-host egress bytes. Deterministic: ties in
-/// arrival order break on flow index, bottleneck ties on link index.
+/// arrival order break on flow index, bottleneck ties on link index. Each
+/// call adds its event and water-fill round counts to the det:true
+/// counters `net/flowsim/events` and `net/flowsim/fill_rounds`.
 std::vector<double> SimulateFlows(const Fabric& fabric,
                                   const std::vector<Flow>& flows,
                                   LinkUsage* usage, PhaseLog* log = nullptr);

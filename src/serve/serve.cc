@@ -154,6 +154,17 @@ Result<ServeReport> RunServe(const Graph& graph,
     return Status::InvalidArgument(
         "serve: arrival rate and duration must be positive");
   }
+  if (!std::isfinite(config.workload.arrival_rate) ||
+      !std::isfinite(config.workload.duration)) {
+    return Status::InvalidArgument(
+        "serve: arrival rate and duration must be finite");
+  }
+  // Batches hold uint32_t request indices (ServeBatch::members), so the
+  // expected request count must stay below 2^32.
+  if (config.workload.arrival_rate * config.workload.duration >= 0x1p32) {
+    return Status::InvalidArgument(
+        "serve: arrival rate x duration must stay below 2^32 requests");
+  }
   if (config.batch.max_batch < 1 || !(config.batch.max_wait >= 0)) {
     return Status::InvalidArgument(
         "serve: batch size must be >= 1 and batch wait >= 0");
@@ -285,11 +296,13 @@ Result<ServeReport> RunServe(const Graph& graph,
                                                 fabric, &flows, &offered);
   }
 
-  // --- One global weighted flow simulation over the whole window.
+  // --- One global weighted flow simulation over the whole window. The
+  // per-flow details and link samples feed only the event timeline, so
+  // without one the engine skips recording them.
   net::LinkUsage usage;
   net::PhaseLog log;
-  const std::vector<double> finish =
-      net::SimulateFlows(fabric, flows, &usage, &log);
+  const std::vector<double> finish = net::SimulateFlows(
+      fabric, flows, &usage, events != nullptr ? &log : nullptr);
   usage.EnsureShape(fabric);
   for (PartitionId w = 0; w < k; ++w) {
     usage.host_offered_bytes[w] += offered[w];

@@ -117,7 +117,9 @@ struct ServeReport {
 /// their uncontended completions — plus the link utilization samples of
 /// the whole co-tenanted run, so `explain` can attribute queueing vs.
 /// network vs. compute. Boundary invariants run under the active
-/// GNNPART_CHECK level (check/validators.h serve/*).
+/// GNNPART_CHECK level (check/validators.h serve/*). A non-finite arrival
+/// rate or duration, or an expected request count (rate × duration) of
+/// 2^32 or more, is InvalidArgument before any request is generated.
 Result<ServeReport> RunServe(const Graph& graph,
                              const VertexPartitioning& owners,
                              const ServeConfig& config, obs::EventLog* events);

@@ -135,6 +135,20 @@ for scale in nan inf 1e9 banana; do
   }
 done
 
+# A serving window whose request count (rate x duration) overflows a
+# batch's 32-bit request indices is refused before any request is
+# generated: exit 2, and the message names the product.
+set +e
+"$CLI" serve-run "$TMP/HW.bin" vLDG 4 --arrival-rate 1e9 --duration 1e6 \
+    > /dev/null 2> "$TMP/err.txt"
+rc=$?
+set -e
+if [ "$rc" -ne 2 ] || ! grep -q 'rate x duration' "$TMP/err.txt"; then
+  echo "FAIL: serve-run at 1e9 req/s for 1e6 s exited $rc, want 2 naming" \
+       "rate x duration" >&2
+  exit 1
+fi
+
 # String-valued flags given without a value must also fail loudly (the
 # value would otherwise silently swallow the next argument or default).
 for flag in --metrics-out --trace-out --topology --events-out; do

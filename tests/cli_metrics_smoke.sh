@@ -1,7 +1,10 @@
 #!/bin/sh
-# Tier-1 smoke for the metrics manifest path (ISSUE 4 acceptance):
+# Tier-1 smoke for the metrics manifest path:
 #   * `gnnpart_cli --metrics-out` writes a schema-versioned JSONL manifest
-#     whose det:true rows are byte-identical for --threads 1/2/8;
+#     whose det:true rows are byte-identical for --threads 1/2/8, for
+#     `simulate` and for a co-tenanted `serve-run`;
+#   * the CLI's wall timers (time/simulate, time/serve) are det:false rows
+#     and the flow engine's work counters are published;
 #   * `gnnpart_cli metrics` pretty-prints (and strictly re-parses) it;
 #   * tools/bench_compare.py exits 0 on identical manifests and non-zero
 #     on an injected 2x regression.
@@ -34,8 +37,25 @@ cmp -s "$TMP/det1" "$TMP/det8"
 
 # Timers and RSS are exempt, and must be explicitly marked non-deterministic.
 grep -q '"name":"mem/peak_rss_bytes".*"det":false' "$TMP/m1.jsonl"
-# The partitioner's wall time is the time/partition timer row.
+# The partitioner's and the epoch simulation's wall times are timer rows.
 grep -q '"name":"time/partition".*"det":false' "$TMP/m1.jsonl"
+grep -q '"name":"time/simulate".*"det":false' "$TMP/m1.jsonl"
+# The flow engine's work is counted, deterministically.
+grep -q '"name":"net/flowsim/events".*"det":true' "$TMP/m1.jsonl"
+grep -q '"name":"net/flowsim/fill_rounds".*"det":true' "$TMP/m1.jsonl"
+
+# serve-run: its wall time is the time/serve timer, and a co-tenanted run's
+# det rows (flow engine counters included) do not depend on the threads.
+for t in 1 2 8; do
+  "$CLI" --metrics-out "$TMP/s$t.jsonl" --threads "$t" \
+      serve-run "$TMP/g.txt" vLDG 4 --arrival-rate 600 --duration 0.25 \
+      --cotenant > /dev/null 2> /dev/null
+  grep '"det":true' "$TMP/s$t.jsonl" > "$TMP/sdet$t"
+done
+grep -q '"name":"time/serve".*"det":false' "$TMP/s1.jsonl"
+grep -q '"name":"net/flowsim/events"' "$TMP/sdet1"
+cmp -s "$TMP/sdet1" "$TMP/sdet2"
+cmp -s "$TMP/sdet1" "$TMP/sdet8"
 
 # The pretty-printer re-parses strictly and renders a table.
 "$CLI" metrics "$TMP/m1.jsonl" > "$TMP/pretty.txt"

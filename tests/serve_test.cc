@@ -9,8 +9,10 @@
 // corruption.
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -249,6 +251,41 @@ TEST(ServeRunTest, EventLogValidatesAndAttributionCrossChecks) {
   EXPECT_EQ(events.epochs()[0].sim, "serve");
   EXPECT_TRUE(check::ValidateEventLog(events).ok());
   EXPECT_TRUE(check::CheckEventAttribution(events).ok());
+}
+
+TEST(ServeRunTest, RejectsNonFiniteRateOrDuration) {
+  // inf would reach the request-chunk count as an out-of-range cast;
+  // RunServe must refuse before generating anything.
+  Graph g = ServeGraph();
+  const VertexPartitioning owners = Owners(g, 4);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [rate, duration] :
+       std::vector<std::pair<double, double>>{{inf, 0.25}, {600.0, inf}}) {
+    serve::ServeConfig config = BaseConfig(4);
+    config.workload.arrival_rate = rate;
+    config.workload.duration = duration;
+    Result<serve::ServeReport> report =
+        serve::RunServe(g, owners, config, nullptr);
+    ASSERT_FALSE(report.ok());
+    EXPECT_NE(report.status().message().find("finite"), std::string::npos)
+        << report.status().ToString();
+  }
+}
+
+TEST(ServeRunTest, RejectsRequestCountBeyondBatchIndexSpace) {
+  // ServeBatch::members holds uint32_t request indices; an expected
+  // 2^32 requests (here 2^22/s over 2^10 s) is refused up front.
+  Graph g = ServeGraph();
+  const VertexPartitioning owners = Owners(g, 4);
+  serve::ServeConfig config = BaseConfig(4);
+  config.workload.arrival_rate = 0x1p22;
+  config.workload.duration = 0x1p10;
+  Result<serve::ServeReport> report =
+      serve::RunServe(g, owners, config, nullptr);
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.status().message().find("rate x duration"),
+            std::string::npos)
+      << report.status().ToString();
 }
 
 TEST(ServeValidatorTest, RequestOrderTripsByName) {

@@ -847,9 +847,11 @@ int RunSimulation(const std::vector<std::string>& args, bool explain) {
         return Fail(st);
       }
     }
-    DistGnnEpochReport r =
-        SimulateDistGnnEpoch(BuildDistGnnWorkload(*graph, *parts), config,
-                             cluster, &fabric, &usage, events);
+    DistGnnEpochReport r = [&] {
+      obs::ScopedTimer timer("time/simulate");
+      return SimulateDistGnnEpoch(BuildDistGnnWorkload(*graph, *parts),
+                                  config, cluster, &fabric, &usage, events);
+    }();
     std::cout << "full-batch epoch " << r.epoch_seconds * 1e3 << " ms"
               << " (fwd " << r.forward_seconds * 1e3 << ", bwd "
               << r.backward_seconds * 1e3 << "), network "
@@ -886,8 +888,11 @@ int RunSimulation(const std::vector<std::string>& args, bool explain) {
         return Fail(st);
       }
     }
-    DistDglEpochReport r = SimulateDistDglEpoch(*profile, config, cluster,
-                                                &fabric, &usage, events);
+    DistDglEpochReport r = [&] {
+      obs::ScopedTimer timer("time/simulate");
+      return SimulateDistDglEpoch(*profile, config, cluster, &fabric, &usage,
+                                  events);
+    }();
     std::cout << "mini-batch epoch " << r.epoch_seconds * 1e3
               << " ms (sampling " << r.sampling_seconds * 1e3 << ", fetch "
               << r.feature_seconds * 1e3 << ", fwd " << r.forward_seconds * 1e3
@@ -1135,9 +1140,19 @@ int CmdServeRun(const std::vector<std::string>& args) {
   const std::string events_out = StringFlagValue(args, "--events-out");
   obs::EventLog event_log;
   obs::EventLog* events = events_out.empty() ? nullptr : &event_log;
-  Result<serve::ServeReport> report =
-      serve::RunServe(*graph, owners, config, events);
-  if (!report.ok()) return Fail(report.status());
+  Result<serve::ServeReport> report = [&] {
+    obs::ScopedTimer timer("time/serve");
+    return serve::RunServe(*graph, owners, config, events);
+  }();
+  if (!report.ok()) {
+    // A serving window RunServe refuses (non-finite, or more requests than
+    // a batch's 32-bit indices reach) is a bad flag value: exit 2.
+    if (report.status().code() == StatusCode::kInvalidArgument) {
+      std::cerr << "error: " << report.status() << "\n";
+      return 2;
+    }
+    return Fail(report.status());
+  }
 
   std::cout << name << " k=" << k << ": " << report->requests
             << " requests in " << report->batches << " batches (mean "

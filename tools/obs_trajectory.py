@@ -11,7 +11,7 @@ BENCH_*.json / *.jsonl manifests. With no PATH, scans bench/baselines/.
 The output is a markdown document with one row per manifest: the tool and
 run parameters from the meta line, row counts by kind, the size of the
 deterministic surface, and a few headline metrics (epochs simulated,
-network bytes, total timer seconds). CI regenerates it from the checked-in
+network bytes, flow-engine events, total timer seconds). CI regenerates it from the checked-in
 baselines plus the freshly produced manifests, so the committed copy is
 the trajectory of the repository's own benchmark surface over time.
 
@@ -81,6 +81,7 @@ def summarize(path):
     det_rows = 0
     epochs = 0
     net_bytes = 0
+    flow_events = None  # blank cell for manifests without the row
     timer_seconds = 0.0
     for row in rows:
         kinds[row.get("type", "?")] = kinds.get(row.get("type", "?"), 0) + 1
@@ -91,6 +92,8 @@ def summarize(path):
             epochs += int(row.get("value", 0))
         elif name.endswith("/network_bytes"):
             net_bytes += int(row.get("value", 0))
+        elif name == "net/flowsim/events":
+            flow_events = int(row.get("value", 0))
         if row.get("type") == "timer":
             timer_seconds += float(row.get("seconds", 0.0))
     kinds_text = " ".join(
@@ -107,6 +110,7 @@ def summarize(path):
         "kinds": kinds_text or "-",
         "epochs": fmt_count(epochs) if epochs else "-",
         "net_mb": f"{net_bytes / 1e6:.1f}" if net_bytes else "-",
+        "flow_events": "" if flow_events is None else fmt_count(flow_events),
         "timer_s": f"{timer_seconds:.3f}" if timer_seconds else "-",
     }
 
@@ -139,17 +143,19 @@ def main():
         "",
         "`det rows` is the size of the deterministic surface (rows that are",
         "bit-identical for any `--threads N`); `timer s` sums the wall-clock",
-        "timers and is machine-dependent, shown for scale only.",
+        "timers and is machine-dependent, shown for scale only. `flow events`",
+        "is `net/flowsim/events`, the flow engine's event count (its work);",
+        "it is blank for manifests written before the engine counted it.",
         "",
         "| manifest | tool | run | rows | det rows | kinds | epochs "
-        "| net MB | timer s |",
-        "|---|---|---|---|---|---|---|---|---|",
+        "| net MB | flow events | timer s |",
+        "|---|---|---|---|---|---|---|---|---|---|",
     ]
     for s in summaries:
         lines.append(
             f"| {s['file']} | {s['tool']} | {s['params']} | {s['rows']} "
             f"| {s['det']} | {s['kinds']} | {s['epochs']} | {s['net_mb']} "
-            f"| {s['timer_s']} |")
+            f"| {s['flow_events']} | {s['timer_s']} |")
     lines.append("")
 
     out_dir = os.path.dirname(args.out)
