@@ -20,8 +20,12 @@ namespace {
 // label-propagation coarsening now breaks connectivity ties on the smallest
 // label, which can move Metis-family assignments on exact ties. v6: profile
 // keys carry the gnnpart::net fabric tag (topology/overlap config), so
-// entries written before the network model existed are retired.
-constexpr int kCacheVersion = 6;
+// entries written before the network model existed are retired. v7: the
+// multilevel engine moved to flat arrays; assignments are unchanged, but a
+// cache hit reports the partitioning seconds stored with the entry, so
+// older entries would show the old engine's KaHIP/Metis times in Figs 6/15
+// and Tables 4/5.
+constexpr int kCacheVersion = 7;
 
 std::string CacheKey(const ExperimentContext& ctx, DatasetId dataset,
                      const std::string& partitioner, PartitionId k) {

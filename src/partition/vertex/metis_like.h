@@ -7,8 +7,9 @@
 namespace gnnpart {
 
 /// Metis-style multilevel k-way edge-cut partitioning [Karypis & Kumar]:
-/// heavy-edge-matching coarsening, greedy-growing initial partitioning and
-/// boundary FM refinement, tuned for speed (single cycle, few passes).
+/// size-constrained label-propagation coarsening, greedy-growing initial
+/// partitioning and label-propagation refinement, tuned for speed (single
+/// cycle, few passes).
 class MetisLikePartitioner : public VertexPartitioner {
  public:
   MetisLikePartitioner() {
@@ -32,10 +33,10 @@ class MetisLikePartitioner : public VertexPartitioner {
 };
 
 /// KaHIP-style configuration of the same multilevel engine [Sanders &
-/// Schulz]: several V-cycles, many more FM passes, more initial attempts and
-/// a tighter balance constraint. Lowest cut of all six vertex partitioners
-/// and by far the highest partitioning time — reproducing the study's
-/// KaHIP-vs-Metis trade-off (Figs. 12/15, Table 5).
+/// Schulz]: several V-cycles, many more refinement passes, more initial
+/// attempts and a tighter balance constraint. Lowest cut of all six vertex
+/// partitioners and by far the highest partitioning time — reproducing the
+/// study's KaHIP-vs-Metis trade-off (Figs. 12/15, Table 5).
 class KahipLikePartitioner : public VertexPartitioner {
  public:
   KahipLikePartitioner() {

@@ -1,9 +1,7 @@
 #include "partition/vertex/multilevel.h"
 
 #include <algorithm>
-#include <deque>
 #include <numeric>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -12,12 +10,14 @@
 namespace gnnpart {
 namespace {
 
-// Weighted graph used at the coarse levels.
+// Weighted graph used at the coarse levels, in CSR form: the neighbours of
+// v are nbr[off[v] .. off[v+1]) with edge weights w at the same positions;
+// each undirected edge is stored on both endpoints.
 struct WeightedGraph {
   std::vector<uint64_t> vweight;
-  // adj[v] = (neighbor, edge weight) pairs; each undirected edge stored on
-  // both endpoints.
-  std::vector<std::vector<std::pair<uint32_t, uint64_t>>> adj;
+  std::vector<uint64_t> off{0};
+  std::vector<uint32_t> nbr;
+  std::vector<uint64_t> w;
 
   size_t n() const { return vweight.size(); }
   uint64_t total_vweight() const {
@@ -27,13 +27,18 @@ struct WeightedGraph {
 
 WeightedGraph FromGraph(const Graph& graph) {
   WeightedGraph wg;
-  wg.vweight.assign(graph.num_vertices(), 1);
-  wg.adj.resize(graph.num_vertices());
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    auto nbrs = graph.Neighbors(v);
-    wg.adj[v].reserve(nbrs.size());
-    for (VertexId u : nbrs) wg.adj[v].push_back({u, 1});
+  const size_t n = graph.num_vertices();
+  wg.vweight.assign(n, 1);
+  wg.off.resize(n + 1);
+  for (VertexId v = 0; v < n; ++v) {
+    wg.off[v + 1] = wg.off[v] + graph.Degree(v);
   }
+  wg.nbr.reserve(wg.off[n]);
+  for (VertexId v = 0; v < n; ++v) {
+    auto nbrs = graph.Neighbors(v);
+    wg.nbr.insert(wg.nbr.end(), nbrs.begin(), nbrs.end());
+  }
+  wg.w.assign(wg.off[n], 1);
   return wg;
 }
 
@@ -58,27 +63,35 @@ std::vector<uint32_t> LpCluster(const WeightedGraph& g, Rng* rng,
   std::vector<uint64_t> cluster_weight(g.vweight);
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0);
-  std::unordered_map<uint32_t, uint64_t> conn;
+  // conn[l] = v's edge weight into cluster l; every edge weight is >= 1, so
+  // a zero entry means l is not yet in `touched`.
+  std::vector<uint64_t> conn(n, 0);
+  std::vector<uint32_t> touched;
   for (int round = 0; round < 4; ++round) {
     rng->Shuffle(&order);
     size_t moves = 0;
     for (uint32_t v : order) {
-      if (g.adj[v].empty()) continue;
-      conn.clear();
-      for (const auto& [u, w] : g.adj[v]) {
+      const uint64_t begin = g.off[v], end = g.off[v + 1];
+      if (begin == end) continue;
+      touched.clear();
+      for (uint64_t e = begin; e < end; ++e) {
+        const uint32_t u = g.nbr[e];
         if (restrict_parts && (*restrict_parts)[u] != (*restrict_parts)[v]) {
           continue;
         }
-        conn[label[u]] += w;
+        const uint32_t lbl = label[u];
+        if (conn[lbl] == 0) touched.push_back(lbl);
+        conn[lbl] += g.w[e];
       }
       uint32_t own = label[v];
       uint32_t best = own;
-      uint64_t best_w = conn.count(own) ? conn[own] : 0;
-      // lint:order-insensitive — connectivity ties break on the lighter
-      // cluster (keeps coarsening balanced), then on the smaller label, so
-      // the chosen cluster never depends on the hash-bucket iteration order
-      // (which varies across standard-library implementations).
-      for (const auto& [lbl, w] : conn) {
+      uint64_t best_w = conn[own];
+      // Connectivity ties break on the lighter cluster (keeps coarsening
+      // balanced), then on the smaller label, so the chosen cluster never
+      // depends on the order `touched` lists the candidates in.
+      for (uint32_t lbl : touched) {
+        const uint64_t w = conn[lbl];
+        conn[lbl] = 0;
         if (lbl == own) continue;
         if (cluster_weight[lbl] + g.vweight[v] > max_cluster_weight) continue;
         const bool tie_better =
@@ -103,39 +116,58 @@ std::vector<uint32_t> LpCluster(const WeightedGraph& g, Rng* rng,
 }
 
 // Contracts a clustering (arbitrary labels) into a coarser weighted graph.
+// Coarse ids follow the first appearance of each label in vertex order, and
+// every coarse row lists its neighbours in ascending id order.
 CoarseLevel Contract(const WeightedGraph& g,
                      const std::vector<uint32_t>& label) {
   CoarseLevel level;
   const size_t n = g.n();
-  level.fine_to_coarse.assign(n, UINT32_MAX);
-  std::unordered_map<uint32_t, uint32_t> dense;
-  dense.reserve(n / 2);
+  level.fine_to_coarse.resize(n);
+  std::vector<uint32_t> dense(n, UINT32_MAX);
   uint32_t next = 0;
   for (uint32_t v = 0; v < n; ++v) {
-    auto [it, inserted] = dense.try_emplace(label[v], next);
-    if (inserted) ++next;
-    level.fine_to_coarse[v] = it->second;
+    if (dense[label[v]] == UINT32_MAX) dense[label[v]] = next++;
+    level.fine_to_coarse[v] = dense[label[v]];
   }
+  const std::vector<uint32_t>& f2c = level.fine_to_coarse;
   WeightedGraph& cg = level.graph;
   cg.vweight.assign(next, 0);
-  cg.adj.resize(next);
-  for (uint32_t v = 0; v < n; ++v) {
-    cg.vweight[level.fine_to_coarse[v]] += g.vweight[v];
+  for (uint32_t v = 0; v < n; ++v) cg.vweight[f2c[v]] += g.vweight[v];
+
+  // Counting sort: members[first[cv] .. first[cv+1]) are the fine vertices
+  // of coarse vertex cv, ascending.
+  std::vector<uint32_t> first(next + 1, 0);
+  for (uint32_t v = 0; v < n; ++v) ++first[f2c[v] + 1];
+  for (uint32_t cv = 0; cv < next; ++cv) first[cv + 1] += first[cv];
+  std::vector<uint32_t> members(n);
+  {
+    std::vector<uint32_t> fill(first.begin(), first.end() - 1);
+    for (uint32_t v = 0; v < n; ++v) members[fill[f2c[v]]++] = v;
   }
-  // Accumulate parallel edges: single pass over fine edges, buffering per
-  // coarse source vertex.
-  std::vector<std::unordered_map<uint32_t, uint64_t>> buffer(next);
-  for (uint32_t v = 0; v < n; ++v) {
-    uint32_t cv = level.fine_to_coarse[v];
-    for (const auto& [u, w] : g.adj[v]) {
-      uint32_t cu = level.fine_to_coarse[u];
-      if (cu == cv) continue;  // internal edge disappears
-      buffer[cv][cu] += w;
-    }
-  }
+
+  // Each coarse row: sum parallel edges in a dense accumulator, drop the
+  // internal ones, then emit the touched ids sorted.
+  cg.off.assign(next + 1, 0);
+  std::vector<uint64_t> acc(next, 0);
+  std::vector<uint32_t> touched;
   for (uint32_t cv = 0; cv < next; ++cv) {
-    cg.adj[cv].assign(buffer[cv].begin(), buffer[cv].end());
-    std::sort(cg.adj[cv].begin(), cg.adj[cv].end());
+    touched.clear();
+    for (uint32_t i = first[cv]; i < first[cv + 1]; ++i) {
+      const uint32_t v = members[i];
+      for (uint64_t e = g.off[v]; e < g.off[v + 1]; ++e) {
+        const uint32_t cu = f2c[g.nbr[e]];
+        if (cu == cv) continue;  // internal edge disappears
+        if (acc[cu] == 0) touched.push_back(cu);
+        acc[cu] += g.w[e];
+      }
+    }
+    std::sort(touched.begin(), touched.end());
+    for (uint32_t cu : touched) {
+      cg.nbr.push_back(cu);
+      cg.w.push_back(acc[cu]);
+      acc[cu] = 0;
+    }
+    cg.off[cv + 1] = cg.nbr.size();
   }
   return level;
 }
@@ -144,8 +176,9 @@ uint64_t CutWeight(const WeightedGraph& g,
                    const std::vector<PartitionId>& part) {
   uint64_t cut = 0;
   for (uint32_t v = 0; v < g.n(); ++v) {
-    for (const auto& [u, w] : g.adj[v]) {
-      if (u > v && part[u] != part[v]) cut += w;
+    for (uint64_t e = g.off[v]; e < g.off[v + 1]; ++e) {
+      const uint32_t u = g.nbr[e];
+      if (u > v && part[u] != part[v]) cut += g.w[e];
     }
   }
   return cut;
@@ -162,25 +195,25 @@ std::vector<PartitionId> GrowInitial(const WeightedGraph& g, PartitionId k,
   std::iota(order.begin(), order.end(), 0);
   rng->Shuffle(&order);
   size_t cursor = 0;
+  std::vector<uint32_t> queue;  // FIFO: pops advance `head`
   for (PartitionId p = 0; p + 1 < k; ++p) {
     uint64_t weight = 0;
-    std::deque<uint32_t> queue;
+    queue.clear();
+    size_t head = 0;
     while (weight < budget) {
-      if (queue.empty()) {
+      if (head == queue.size()) {
         while (cursor < n && part[order[cursor]] != kInvalidPartition) {
           ++cursor;
         }
         if (cursor >= n) break;
         queue.push_back(order[cursor]);
       }
-      uint32_t v = queue.front();
-      queue.pop_front();
+      uint32_t v = queue[head++];
       if (part[v] != kInvalidPartition) continue;
       part[v] = p;
       weight += g.vweight[v];
-      for (const auto& [u, w] : g.adj[v]) {
-        (void)w;
-        if (part[u] == kInvalidPartition) queue.push_back(u);
+      for (uint64_t e = g.off[v]; e < g.off[v + 1]; ++e) {
+        if (part[g.nbr[e]] == kInvalidPartition) queue.push_back(g.nbr[e]);
       }
     }
   }
@@ -209,20 +242,25 @@ size_t RefinePass(const WeightedGraph& g, PartitionId k, double imbalance,
   rng->Shuffle(&order);
   size_t moves = 0;
   std::vector<uint64_t> conn(k, 0);
-  std::vector<PartitionId> touched;
+  // Partitions in first-seen order (score ties go to the first seen). The
+  // slot past the last one absorbs the unconditional store of a repeat.
+  std::vector<PartitionId> touched(static_cast<size_t>(k) + 1);
   for (uint32_t v : order) {
-    PartitionId own = (*part)[v];
-    touched.clear();
-    double total_w = 0;
-    bool boundary = false;
-    for (const auto& [u, w] : g.adj[v]) {
-      PartitionId pu = (*part)[u];
-      if (conn[pu] == 0) touched.push_back(pu);
-      conn[pu] += w;
-      total_w += static_cast<double>(w);
-      if (pu != own) boundary = true;
+    const PartitionId own = (*part)[v];
+    size_t nt = 0;
+    // Integer weighted degree: exact, and equal to the double sum of the
+    // weights while below 2^53.
+    uint64_t total = 0;
+    for (uint64_t e = g.off[v]; e < g.off[v + 1]; ++e) {
+      const PartitionId pu = (*part)[g.nbr[e]];
+      touched[nt] = pu;
+      nt += conn[pu] == 0;
+      conn[pu] += g.w[e];
+      total += g.w[e];
     }
-    if (boundary && total_w > 0) {
+    const bool boundary = nt > 1 || (nt == 1 && touched[0] != own);
+    if (boundary) {
+      const double total_w = static_cast<double>(total);
       auto score = [&](PartitionId p) {
         double locality = static_cast<double>(conn[p]) / total_w;
         double penalty =
@@ -232,7 +270,8 @@ size_t RefinePass(const WeightedGraph& g, PartitionId k, double imbalance,
       };
       PartitionId best = own;
       double best_score = score(own);
-      for (PartitionId p : touched) {
+      for (size_t i = 0; i < nt; ++i) {
+        const PartitionId p = touched[i];
         if (p == own) continue;
         if ((*pweight)[p] + g.vweight[v] > max_weight) continue;
         double s = score(p);
@@ -248,7 +287,7 @@ size_t RefinePass(const WeightedGraph& g, PartitionId k, double imbalance,
         ++moves;
       }
     }
-    for (PartitionId p : touched) conn[p] = 0;
+    for (size_t i = 0; i < nt; ++i) conn[touched[i]] = 0;
   }
   return moves;
 }
@@ -265,6 +304,8 @@ void RebalancePass(const WeightedGraph& g, PartitionId k, double imbalance,
   const size_t n = g.n();
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0);
+  std::vector<uint64_t> conn(k, 0);
+  std::vector<PartitionId> touched;
   for (int round = 0; round < 6; ++round) {
     bool any_over = false;
     for (PartitionId p = 0; p < k; ++p) {
@@ -272,16 +313,14 @@ void RebalancePass(const WeightedGraph& g, PartitionId k, double imbalance,
     }
     if (!any_over) return;
     rng->Shuffle(&order);
-    std::vector<uint64_t> conn(k, 0);
-    std::vector<PartitionId> touched;
     for (uint32_t v : order) {
       PartitionId own = (*part)[v];
       if ((*pweight)[own] <= max_weight) continue;
       touched.clear();
-      for (const auto& [u, w] : g.adj[v]) {
-        PartitionId pu = (*part)[u];
+      for (uint64_t e = g.off[v]; e < g.off[v + 1]; ++e) {
+        PartitionId pu = (*part)[g.nbr[e]];
         if (conn[pu] == 0) touched.push_back(pu);
-        conn[pu] += w;
+        conn[pu] += g.w[e];
       }
       // Target: lightest partition that can take v; among the near-lightest
       // prefer connectivity.
@@ -300,7 +339,6 @@ void RebalancePass(const WeightedGraph& g, PartitionId k, double imbalance,
         (*pweight)[best] += g.vweight[v];
       }
       for (PartitionId p : touched) conn[p] = 0;
-      if ((*pweight)[own] <= max_weight) continue;
     }
   }
 }
@@ -314,8 +352,10 @@ void Refine(const WeightedGraph& g, PartitionId k, int passes,
   RebalancePass(g, k, imbalance, part, &pweight, rng);
   uint64_t total_moves = 0;
   uint64_t total_passes = 0;
+  uint64_t scanned = 0;
   for (int pass = 0; pass < passes; ++pass) {
     size_t moves = RefinePass(g, k, imbalance, part, &pweight, rng);
+    scanned += g.nbr.size();  // a pass reads every adjacency entry once
     RebalancePass(g, k, imbalance, part, &pweight, rng);
     total_moves += moves;
     ++total_passes;
@@ -324,6 +364,8 @@ void Refine(const WeightedGraph& g, PartitionId k, int passes,
   obs::Count("partition/vertex/multilevel/refine_moves", total_moves, "moves");
   obs::Count("partition/vertex/multilevel/refine_passes", total_passes,
              "passes");
+  obs::Count("partition/vertex/multilevel/refine_scanned", scanned,
+             "entries");
 }
 
 // Runs one full multilevel cycle. If `current` is non-null it is used as
@@ -413,10 +455,13 @@ Result<VertexPartitioning> MultilevelPartition(const Graph& graph,
              static_cast<uint64_t>(params.v_cycles), "cycles");
 
   std::vector<PartitionId> part = RunCycle(base, k, params, &rng, nullptr);
+  uint64_t cut = params.v_cycles > 1 ? CutWeight(base, part) : 0;
   for (int cycle = 1; cycle < params.v_cycles; ++cycle) {
     std::vector<PartitionId> next = RunCycle(base, k, params, &rng, &part);
-    if (CutWeight(base, next) <= CutWeight(base, part)) {
+    const uint64_t next_cut = CutWeight(base, next);
+    if (next_cut <= cut) {
       part = std::move(next);
+      cut = next_cut;
     }
   }
 

@@ -5,6 +5,8 @@
 #     `simulate` and for a co-tenanted `serve-run`;
 #   * the CLI's wall timers (time/simulate, time/serve) are det:false rows
 #     and the flow engine's work counters are published;
+#   * the multilevel engine's refine_scanned work counter is a det row of
+#     `partition … Metis 4`, byte-identical for --threads 1/8;
 #   * `gnnpart_cli metrics` pretty-prints (and strictly re-parses) it;
 #   * tools/bench_compare.py exits 0 on identical manifests and non-zero
 #     on an injected 2x regression.
@@ -43,6 +45,16 @@ grep -q '"name":"time/simulate".*"det":false' "$TMP/m1.jsonl"
 # The flow engine's work is counted, deterministically.
 grep -q '"name":"net/flowsim/events".*"det":true' "$TMP/m1.jsonl"
 grep -q '"name":"net/flowsim/fill_rounds".*"det":true' "$TMP/m1.jsonl"
+
+# partition Metis: the multilevel engine's work counters are det rows that
+# do not depend on the threads.
+for t in 1 8; do
+  "$CLI" --metrics-out "$TMP/p$t.jsonl" --threads "$t" \
+      partition "$TMP/g.txt" Metis 4 > /dev/null 2> /dev/null
+  grep '"det":true' "$TMP/p$t.jsonl" > "$TMP/pdet$t"
+done
+grep -q '"name":"partition/vertex/multilevel/refine_scanned"' "$TMP/pdet1"
+cmp -s "$TMP/pdet1" "$TMP/pdet8"
 
 # serve-run: its wall time is the time/serve timer, and a co-tenanted run's
 # det rows (flow engine counters included) do not depend on the threads.
