@@ -57,13 +57,12 @@ inline void WriteMetricsManifestAtExit() {
 }
 
 /// Context shared by all bench binaries; honours GNNPART_SCALE,
-/// GNNPART_SEED, GNNPART_CACHE_DIR, GNNPART_GBS, GNNPART_THREADS,
-/// GNNPART_METRICS_OUT.
+/// GNNPART_SEED, GNNPART_GBS, GNNPART_THREADS, GNNPART_METRICS_OUT.
 /// Pass (argc, argv) through to also accept `--threads N` (overrides the
 /// environment; results are identical for every N), `--metrics-out FILE`
-/// (JSONL run manifest written at exit) and, on the phase-time benches,
-/// `--trace-out FILE` (dumps one Chrome trace per simulated cell,
-/// suffixed with the cell label).
+/// (JSONL run manifest written at exit) and `--trace-out FILE` (the
+/// phase-time tables dump one Chrome trace per simulated cell, suffixed
+/// with the cell label).
 inline ExperimentContext DefaultContext(int argc = 0,
                                         char** argv = nullptr) {
   for (int i = 1; i < argc; ++i) {

@@ -1,58 +1,46 @@
 #include "harness/experiment.h"
 
-#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 
-#include "check/check.h"
-#include "check/validators.h"
 #include "common/parallel.h"
 #include "common/timer.h"
-#include "harness/cache.h"
 #include "obs/memory.h"
 #include "obs/metrics.h"
 
 namespace gnnpart {
 namespace {
 
-// Bump when partitioner or generator algorithms change, so stale cache
-// entries from older binaries cannot leak into results. v5: Multilevel's
-// label-propagation coarsening now breaks connectivity ties on the smallest
-// label, which can move Metis-family assignments on exact ties. v6: profile
-// keys carry the gnnpart::net fabric tag (topology/overlap config), so
-// entries written before the network model existed are retired. v7: the
-// multilevel engine moved to flat arrays; assignments are unchanged, but a
-// cache hit reports the partitioning seconds stored with the entry, so
-// older entries would show the old engine's KaHIP/Metis times in Figs 6/15
-// and Tables 4/5.
-constexpr int kCacheVersion = 7;
+constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
 
-std::string CacheKey(const ExperimentContext& ctx, DatasetId dataset,
-                     const std::string& partitioner, PartitionId k) {
-  std::ostringstream os;
-  os << "v" << kCacheVersion << "-" << DatasetCode(dataset) << "-s"
-     << ctx.scale << "-r" << ctx.seed << "-" << partitioner << "-k" << k;
-  return os.str();
+/// 64-bit FNV-1a over a byte range; chain calls by passing the previous
+/// result as `hash`.
+uint64_t Fnv1a(const void* data, size_t bytes,
+               uint64_t hash = kFnvOffsetBasis) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < bytes; ++i) {
+    hash ^= p[i];
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
 }
 
-/// Structural sanity for assignments loaded from disk: the checksum proves
-/// the bytes survived, not that they are a valid partitioning for this
-/// graph. Out-of-range ids would index past metric arrays downstream.
-bool CachedAssignmentValid(const std::vector<PartitionId>& assignment,
-                           PartitionId k, size_t expected_size,
-                           const std::string& key) {
-  if (assignment.size() != expected_size) return false;  // stale, not corrupt
-  for (PartitionId p : assignment) {
-    if (p >= k) {
-      std::fprintf(stderr,
-                   "[gnnpart] cache/id-range: entry '%s' holds partition id "
-                   "%u >= k=%u; recomputing\n",
-                   key.c_str(), static_cast<unsigned>(p),
-                   static_cast<unsigned>(k));
-      return false;
-    }
-  }
-  return true;
+uint64_t Fnv1a(const std::vector<PartitionId>& assignment) {
+  return Fnv1a(assignment.data(), assignment.size() * sizeof(PartitionId));
+}
+
+/// Publishes a digest as a det:true gauge (bit-cast to the gauge's int64).
+void RecordDigest(const std::string& name, uint64_t digest) {
+  int64_t level = 0;
+  std::memcpy(&level, &digest, sizeof(level));
+  obs::GetGauge(name + "/digest", "fnv1a64").Set(level);
+}
+
+std::string RunName(const char* kind, DatasetId dataset,
+                    const std::string& partitioner, PartitionId k) {
+  return std::string("study/") + kind + "/" + DatasetCode(dataset) + "/" +
+         partitioner + "/k" + std::to_string(k);
 }
 
 }  // namespace
@@ -62,11 +50,6 @@ ExperimentContext ExperimentContext::FromEnv() {
   if (const char* s = std::getenv("GNNPART_SCALE")) ctx.scale = std::atof(s);
   if (const char* s = std::getenv("GNNPART_SEED")) {
     ctx.seed = static_cast<uint64_t>(std::atoll(s));
-  }
-  if (const char* s = std::getenv("GNNPART_CACHE_DIR")) {
-    ctx.cache_dir = s;
-  } else {
-    ctx.cache_dir = "/tmp/gnnpart_cache";
   }
   if (const char* s = std::getenv("GNNPART_GBS")) {
     ctx.global_batch_size = static_cast<size_t>(std::atoll(s));
@@ -118,85 +101,6 @@ Result<DatasetBundle> LoadDataset(const ExperimentContext& ctx, DatasetId id) {
   return bundle;
 }
 
-Result<EdgePartitioning> RunEdgePartitioner(const ExperimentContext& ctx,
-                                            DatasetId dataset,
-                                            const Graph& graph,
-                                            EdgePartitionerId id,
-                                            PartitionId k) {
-  auto partitioner = MakeEdgePartitioner(id);
-  PartitionCache cache(ctx.cache_dir);
-  const std::string key = CacheKey(ctx, dataset, partitioner->name(), k);
-  double seconds = 0;
-  if (auto cached = cache.Load(key, k, &seconds); cached.ok()) {
-    if (CachedAssignmentValid(cached.value(), k, graph.num_edges(), key)) {
-      EdgePartitioning parts;
-      parts.k = k;
-      parts.assignment = std::move(cached).value();
-      parts.partitioning_seconds = seconds;
-      if constexpr (check::ParanoidEnabled()) {
-        if (Status st = check::ValidateEdgePartitioning(graph, parts);
-            !st.ok()) {
-          return st;
-        }
-      }
-      return parts;
-    }
-  }
-  WallTimer timer;
-  Result<EdgePartitioning> result = [&] {
-    obs::ScopedTimer phase("time/partition/" + partitioner->name());
-    return partitioner->Partition(graph, k, ctx.seed);
-  }();
-  if (!result.ok()) return result.status();
-  result.value().partitioning_seconds = timer.ElapsedSeconds();
-  obs::RecordStructureBytes(
-      "edge_assignment", result.value().assignment.size() * sizeof(PartitionId));
-  // Cache write failures only cost future time, not correctness.
-  (void)cache.Store(key, k, result.value().assignment,
-                    result.value().partitioning_seconds);
-  return result;
-}
-
-Result<VertexPartitioning> RunVertexPartitioner(const ExperimentContext& ctx,
-                                                DatasetId dataset,
-                                                const Graph& graph,
-                                                const VertexSplit& split,
-                                                VertexPartitionerId id,
-                                                PartitionId k) {
-  auto partitioner = MakeVertexPartitioner(id);
-  PartitionCache cache(ctx.cache_dir);
-  const std::string key = CacheKey(ctx, dataset, "v" + partitioner->name(), k);
-  double seconds = 0;
-  if (auto cached = cache.Load(key, k, &seconds); cached.ok()) {
-    if (CachedAssignmentValid(cached.value(), k, graph.num_vertices(), key)) {
-      VertexPartitioning parts;
-      parts.k = k;
-      parts.assignment = std::move(cached).value();
-      parts.partitioning_seconds = seconds;
-      if constexpr (check::ParanoidEnabled()) {
-        if (Status st = check::ValidateVertexPartitioning(graph, parts);
-            !st.ok()) {
-          return st;
-        }
-      }
-      return parts;
-    }
-  }
-  WallTimer timer;
-  Result<VertexPartitioning> result = [&] {
-    obs::ScopedTimer phase("time/partition/" + partitioner->name());
-    return partitioner->Partition(graph, split, k, ctx.seed);
-  }();
-  if (!result.ok()) return result.status();
-  result.value().partitioning_seconds = timer.ElapsedSeconds();
-  obs::RecordStructureBytes(
-      "vertex_assignment",
-      result.value().assignment.size() * sizeof(PartitionId));
-  (void)cache.Store(key, k, result.value().assignment,
-                    result.value().partitioning_seconds);
-  return result;
-}
-
 std::vector<double> DistGnnGridResult::SpeedupsVsRandom(
     const std::string& name) const {
   const auto& random = reports.at("Random");
@@ -226,145 +130,6 @@ std::vector<double> DistGnnGridResult::MemoryPercentOfRandom(
   return percents;
 }
 
-Result<DistGnnGridResult> RunDistGnnGrid(const ExperimentContext& ctx,
-                                         DatasetId dataset, PartitionId k) {
-  Result<DatasetBundle> bundle = LoadDataset(ctx, dataset);
-  if (!bundle.ok()) return bundle.status();
-  const Graph& graph = bundle->graph;
-
-  DistGnnGridResult result;
-  result.dataset = dataset;
-  result.k = k;
-  result.grid = HyperParameterGrid(ctx, GnnArchitecture::kGraphSage);
-  const ClusterSpec cluster = ctx.MakeCluster(static_cast<int>(k));
-
-  for (EdgePartitionerId id : AllEdgePartitioners()) {
-    auto partitioner = MakeEdgePartitioner(id);
-    const std::string name = partitioner->name();
-    Result<EdgePartitioning> parts =
-        RunEdgePartitioner(ctx, dataset, graph, id, k);
-    if (!parts.ok()) return parts.status();
-    result.partitioners.push_back(name);
-    result.partition_seconds[name] = parts->partitioning_seconds;
-    result.metrics[name] = ComputeEdgePartitionMetrics(graph, *parts);
-    result.workloads[name] = BuildDistGnnWorkload(graph, *parts);
-    // Grid cells are independent pure functions of (workload, config);
-    // evaluate them concurrently straight into their slots.
-    const DistGnnWorkload& workload = result.workloads[name];
-    auto& reports = result.reports[name];
-    reports.resize(result.grid.size());
-    ParallelFor(result.grid.size(), 1, [&](size_t begin, size_t end, size_t) {
-      for (size_t i = begin; i < end; ++i) {
-        reports[i] = SimulateDistGnnEpoch(workload, result.grid[i], cluster);
-      }
-    });
-  }
-  return result;
-}
-
-namespace {
-
-// Flat uint64 encoding of an epoch profile for the blob cache.
-std::vector<uint64_t> EncodeProfile(const DistDglEpochProfile& profile) {
-  std::vector<uint64_t> blob;
-  blob.push_back(profile.steps);
-  blob.push_back(profile.workers);
-  for (const auto& step : profile.profiles) {
-    for (const MiniBatchProfile& mb : step) {
-      blob.push_back(mb.seeds);
-      blob.push_back(mb.input_vertices);
-      blob.push_back(mb.local_input_vertices);
-      blob.push_back(mb.remote_input_vertices);
-      blob.push_back(mb.computation_edges);
-      blob.push_back(mb.remote_sampling_requests);
-      blob.push_back(mb.frontier_sizes.size());
-      for (size_t f : mb.frontier_sizes) blob.push_back(f);
-      blob.push_back(mb.hop_edges.size());
-      for (size_t h : mb.hop_edges) blob.push_back(h);
-    }
-  }
-  return blob;
-}
-
-Result<DistDglEpochProfile> DecodeProfile(const std::vector<uint64_t>& blob) {
-  size_t pos = 0;
-  auto next = [&]() -> uint64_t {
-    return pos < blob.size() ? blob[pos++] : ~0ULL;
-  };
-  DistDglEpochProfile profile;
-  profile.steps = next();
-  profile.workers = static_cast<PartitionId>(next());
-  if (profile.steps > 1e7 || profile.workers > kMaxPartitions) {
-    return Status::Internal("corrupt profile blob header");
-  }
-  profile.profiles.resize(profile.steps);
-  for (auto& step : profile.profiles) {
-    step.resize(profile.workers);
-    for (MiniBatchProfile& mb : step) {
-      mb.seeds = next();
-      mb.input_vertices = next();
-      mb.local_input_vertices = next();
-      mb.remote_input_vertices = next();
-      mb.computation_edges = next();
-      mb.remote_sampling_requests = next();
-      uint64_t nf = next();
-      if (nf > 64) return Status::Internal("corrupt profile blob");
-      mb.frontier_sizes.resize(nf);
-      for (auto& f : mb.frontier_sizes) f = next();
-      uint64_t nh = next();
-      if (nh > 64) return Status::Internal("corrupt profile blob");
-      mb.hop_edges.resize(nh);
-      for (auto& h : mb.hop_edges) h = next();
-    }
-  }
-  if (pos != blob.size()) return Status::Internal("trailing profile data");
-  return profile;
-}
-
-}  // namespace
-
-Result<DistDglEpochProfile> ProfileWithCache(const ExperimentContext& ctx,
-                                             DatasetId dataset,
-                                             const Graph& graph,
-                                             const VertexSplit& split,
-                                             VertexPartitionerId id,
-                                             PartitionId k, int num_layers,
-                                             size_t global_batch_size) {
-  auto partitioner = MakeVertexPartitioner(id);
-  PartitionCache cache(ctx.cache_dir);
-  std::ostringstream key;
-  key << "profile-" << CacheKey(ctx, dataset, partitioner->name(), k) << "-L"
-      << num_layers << "-b" << global_batch_size << "-"
-      << ctx.network.CacheKeyTag();
-  if (auto blob = cache.LoadBlob(key.str()); blob.ok()) {
-    // A blob that passed the checksum but fails to decode or violates the
-    // profile invariants means the *writer* was broken, not the disk — say
-    // so instead of silently re-measuring.
-    auto decoded = DecodeProfile(*blob);
-    Status st = decoded.ok() ? check::ValidateProfile(*decoded)
-                             : decoded.status();
-    if (st.ok()) return decoded;
-    std::fprintf(stderr,
-                 "[gnnpart] cache/invalid-profile: entry '%s' rejected (%s); "
-                 "recomputing\n",
-                 key.str().c_str(), st.ToString().c_str());
-  }
-  Result<VertexPartitioning> parts =
-      RunVertexPartitioner(ctx, dataset, graph, split, id, k);
-  if (!parts.ok()) return parts.status();
-  Result<DistDglEpochProfile> profile = [&] {
-    obs::ScopedTimer phase("time/profile");
-    return ProfileDistDglEpoch(
-        graph, *parts, split, GnnConfig::DefaultFanouts(num_layers),
-        global_batch_size, ctx.seed + static_cast<uint64_t>(num_layers));
-  }();
-  if (!profile.ok()) return profile.status();
-  const std::vector<uint64_t> blob = EncodeProfile(*profile);
-  obs::RecordStructureBytes("profile_blob", blob.size() * sizeof(uint64_t));
-  (void)cache.StoreBlob(key.str(), blob);
-  return profile;
-}
-
 std::vector<double> DistDglGridResult::SpeedupsVsRandom(
     const std::string& name) const {
   const auto& random = reports.at("Random");
@@ -379,38 +144,168 @@ std::vector<double> DistDglGridResult::SpeedupsVsRandom(
   return speedups;
 }
 
-Result<DistDglGridResult> RunDistDglGrid(const ExperimentContext& ctx,
-                                         DatasetId dataset, PartitionId k,
-                                         GnnArchitecture arch) {
-  Result<DatasetBundle> bundle = LoadDataset(ctx, dataset);
-  if (!bundle.ok()) return bundle.status();
-  const Graph& graph = bundle->graph;
-  const VertexSplit& split = bundle->split;
+Result<const DatasetBundle*> Study::Dataset(DatasetId dataset) {
+  auto it = datasets_.find(dataset);
+  if (it == datasets_.end()) {
+    Result<DatasetBundle> bundle = LoadDataset(ctx_, dataset);
+    if (!bundle.ok()) return bundle.status();
+    it = datasets_.emplace(dataset, std::move(bundle).value()).first;
+  }
+  return &it->second;
+}
 
+Result<const EdgeRun*> Study::Edge(DatasetId dataset, EdgePartitionerId id,
+                                   PartitionId k) {
+  const auto key = std::make_tuple(dataset, id, k);
+  if (auto it = edge_runs_.find(key); it != edge_runs_.end()) {
+    return &it->second;
+  }
+  Result<const DatasetBundle*> bundle = Dataset(dataset);
+  if (!bundle.ok()) return bundle.status();
+  const Graph& graph = (*bundle)->graph;
+  auto partitioner = MakeEdgePartitioner(id);
+  WallTimer timer;
+  Result<EdgePartitioning> parts = [&] {
+    obs::ScopedTimer phase("time/partition/" + partitioner->name());
+    return partitioner->Partition(graph, k, ctx_.seed);
+  }();
+  if (!parts.ok()) return parts.status();
+  EdgeRun run;
+  run.partitioning_seconds = timer.ElapsedSeconds();
+  obs::RecordStructureBytes(
+      "edge_assignment", parts->assignment.size() * sizeof(PartitionId));
+  RecordDigest(RunName("edge", dataset, partitioner->name(), k),
+               Fnv1a(parts->assignment));
+  run.metrics = ComputeEdgePartitionMetrics(graph, *parts);
+  run.workload = BuildDistGnnWorkload(graph, *parts);
+  return &edge_runs_.emplace(key, std::move(run)).first->second;
+}
+
+Result<const VertexRun*> Study::Vertex(DatasetId dataset,
+                                       VertexPartitionerId id,
+                                       PartitionId k) {
+  const auto key = std::make_tuple(dataset, id, k);
+  if (auto it = vertex_runs_.find(key); it != vertex_runs_.end()) {
+    return &it->second;
+  }
+  Result<const DatasetBundle*> bundle = Dataset(dataset);
+  if (!bundle.ok()) return bundle.status();
+  const Graph& graph = (*bundle)->graph;
+  const VertexSplit& split = (*bundle)->split;
+  auto partitioner = MakeVertexPartitioner(id);
+  WallTimer timer;
+  Result<VertexPartitioning> parts = [&] {
+    obs::ScopedTimer phase("time/partition/" + partitioner->name());
+    return partitioner->Partition(graph, split, k, ctx_.seed);
+  }();
+  if (!parts.ok()) return parts.status();
+  VertexRun run;
+  run.parts = std::move(parts).value();
+  run.parts.partitioning_seconds = timer.ElapsedSeconds();
+  obs::RecordStructureBytes(
+      "vertex_assignment", run.parts.assignment.size() * sizeof(PartitionId));
+  RecordDigest(RunName("vertex", dataset, partitioner->name(), k),
+               Fnv1a(run.parts.assignment));
+  run.metrics = ComputeVertexPartitionMetrics(graph, run.parts, split);
+  return &vertex_runs_.emplace(key, std::move(run)).first->second;
+}
+
+Result<const DistDglEpochProfile*> Study::Profile(DatasetId dataset,
+                                                  VertexPartitionerId id,
+                                                  PartitionId k,
+                                                  int num_layers,
+                                                  size_t global_batch_size) {
+  const auto key =
+      std::make_tuple(dataset, id, k, num_layers, global_batch_size);
+  if (auto it = profiles_.find(key); it != profiles_.end()) {
+    return &it->second;
+  }
+  Result<const VertexRun*> run = Vertex(dataset, id, k);
+  if (!run.ok()) return run.status();
+  const DatasetBundle& bundle = datasets_.at(dataset);
+  Result<DistDglEpochProfile> profile = [&] {
+    obs::ScopedTimer phase("time/profile");
+    return ProfileDistDglEpoch(
+        bundle.graph, (*run)->parts, bundle.split,
+        GnnConfig::DefaultFanouts(num_layers), global_batch_size,
+        ctx_.seed + static_cast<uint64_t>(num_layers));
+  }();
+  if (!profile.ok()) return profile.status();
+  return &profiles_.emplace(key, std::move(profile).value()).first->second;
+}
+
+Result<const DistGnnGridResult*> Study::DistGnnGrid(DatasetId dataset,
+                                                    PartitionId k) {
+  const auto key = std::make_pair(dataset, k);
+  if (auto it = distgnn_grids_.find(key); it != distgnn_grids_.end()) {
+    return &it->second;
+  }
+  DistGnnGridResult result;
+  result.dataset = dataset;
+  result.k = k;
+  result.grid = HyperParameterGrid(ctx_, GnnArchitecture::kGraphSage);
+  const ClusterSpec cluster = ctx_.MakeCluster(static_cast<int>(k));
+
+  uint64_t digest = kFnvOffsetBasis;
+  for (EdgePartitionerId id : AllEdgePartitioners()) {
+    Result<const EdgeRun*> run = Edge(dataset, id, k);
+    if (!run.ok()) return run.status();
+    const std::string name = MakeEdgePartitioner(id)->name();
+    result.partitioners.push_back(name);
+    result.partition_seconds[name] = (*run)->partitioning_seconds;
+    result.metrics[name] = (*run)->metrics;
+    // Grid cells are independent pure functions of (workload, config);
+    // evaluate them concurrently straight into their slots.
+    const DistGnnWorkload& workload = (*run)->workload;
+    auto& reports = result.reports[name];
+    reports.resize(result.grid.size());
+    ParallelFor(result.grid.size(), 1, [&](size_t begin, size_t end, size_t) {
+      for (size_t i = begin; i < end; ++i) {
+        reports[i] = SimulateDistGnnEpoch(workload, result.grid[i], cluster);
+      }
+    });
+    for (const DistGnnEpochReport& r : reports) {
+      digest = Fnv1a(&r.epoch_seconds, sizeof(double), digest);
+      digest = Fnv1a(&r.max_memory_bytes, sizeof(double), digest);
+      digest = Fnv1a(&r.mean_memory_bytes, sizeof(double), digest);
+    }
+  }
+  RecordDigest("study/distgnn/" + DatasetCode(dataset) + "/k" +
+                   std::to_string(k),
+               digest);
+  return &distgnn_grids_.emplace(key, std::move(result)).first->second;
+}
+
+Result<const DistDglGridResult*> Study::DistDglGrid(DatasetId dataset,
+                                                    PartitionId k,
+                                                    GnnArchitecture arch) {
+  const auto key = std::make_tuple(dataset, k, arch);
+  if (auto it = distdgl_grids_.find(key); it != distdgl_grids_.end()) {
+    return &it->second;
+  }
   DistDglGridResult result;
   result.dataset = dataset;
   result.k = k;
   result.arch = arch;
-  result.grid = HyperParameterGrid(ctx, arch);
-  const ClusterSpec cluster = ctx.MakeCluster(static_cast<int>(k));
+  result.grid = HyperParameterGrid(ctx_, arch);
+  const ClusterSpec cluster = ctx_.MakeCluster(static_cast<int>(k));
 
+  uint64_t digest = kFnvOffsetBasis;
   for (VertexPartitionerId id : AllVertexPartitioners()) {
-    auto partitioner = MakeVertexPartitioner(id);
-    const std::string name = partitioner->name();
-    Result<VertexPartitioning> parts =
-        RunVertexPartitioner(ctx, dataset, graph, split, id, k);
-    if (!parts.ok()) return parts.status();
+    Result<const VertexRun*> run = Vertex(dataset, id, k);
+    if (!run.ok()) return run.status();
+    const std::string name = MakeVertexPartitioner(id)->name();
     result.partitioners.push_back(name);
-    result.partition_seconds[name] = parts->partitioning_seconds;
-    result.metrics[name] = ComputeVertexPartitionMetrics(graph, *parts, split);
+    result.partition_seconds[name] = (*run)->parts.partitioning_seconds;
+    result.metrics[name] = (*run)->metrics;
 
     // Sampling profiles depend only on the layer count; one per L.
     auto& profiles = result.profiles[name];
     for (int layers : {2, 3, 4}) {
-      Result<DistDglEpochProfile> profile = ProfileWithCache(
-          ctx, dataset, graph, split, id, k, layers, ctx.global_batch_size);
+      Result<const DistDglEpochProfile*> profile =
+          Profile(dataset, id, k, layers, ctx_.global_batch_size);
       if (!profile.ok()) return profile.status();
-      profiles.push_back(std::move(profile).value());
+      profiles.push_back(*profile);
     }
     auto& reports = result.reports[name];
     reports.resize(result.grid.size());
@@ -418,12 +313,19 @@ Result<DistDglGridResult> RunDistDglGrid(const ExperimentContext& ctx,
       for (size_t i = begin; i < end; ++i) {
         const GnnConfig& config = result.grid[i];
         const DistDglEpochProfile& profile =
-            profiles[static_cast<size_t>(config.num_layers - 2)];
+            *profiles[static_cast<size_t>(config.num_layers - 2)];
         reports[i] = SimulateDistDglEpoch(profile, config, cluster);
       }
     });
+    for (const DistDglEpochReport& r : reports) {
+      digest = Fnv1a(&r.epoch_seconds, sizeof(double), digest);
+      digest = Fnv1a(&r.total_network_bytes, sizeof(double), digest);
+    }
   }
-  return result;
+  RecordDigest("study/distdgl/" + DatasetCode(dataset) + "/k" +
+                   std::to_string(k) + "/" + ArchitectureName(arch),
+               digest);
+  return &distdgl_grids_.emplace(key, std::move(result)).first->second;
 }
 
 double AmortizationEpochs(const std::vector<double>& random_epoch_seconds,

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -12,7 +14,6 @@
 #include "graph/graph.h"
 #include "graph/split.h"
 #include "metrics/partition_metrics.h"
-#include "net/topology.h"
 #include "partition/edge/registry.h"
 #include "partition/partitioning.h"
 #include "partition/vertex/registry.h"
@@ -24,23 +25,15 @@ namespace gnnpart {
 
 /// Shared configuration of every experiment runner. Scale/seed are read
 /// from the environment (GNNPART_SCALE / GNNPART_SEED) by FromEnv so all
-/// bench binaries can be resized uniformly.
+/// study tables can be resized uniformly.
 struct ExperimentContext {
   double scale = 1.0;
   uint64_t seed = 42;
-  /// Directory for the partitioning cache; "" disables caching. Partition
-  /// results are deterministic in (dataset, scale, seed, partitioner, k),
-  /// so the ~20 bench binaries share one cache instead of re-partitioning.
-  std::string cache_dir;
   /// Train/validation fractions (paper: 10% / 10%).
   double train_fraction = 0.1;
   double validation_fraction = 0.1;
   /// Scaled default global batch size (paper: 1024 on ~500x larger graphs).
   size_t global_batch_size = 256;
-  /// Fabric the simulated epochs run on (gnnpart::net). The default is the
-  /// legacy full-bisection fabric; its tag is part of every profile cache
-  /// key so cached artifacts are never reused across incompatible fabrics.
-  net::NetworkConfig network;
 
   static ExperimentContext FromEnv();
 
@@ -63,21 +56,6 @@ struct DatasetBundle {
 };
 Result<DatasetBundle> LoadDataset(const ExperimentContext& ctx, DatasetId id);
 
-/// Runs (or loads from cache) an edge partitioner, measuring wall time.
-Result<EdgePartitioning> RunEdgePartitioner(const ExperimentContext& ctx,
-                                            DatasetId dataset,
-                                            const Graph& graph,
-                                            EdgePartitionerId id,
-                                            PartitionId k);
-
-/// Runs (or loads from cache) a vertex partitioner, measuring wall time.
-Result<VertexPartitioning> RunVertexPartitioner(const ExperimentContext& ctx,
-                                                DatasetId dataset,
-                                                const Graph& graph,
-                                                const VertexSplit& split,
-                                                VertexPartitionerId id,
-                                                PartitionId k);
-
 /// Everything the DistGNN figures/tables need for one (dataset, k):
 /// per-partitioner quality metrics, partitioning time and the simulated
 /// epoch report for every grid configuration.
@@ -88,7 +66,6 @@ struct DistGnnGridResult {
   std::vector<std::string> partitioners;  // display names, Random first
   std::map<std::string, EdgePartitionMetrics> metrics;
   std::map<std::string, double> partition_seconds;
-  std::map<std::string, DistGnnWorkload> workloads;
   /// reports[name][i] = epoch report for grid[i].
   std::map<std::string, std::vector<DistGnnEpochReport>> reports;
 
@@ -97,9 +74,6 @@ struct DistGnnGridResult {
   /// Peak-memory in percent of Random per grid configuration.
   std::vector<double> MemoryPercentOfRandom(const std::string& name) const;
 };
-
-Result<DistGnnGridResult> RunDistGnnGrid(const ExperimentContext& ctx,
-                                         DatasetId dataset, PartitionId k);
 
 /// Everything the DistDGL figures/tables need for one (dataset, k, arch).
 struct DistDglGridResult {
@@ -110,33 +84,89 @@ struct DistDglGridResult {
   std::vector<std::string> partitioners;
   std::map<std::string, VertexPartitionMetrics> metrics;
   std::map<std::string, double> partition_seconds;
-  /// profiles[name][l] = epoch sampling profile for (num_layers = l+2).
-  std::map<std::string, std::vector<DistDglEpochProfile>> profiles;
+  /// profiles[name][l] = epoch sampling profile for (num_layers = l+2),
+  /// owned by the Study that built this grid.
+  std::map<std::string, std::vector<const DistDglEpochProfile*>> profiles;
   std::map<std::string, std::vector<DistDglEpochReport>> reports;
 
   std::vector<double> SpeedupsVsRandom(const std::string& name) const;
 
   const DistDglEpochProfile& ProfileFor(const std::string& name,
                                         int num_layers) const {
-    return profiles.at(name)[static_cast<size_t>(num_layers - 2)];
+    return *profiles.at(name)[static_cast<size_t>(num_layers - 2)];
   }
 };
 
-Result<DistDglGridResult> RunDistDglGrid(const ExperimentContext& ctx,
-                                         DatasetId dataset, PartitionId k,
-                                         GnnArchitecture arch);
+/// One edge partitioner run, reduced to what the study tables read. The
+/// assignment itself is digested and dropped once these are derived.
+struct EdgeRun {
+  double partitioning_seconds = 0;
+  EdgePartitionMetrics metrics;
+  DistGnnWorkload workload;
+};
 
-/// Runs (or loads from cache) one epoch's sampling profile for a vertex
-/// partitioner at the given layer count and global batch size. This is the
-/// expensive part of the DistDGL experiments; caching it makes the ~15
-/// DistDGL bench binaries share the work.
-Result<DistDglEpochProfile> ProfileWithCache(const ExperimentContext& ctx,
-                                             DatasetId dataset,
-                                             const Graph& graph,
-                                             const VertexSplit& split,
+/// One vertex partitioner run. The assignment is kept: sampling profiles
+/// are built from it.
+struct VertexRun {
+  VertexPartitioning parts;
+  VertexPartitionMetrics metrics;
+};
+
+/// The study's in-process memo. Every artifact — dataset, partitioning,
+/// sampling profile, simulated grid — is computed once, on first request,
+/// by the process that prints it, and later requests return the same
+/// object. Partitioning seconds are therefore always measured by this
+/// process. Each memoized partitioning and grid publishes a det:true
+/// `study/.../digest` gauge (64-bit FNV-1a of its assignment, or of every
+/// cell's result bit patterns), so the run manifest pins the whole study.
+///
+/// Returned pointers stay valid for the Study's lifetime. Not thread-safe:
+/// call from serial code (grids parallelize their cells internally). Not
+/// copyable: memoized grids point at the same Study's profiles.
+class Study {
+ public:
+  explicit Study(ExperimentContext ctx) : ctx_(std::move(ctx)) {}
+  Study(const Study&) = delete;
+  Study& operator=(const Study&) = delete;
+
+  const ExperimentContext& ctx() const { return ctx_; }
+
+  Result<const DatasetBundle*> Dataset(DatasetId dataset);
+  /// Runs an edge partitioner, measuring its wall time.
+  Result<const EdgeRun*> Edge(DatasetId dataset, EdgePartitionerId id,
+                              PartitionId k);
+  /// Runs a vertex partitioner, measuring its wall time.
+  Result<const VertexRun*> Vertex(DatasetId dataset, VertexPartitionerId id,
+                                  PartitionId k);
+  /// One epoch's sampling profile over the memoized vertex partitioning.
+  Result<const DistDglEpochProfile*> Profile(DatasetId dataset,
                                              VertexPartitionerId id,
                                              PartitionId k, int num_layers,
                                              size_t global_batch_size);
+  Result<const DistGnnGridResult*> DistGnnGrid(DatasetId dataset,
+                                               PartitionId k);
+  Result<const DistDglGridResult*> DistDglGrid(DatasetId dataset,
+                                               PartitionId k,
+                                               GnnArchitecture arch);
+
+ private:
+  ExperimentContext ctx_;
+  std::map<DatasetId, DatasetBundle> datasets_;
+  std::map<std::tuple<DatasetId, EdgePartitionerId, PartitionId>, EdgeRun>
+      edge_runs_;
+  std::map<std::tuple<DatasetId, VertexPartitionerId, PartitionId>,
+           VertexRun>
+      vertex_runs_;
+  std::map<std::tuple<DatasetId, VertexPartitionerId, PartitionId, int,
+                      size_t>,
+           DistDglEpochProfile>
+      profiles_;
+  std::map<std::pair<DatasetId, PartitionId>, DistGnnGridResult>
+      distgnn_grids_;
+  std::map<std::tuple<DatasetId, PartitionId, GnnArchitecture>,
+           DistDglGridResult>
+      distdgl_grids_;
+};
 
 /// Epochs until the partitioning time is amortized by faster training,
 /// averaged over the grid (paper Tables 4/5; Random assumed free).

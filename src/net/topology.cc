@@ -39,25 +39,6 @@ NetworkConfig NetworkConfig::FromCluster(const ClusterSpec& cluster) {
   return config;
 }
 
-std::string NetworkConfig::CacheKeyTag() const {
-  const char* code = "fb";
-  switch (topology) {
-    case TopologyKind::kFullBisection:
-      code = "fb";
-      break;
-    case TopologyKind::kFatTree:
-      code = "ft";
-      break;
-    case TopologyKind::kRing:
-      code = "rg";
-      break;
-  }
-  char buf[128];
-  std::snprintf(buf, sizeof(buf), "%s-o%g-r%d-n%g-l%g", code,
-                oversubscription, rack_size, nic_bandwidth, link_latency);
-  return buf;
-}
-
 std::string NetworkConfig::Summary() const {
   char buf[160];
   std::snprintf(buf, sizeof(buf),

@@ -58,10 +58,6 @@ struct NetworkConfig {
   /// and latency on every NIC.
   static NetworkConfig FromCluster(const ClusterSpec& cluster);
 
-  /// Compact deterministic tag for cache keys ("fb-o1-r4-n1.25e+08-..."),
-  /// so cached artifacts are never reused across incompatible fabrics.
-  std::string CacheKeyTag() const;
-
   /// Human-readable one-liner for reports.
   std::string Summary() const;
 };

@@ -8,7 +8,7 @@
 ///
 ///   - Analytical bytes-per-structure gauges (`mem/<structure>_bytes`):
 ///     exact sizes computed from container geometry (graph CSR, partitioner
-///     assignment state, sampler blocks, cached profile blobs). These are
+///     assignment state, sampler blocks). These are
 ///     pure functions of the workload → deterministic, high-water (Max).
 ///   - Process peak RSS from the kernel (`mem/peak_rss_bytes`): inherently
 ///     machine- and scheduling-dependent → registered non-deterministic,

@@ -4,8 +4,6 @@
 // validators' contract (tools and CI grep for them).
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -14,7 +12,6 @@
 #include "common/rng.h"
 #include "gen/generators.h"
 #include "gnn/model_config.h"
-#include "harness/cache.h"
 #include "metrics/partition_metrics.h"
 #include "obs/events.h"
 #include "partition/edge/registry.h"
@@ -464,63 +461,6 @@ TEST(CheckTraceTest, ReconstructionMatchesAndMismatchIsNamed) {
   DistGnnEpochReport wrong_simulator;
   ExpectViolation(check::CheckTraceReconstructsReport(epoch, wrong_simulator),
                   "trace/simulator-mismatch");
-}
-
-// --- cache integrity (satellite: checksummed cache rejects corruption) ---
-
-TEST(CacheChecksumTest, TruncatedAndFlippedEntriesAreRejected) {
-  const std::string dir = ::testing::TempDir() + "/gnnpart_cache_test";
-  PartitionCache cache(dir);
-  std::vector<PartitionId> assignment(1000);
-  for (size_t i = 0; i < assignment.size(); ++i) {
-    assignment[i] = static_cast<PartitionId>(i % 4);
-  }
-  ASSERT_TRUE(cache.Store("entry", 4, assignment, 1.5).ok());
-  double seconds = 0;
-  auto loaded = cache.Load("entry", 4, &seconds);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(*loaded, assignment);
-  EXPECT_EQ(seconds, 1.5);
-
-  // Flip one payload byte on disk: the checksum must reject the entry.
-  const std::string path = dir + "/entry.part";
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f.is_open());
-    f.seekp(64);
-    char byte = 0;
-    f.read(&byte, 1);
-    f.seekp(64);
-    byte = static_cast<char>(byte ^ 0x40);
-    f.write(&byte, 1);
-  }
-  EXPECT_FALSE(cache.Load("entry", 4, &seconds).ok());
-
-  // Truncation is also detected (the trailing checksum is cut off).
-  ASSERT_TRUE(cache.Store("entry", 4, assignment, 1.5).ok());
-  ASSERT_TRUE(cache.Load("entry", 4, &seconds).ok());
-  std::filesystem::resize_file(path, 128);
-  EXPECT_FALSE(cache.Load("entry", 4, &seconds).ok());
-}
-
-TEST(CacheChecksumTest, BlobChecksumRejectsCorruption) {
-  const std::string dir = ::testing::TempDir() + "/gnnpart_blob_test";
-  PartitionCache cache(dir);
-  std::vector<uint64_t> blob = {1, 2, 3, 4, 5, 6, 7, 8};
-  ASSERT_TRUE(cache.StoreBlob("blob", blob).ok());
-  auto loaded = cache.LoadBlob("blob");
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(*loaded, blob);
-
-  const std::string path = dir + "/blob.part";
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f.is_open());
-    f.seekp(24);
-    char byte = 1;
-    f.write(&byte, 1);
-  }
-  EXPECT_FALSE(cache.LoadBlob("blob").ok());
 }
 
 }  // namespace

@@ -206,7 +206,7 @@ TEST(SimulateTest, BatchOverlapReducesRemoteShare) {
   // Short fan-outs keep the batches well below graph saturation (at this
   // unit-test scale a 15/10/5 batch covers most of the graph, which
   // flattens all locality differences; the full-scale sweep lives in
-  // bench_fig26_batchsize).
+  // `bench_study fig26`).
   auto remote_ratio = [&](size_t gbs) {
     auto pm = ProfileDistDglEpoch(f.graph, metis, f.split, {5, 5}, gbs, 7);
     auto pr = ProfileDistDglEpoch(f.graph, random, f.split, {5, 5}, gbs, 7);

@@ -1,21 +1,27 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
+#include <map>
 
-#include "harness/cache.h"
 #include "harness/experiment.h"
 #include "obs/events.h"
+#include "obs/metrics.h"
 #include "trace/analysis.h"
 
 namespace gnnpart {
 namespace {
 
+uint64_t ProfiledEpochs() {
+  for (const obs::MetricRow& row : obs::Snapshot().rows) {
+    if (row.name == "sim/distdgl/epochs_profiled") return row.value;
+  }
+  return 0;
+}
+
 ExperimentContext TinyContext() {
   ExperimentContext ctx;
   ctx.scale = 0.02;  // tiny graphs: harness plumbing, not statistics
   ctx.seed = 42;
-  ctx.cache_dir = "";  // no cache in unit tests
   ctx.global_batch_size = 64;
   return ctx;
 }
@@ -23,16 +29,13 @@ ExperimentContext TinyContext() {
 TEST(ContextTest, FromEnvReadsVariables) {
   ::setenv("GNNPART_SCALE", "0.5", 1);
   ::setenv("GNNPART_SEED", "77", 1);
-  ::setenv("GNNPART_CACHE_DIR", "/tmp/somewhere", 1);
   ::setenv("GNNPART_GBS", "512", 1);
   ExperimentContext ctx = ExperimentContext::FromEnv();
   EXPECT_DOUBLE_EQ(ctx.scale, 0.5);
   EXPECT_EQ(ctx.seed, 77u);
-  EXPECT_EQ(ctx.cache_dir, "/tmp/somewhere");
   EXPECT_EQ(ctx.global_batch_size, 512u);
   ::unsetenv("GNNPART_SCALE");
   ::unsetenv("GNNPART_SEED");
-  ::unsetenv("GNNPART_CACHE_DIR");
   ::unsetenv("GNNPART_GBS");
 }
 
@@ -62,55 +65,12 @@ TEST(DatasetLoadTest, BundleIsConsistent) {
   EXPECT_GT(bundle->split.train_vertices().size(), 0u);
 }
 
-TEST(CacheTest, RoundTrip) {
-  std::string dir = (std::filesystem::temp_directory_path() /
-                     ("gnnpart_cache_test_" + std::to_string(::getpid())))
-                        .string();
-  PartitionCache cache(dir);
-  std::vector<PartitionId> assignment{0, 1, 2, 1, 0};
-  ASSERT_TRUE(cache.Store("some/key with spaces", 3, assignment, 1.25).ok());
-  double seconds = 0;
-  auto loaded = cache.Load("some/key with spaces", 3, &seconds);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(*loaded, assignment);
-  EXPECT_DOUBLE_EQ(seconds, 1.25);
-  // Wrong k is a miss.
-  EXPECT_FALSE(cache.Load("some/key with spaces", 4, &seconds).ok());
-  // Unknown key is a miss.
-  EXPECT_FALSE(cache.Load("unknown", 3, &seconds).ok());
-  std::filesystem::remove_all(dir);
-}
-
-TEST(CacheTest, DisabledCacheAlwaysMisses) {
-  PartitionCache cache("");
-  EXPECT_FALSE(cache.enabled());
-  EXPECT_TRUE(cache.Store("k", 2, {0, 1}, 1.0).ok());
-  EXPECT_FALSE(cache.Load("k", 2, nullptr).ok());
-}
-
-TEST(RunPartitionerTest, CachedRunsAgree) {
-  ExperimentContext ctx = TinyContext();
-  ctx.cache_dir = (std::filesystem::temp_directory_path() /
-                   ("gnnpart_runcache_" + std::to_string(::getpid())))
-                      .string();
-  Result<DatasetBundle> bundle = LoadDataset(ctx, DatasetId::kEnwiki);
-  ASSERT_TRUE(bundle.ok());
-  Result<EdgePartitioning> first = RunEdgePartitioner(
-      ctx, DatasetId::kEnwiki, bundle->graph, EdgePartitionerId::kDbh, 4);
-  ASSERT_TRUE(first.ok()) << first.status();
-  Result<EdgePartitioning> second = RunEdgePartitioner(
-      ctx, DatasetId::kEnwiki, bundle->graph, EdgePartitionerId::kDbh, 4);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first->assignment, second->assignment);
-  EXPECT_DOUBLE_EQ(first->partitioning_seconds, second->partitioning_seconds);
-  std::filesystem::remove_all(ctx.cache_dir);
-}
-
 TEST(DistGnnGridTest, FullGridRunsAndHasShape) {
-  ExperimentContext ctx = TinyContext();
-  Result<DistGnnGridResult> result =
-      RunDistGnnGrid(ctx, DatasetId::kOrkut, 4);
-  ASSERT_TRUE(result.ok()) << result.status();
+  Study study(TinyContext());
+  Result<const DistGnnGridResult*> grid =
+      study.DistGnnGrid(DatasetId::kOrkut, 4);
+  ASSERT_TRUE(grid.ok()) << grid.status();
+  const DistGnnGridResult* result = *grid;
   EXPECT_EQ(result->partitioners.size(), 6u);
   EXPECT_EQ(result->partitioners.front(), "Random");
   EXPECT_EQ(result->grid.size(), 27u);
@@ -130,10 +90,11 @@ TEST(DistGnnGridTest, FullGridRunsAndHasShape) {
 }
 
 TEST(DistDglGridTest, FullGridRunsAndHasShape) {
-  ExperimentContext ctx = TinyContext();
-  Result<DistDglGridResult> result =
-      RunDistDglGrid(ctx, DatasetId::kOrkut, 4, GnnArchitecture::kGraphSage);
-  ASSERT_TRUE(result.ok()) << result.status();
+  Study study(TinyContext());
+  Result<const DistDglGridResult*> grid =
+      study.DistDglGrid(DatasetId::kOrkut, 4, GnnArchitecture::kGraphSage);
+  ASSERT_TRUE(grid.ok()) << grid.status();
+  const DistDglGridResult* result = *grid;
   EXPECT_EQ(result->partitioners.size(), 6u);
   EXPECT_EQ(result->grid.size(), 27u);
   for (const auto& name : result->partitioners) {
@@ -149,35 +110,30 @@ TEST(DistDglGridTest, FullGridRunsAndHasShape) {
 }
 
 TEST(TraceDistDglEpochTest, RetracesFromCachedProfileWithoutResampling) {
-  ExperimentContext ctx = TinyContext();
-  ctx.cache_dir = (std::filesystem::temp_directory_path() /
-                   ("gnnpart_tracecache_" + std::to_string(::getpid())))
-                      .string();
-  Result<DatasetBundle> bundle = LoadDataset(ctx, DatasetId::kEnwiki);
-  ASSERT_TRUE(bundle.ok());
+  Study study(TinyContext());
   GnnConfig config;
   config.num_layers = 2;
   config.feature_size = 32;
   config.hidden_dim = 32;
   config.num_classes = 16;
   config.fanouts = GnnConfig::DefaultFanouts(2);
-  ClusterSpec cluster = ctx.MakeCluster(4);
+  ClusterSpec cluster = study.ctx().MakeCluster(4);
 
-  // Profile through the cache, then simulate with an event log attached.
+  // Profile through the memo, then simulate with an event log attached.
   auto trace_epoch = [&](obs::EventLog* log) -> Result<DistDglEpochReport> {
-    Result<DistDglEpochProfile> profile = ProfileWithCache(
-        ctx, DatasetId::kEnwiki, bundle->graph, bundle->split,
-        VertexPartitionerId::kLdg, 4, config.num_layers,
-        ctx.global_batch_size);
+    Result<const DistDglEpochProfile*> profile =
+        study.Profile(DatasetId::kEnwiki, VertexPartitionerId::kLdg, 4,
+                      config.num_layers, study.ctx().global_batch_size);
     if (!profile.ok()) return profile.status();
-    return SimulateDistDglEpoch(*profile, config, cluster, nullptr, nullptr,
+    return SimulateDistDglEpoch(**profile, config, cluster, nullptr, nullptr,
                                 log);
   };
   obs::EventLog first_log;
   Result<DistDglEpochReport> first = trace_epoch(&first_log);
   ASSERT_TRUE(first.ok()) << first.status();
-  // Second call hits the profile cache — a pure replay that must yield
-  // the identical report and trace.
+  // The second lookup returns the memoized profile — a pure replay that
+  // must yield the identical report and trace without resampling.
+  const uint64_t profiled = ProfiledEpochs();
   obs::EventLog second_log;
   Result<DistDglEpochReport> second = trace_epoch(&second_log);
   ASSERT_TRUE(second.ok());
@@ -190,7 +146,78 @@ TEST(TraceDistDglEpochTest, RetracesFromCachedProfileWithoutResampling) {
   trace::DistDglPhaseSeconds rebuilt =
       trace::ReconstructDistDglReport(second_epoch);
   EXPECT_EQ(rebuilt.epoch, second->epoch_seconds);
-  std::filesystem::remove_all(ctx.cache_dir);
+  EXPECT_EQ(ProfiledEpochs(), profiled);
+}
+
+TEST(StudyTest, EachVertexPartitioningRunsOnce) {
+  // One DistDGL grid profiles layers 2-4 per partitioner; the extra
+  // profile requests at a second batch size reuse the same partitionings.
+  // Every vertex partitioner must therefore assign |V| vertices once.
+  obs::ResetForTest();
+  Study study(TinyContext());
+  ASSERT_TRUE(
+      study.DistDglGrid(DatasetId::kEnwiki, 4, GnnArchitecture::kGraphSage)
+          .ok());
+  for (VertexPartitionerId id : AllVertexPartitioners()) {
+    for (int layers : {2, 3, 4}) {
+      ASSERT_TRUE(study.Profile(DatasetId::kEnwiki, id, 4, layers, 32).ok());
+    }
+  }
+  Result<const DatasetBundle*> bundle = study.Dataset(DatasetId::kEnwiki);
+  ASSERT_TRUE(bundle.ok());
+  const uint64_t n = (*bundle)->graph.num_vertices();
+  // Metis and KaHIP share the multilevel engine's counter.
+  const std::map<std::string, uint64_t> expected = {
+      {"partition/vertex/Random/vertices_assigned", n},
+      {"partition/vertex/LDG/vertices_assigned", n},
+      {"partition/vertex/Spinner/vertices_assigned", n},
+      {"partition/vertex/ByteGNN/vertices_assigned", n},
+      {"partition/vertex/multilevel/vertices_assigned", 2 * n},
+  };
+  std::map<std::string, uint64_t> seen;
+  for (const obs::MetricRow& row : obs::Snapshot().rows) {
+    if (expected.count(row.name)) seen[row.name] = row.value;
+  }
+  EXPECT_EQ(seen, expected);
+}
+
+TEST(RunPartitionerTest, CachedRunsAgree) {
+  // Repeated lookups return the one memoized run, so every table that
+  // asks for it sees the same metrics and the same measured seconds.
+  Study study(TinyContext());
+  Result<const EdgeRun*> first =
+      study.Edge(DatasetId::kEnwiki, EdgePartitionerId::kDbh, 4);
+  Result<const EdgeRun*> second =
+      study.Edge(DatasetId::kEnwiki, EdgePartitionerId::kDbh, 4);
+  ASSERT_TRUE(first.ok() && second.ok());
+  EXPECT_EQ(*first, *second);
+  EXPECT_GE((*first)->partitioning_seconds, 0.0);
+  EXPECT_EQ((*first)->workload.k, 4u);
+  Result<const DistGnnGridResult*> grid =
+      study.DistGnnGrid(DatasetId::kEnwiki, 4);
+  ASSERT_TRUE(grid.ok());
+  // The grid reads the same memoized run.
+  EXPECT_EQ((*grid)->partition_seconds.at("DBH"),
+            (*first)->partitioning_seconds);
+  EXPECT_EQ(*grid, *study.DistGnnGrid(DatasetId::kEnwiki, 4));
+}
+
+TEST(StudyTest, FailedLookupsReturnTheError) {
+  ExperimentContext ctx = TinyContext();
+  ctx.scale = 0;  // MakeDataset rejects it
+  Study study(ctx);
+  EXPECT_FALSE(study.Dataset(DatasetId::kEnwiki).ok());
+  EXPECT_FALSE(study.Edge(DatasetId::kEnwiki, EdgePartitionerId::kDbh, 4).ok());
+  EXPECT_FALSE(
+      study.Vertex(DatasetId::kEnwiki, VertexPartitionerId::kLdg, 4).ok());
+  EXPECT_FALSE(
+      study.Profile(DatasetId::kEnwiki, VertexPartitionerId::kLdg, 4, 2, 32)
+          .ok());
+  EXPECT_FALSE(study.DistGnnGrid(DatasetId::kEnwiki, 4).ok());
+  Result<const DistDglGridResult*> grid =
+      study.DistDglGrid(DatasetId::kEnwiki, 4, GnnArchitecture::kGraphSage);
+  ASSERT_FALSE(grid.ok());
+  EXPECT_NE(grid.status().message().find("scale"), std::string::npos);
 }
 
 TEST(AmortizationTest, MatchesHandComputation) {

@@ -1,7 +1,7 @@
 // End-to-end pipeline tests: dataset generation -> partitioning -> metrics
 // -> simulation, asserting the cross-module relations the paper's analysis
 // rests on. These run at a reduced scale; the full-scale numbers come from
-// the bench binaries.
+// `bench_study`.
 #include <gtest/gtest.h>
 
 #include "common/stats.h"
@@ -14,7 +14,6 @@ ExperimentContext SmallContext() {
   ExperimentContext ctx;
   ctx.scale = 0.08;
   ctx.seed = 42;
-  ctx.cache_dir = "";
   ctx.global_batch_size = 64;
   return ctx;
 }
@@ -22,12 +21,13 @@ ExperimentContext SmallContext() {
 TEST(IntegrationTest, DistGnnSpeedupGrowsWithScaleOut) {
   // Paper Fig. 11a: HEP's speedup over Random increases with the machine
   // count.
-  ExperimentContext ctx = SmallContext();
+  Study study(SmallContext());
   std::vector<double> speedups;
   for (int machines : {4, 32}) {
-    Result<DistGnnGridResult> grid = RunDistGnnGrid(
-        ctx, DatasetId::kHollywood, static_cast<PartitionId>(machines));
-    ASSERT_TRUE(grid.ok()) << grid.status();
+    Result<const DistGnnGridResult*> result = study.DistGnnGrid(
+        DatasetId::kHollywood, static_cast<PartitionId>(machines));
+    ASSERT_TRUE(result.ok()) << result.status();
+    const DistGnnGridResult* grid = *result;
     speedups.push_back(Mean(grid->SpeedupsVsRandom("HEP100")));
   }
   EXPECT_GT(speedups[1], speedups[0]);
@@ -36,12 +36,13 @@ TEST(IntegrationTest, DistGnnSpeedupGrowsWithScaleOut) {
 
 TEST(IntegrationTest, DistGnnMemorySavingsGrowWithScaleOut) {
   // Paper Fig. 11b: memory in % of Random decreases with the machine count.
-  ExperimentContext ctx = SmallContext();
+  Study study(SmallContext());
   std::vector<double> pct;
   for (int machines : {4, 32}) {
-    Result<DistGnnGridResult> grid = RunDistGnnGrid(
-        ctx, DatasetId::kOrkut, static_cast<PartitionId>(machines));
-    ASSERT_TRUE(grid.ok()) << grid.status();
+    Result<const DistGnnGridResult*> result = study.DistGnnGrid(
+        DatasetId::kOrkut, static_cast<PartitionId>(machines));
+    ASSERT_TRUE(result.ok()) << result.status();
+    const DistGnnGridResult* grid = *result;
     pct.push_back(Mean(grid->MemoryPercentOfRandom("HEP100")));
   }
   EXPECT_LT(pct[1], pct[0]);
@@ -50,10 +51,11 @@ TEST(IntegrationTest, DistGnnMemorySavingsGrowWithScaleOut) {
 
 TEST(IntegrationTest, HepLeadsSpeedupRanking) {
   // Paper Fig. 7: HEP variants lead the DistGNN speedup ranking.
-  ExperimentContext ctx = SmallContext();
-  Result<DistGnnGridResult> grid =
-      RunDistGnnGrid(ctx, DatasetId::kEu, 16);
-  ASSERT_TRUE(grid.ok()) << grid.status();
+  Study study(SmallContext());
+  Result<const DistGnnGridResult*> result = study.DistGnnGrid(
+      DatasetId::kEu, 16);
+  ASSERT_TRUE(result.ok()) << result.status();
+  const DistGnnGridResult* grid = *result;
   double hep = Mean(grid->SpeedupsVsRandom("HEP100"));
   for (const char* name : {"DBH", "2PS-L"}) {
     EXPECT_GT(hep, Mean(grid->SpeedupsVsRandom(name))) << name;
@@ -62,10 +64,11 @@ TEST(IntegrationTest, HepLeadsSpeedupRanking) {
 
 TEST(IntegrationTest, DistDglFeatureSizeRaisesEffectiveness) {
   // Paper Fig. 18: larger features -> larger DistDGL speedups.
-  ExperimentContext ctx = SmallContext();
-  Result<DistDglGridResult> grid = RunDistDglGrid(
-      ctx, DatasetId::kHollywood, 8, GnnArchitecture::kGraphSage);
-  ASSERT_TRUE(grid.ok()) << grid.status();
+  Study study(SmallContext());
+  Result<const DistDglGridResult*> result = study.DistDglGrid(
+      DatasetId::kHollywood, 8, GnnArchitecture::kGraphSage);
+  ASSERT_TRUE(result.ok()) << result.status();
+  const DistDglGridResult* grid = *result;
   auto mean_speedup = [&](size_t feat) {
     const auto& random = grid->reports.at("Random");
     const auto& metis = grid->reports.at("Metis");
@@ -81,10 +84,11 @@ TEST(IntegrationTest, DistDglFeatureSizeRaisesEffectiveness) {
 
 TEST(IntegrationTest, DistDglHiddenDimLowersEffectiveness) {
   // Paper Fig. 20: larger hidden dimension -> smaller DistDGL speedups.
-  ExperimentContext ctx = SmallContext();
-  Result<DistDglGridResult> grid = RunDistDglGrid(
-      ctx, DatasetId::kEu, 8, GnnArchitecture::kGraphSage);
-  ASSERT_TRUE(grid.ok()) << grid.status();
+  Study study(SmallContext());
+  Result<const DistDglGridResult*> result = study.DistDglGrid(
+      DatasetId::kEu, 8, GnnArchitecture::kGraphSage);
+  ASSERT_TRUE(result.ok()) << result.status();
+  const DistDglGridResult* grid = *result;
   auto mean_speedup = [&](size_t hidden) {
     const auto& random = grid->reports.at("Random");
     const auto& kahip = grid->reports.at("KaHIP");
@@ -103,13 +107,14 @@ TEST(IntegrationTest, RoadNetworkSamplingDominatesFetching) {
   // every feature-size configuration — the mini-batches are tiny and (as
   // the paper notes) the edge-cut of the good partitioners is near zero,
   // so almost nothing is fetched remotely.
-  ExperimentContext ctx = SmallContext();
-  Result<DistDglGridResult> grid = RunDistDglGrid(
-      ctx, DatasetId::kDimacsUsa, 4, GnnArchitecture::kGraphSage);
-  ASSERT_TRUE(grid.ok()) << grid.status();
+  Study study(SmallContext());
+  Result<const DistDglGridResult*> result = study.DistDglGrid(
+      DatasetId::kDimacsUsa, 4, GnnArchitecture::kGraphSage);
+  ASSERT_TRUE(result.ok()) << result.status();
+  const DistDglGridResult* grid = *result;
   // At this reduced unit-test scale the fixed RPC latency inflates the
   // fetch phase for the 2-layer/feature-512 corner, so the assertion is
-  // scoped to the 3-4 layer configurations; bench_fig19_phase_feature
+  // scoped to the 3-4 layer configurations; `bench_study fig19`
   // demonstrates the full claim (all feature sizes) at full scale.
   for (size_t i = 0; i < grid->grid.size(); ++i) {
     if (grid->grid[i].num_layers < 3) continue;
@@ -120,12 +125,14 @@ TEST(IntegrationTest, RoadNetworkSamplingDominatesFetching) {
 }
 
 TEST(IntegrationTest, GatCostsMoreThanGcn) {
-  ExperimentContext ctx = SmallContext();
-  Result<DistDglGridResult> gat =
-      RunDistDglGrid(ctx, DatasetId::kOrkut, 4, GnnArchitecture::kGat);
-  Result<DistDglGridResult> gcn =
-      RunDistDglGrid(ctx, DatasetId::kOrkut, 4, GnnArchitecture::kGcn);
-  ASSERT_TRUE(gat.ok() && gcn.ok());
+  Study study(SmallContext());
+  Result<const DistDglGridResult*> gat_result =
+      study.DistDglGrid(DatasetId::kOrkut, 4, GnnArchitecture::kGat);
+  Result<const DistDglGridResult*> gcn_result =
+      study.DistDglGrid(DatasetId::kOrkut, 4, GnnArchitecture::kGcn);
+  ASSERT_TRUE(gat_result.ok() && gcn_result.ok());
+  const DistDglGridResult* gat = *gat_result;
+  const DistDglGridResult* gcn = *gcn_result;
   double t_gat = 0, t_gcn = 0;
   for (size_t i = 0; i < gat->grid.size(); ++i) {
     t_gat += gat->reports.at("Random")[i].epoch_seconds;
@@ -135,10 +142,14 @@ TEST(IntegrationTest, GatCostsMoreThanGcn) {
 }
 
 TEST(IntegrationTest, PerMachineMemoryDropsWithScaleOut) {
-  ExperimentContext ctx = SmallContext();
-  Result<DistGnnGridResult> g4 = RunDistGnnGrid(ctx, DatasetId::kEnwiki, 4);
-  Result<DistGnnGridResult> g32 = RunDistGnnGrid(ctx, DatasetId::kEnwiki, 32);
-  ASSERT_TRUE(g4.ok() && g32.ok());
+  Study study(SmallContext());
+  Result<const DistGnnGridResult*> g4_result =
+      study.DistGnnGrid(DatasetId::kEnwiki, 4);
+  Result<const DistGnnGridResult*> g32_result =
+      study.DistGnnGrid(DatasetId::kEnwiki, 32);
+  ASSERT_TRUE(g4_result.ok() && g32_result.ok());
+  const DistGnnGridResult* g4 = *g4_result;
+  const DistGnnGridResult* g32 = *g32_result;
   for (const std::string& name : g4->partitioners) {
     double m4 = 0, m32 = 0;
     for (size_t i = 0; i < g4->grid.size(); ++i) {

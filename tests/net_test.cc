@@ -41,20 +41,6 @@ TEST(TopologyTest, NameRoundTrip) {
   EXPECT_NE(bad.status().message().find("unknown topology"), std::string::npos);
 }
 
-TEST(TopologyTest, CacheKeyTagDistinguishesFabrics) {
-  net::NetworkConfig base;
-  EXPECT_EQ(base.CacheKeyTag(),
-            net::NetworkConfig::FromCluster(ClusterSpec{}).CacheKeyTag());
-  net::NetworkConfig fat = base;
-  fat.topology = net::TopologyKind::kFatTree;
-  fat.oversubscription = 4.0;
-  net::NetworkConfig ring = base;
-  ring.topology = net::TopologyKind::kRing;
-  EXPECT_NE(base.CacheKeyTag(), fat.CacheKeyTag());
-  EXPECT_NE(base.CacheKeyTag(), ring.CacheKeyTag());
-  EXPECT_NE(fat.CacheKeyTag(), ring.CacheKeyTag());
-}
-
 TEST(TopologyTest, FabricShapesAreDeterministic) {
   net::NetworkConfig config;
   config.topology = net::TopologyKind::kFatTree;
