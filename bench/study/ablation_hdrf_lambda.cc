@@ -20,6 +20,8 @@ void AblationHdrfLambda(Study& study) {
     EdgePartitioning parts =
         bench::Unwrap(hdrf.Partition(bundle.graph, 16, ctx.seed), "HDRF");
     double seconds = timer.ElapsedSeconds();
+    RecordAssignmentDigest("study/ablation/hdrf_lambda/" + bench::F(lambda, 1),
+                           parts.assignment);
     EdgePartitionMetrics m = ComputeEdgePartitionMetrics(bundle.graph, parts);
     table.AddRow({bench::F(lambda, 1), bench::F(m.replication_factor),
                   bench::F(m.edge_balance, 3), bench::F(seconds, 3)});

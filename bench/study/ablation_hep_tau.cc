@@ -20,6 +20,8 @@ void AblationHepTau(Study& study) {
     EdgePartitioning parts =
         bench::Unwrap(hep.Partition(bundle.graph, 16, ctx.seed), "HEP");
     double seconds = timer.ElapsedSeconds();
+    RecordAssignmentDigest("study/ablation/hep_tau/" + bench::F(tau, 1),
+                           parts.assignment);
     EdgePartitionMetrics m = ComputeEdgePartitionMetrics(bundle.graph, parts);
     table.AddRow({bench::F(tau, 1), bench::F(m.replication_factor),
                   bench::F(m.vertex_balance), bench::F(seconds, 3)});

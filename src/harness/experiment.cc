@@ -26,10 +26,6 @@ uint64_t Fnv1a(const void* data, size_t bytes,
   return hash;
 }
 
-uint64_t Fnv1a(const std::vector<PartitionId>& assignment) {
-  return Fnv1a(assignment.data(), assignment.size() * sizeof(PartitionId));
-}
-
 /// Publishes a digest as a det:true gauge (bit-cast to the gauge's int64).
 void RecordDigest(const std::string& name, uint64_t digest) {
   int64_t level = 0;
@@ -44,6 +40,12 @@ std::string RunName(const char* kind, DatasetId dataset,
 }
 
 }  // namespace
+
+void RecordAssignmentDigest(const std::string& name,
+                            const std::vector<PartitionId>& assignment) {
+  RecordDigest(name, Fnv1a(assignment.data(),
+                           assignment.size() * sizeof(PartitionId)));
+}
 
 ExperimentContext ExperimentContext::FromEnv() {
   ExperimentContext ctx;
@@ -174,8 +176,8 @@ Result<const EdgeRun*> Study::Edge(DatasetId dataset, EdgePartitionerId id,
   run.partitioning_seconds = timer.ElapsedSeconds();
   obs::RecordStructureBytes(
       "edge_assignment", parts->assignment.size() * sizeof(PartitionId));
-  RecordDigest(RunName("edge", dataset, partitioner->name(), k),
-               Fnv1a(parts->assignment));
+  RecordAssignmentDigest(RunName("edge", dataset, partitioner->name(), k),
+                         parts->assignment);
   run.metrics = ComputeEdgePartitionMetrics(graph, *parts);
   run.workload = BuildDistGnnWorkload(graph, *parts);
   return &edge_runs_.emplace(key, std::move(run)).first->second;
@@ -204,8 +206,8 @@ Result<const VertexRun*> Study::Vertex(DatasetId dataset,
   run.parts.partitioning_seconds = timer.ElapsedSeconds();
   obs::RecordStructureBytes(
       "vertex_assignment", run.parts.assignment.size() * sizeof(PartitionId));
-  RecordDigest(RunName("vertex", dataset, partitioner->name(), k),
-               Fnv1a(run.parts.assignment));
+  RecordAssignmentDigest(RunName("vertex", dataset, partitioner->name(), k),
+                         run.parts.assignment);
   run.metrics = ComputeVertexPartitionMetrics(graph, run.parts, split);
   return &vertex_runs_.emplace(key, std::move(run)).first->second;
 }

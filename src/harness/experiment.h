@@ -168,6 +168,13 @@ class Study {
       distdgl_grids_;
 };
 
+/// Publishes the det:true `<name>/digest` gauge of an assignment (64-bit
+/// FNV-1a over its bytes), the row the Study records for every memoized
+/// partitioning. Study tables that call a partitioner directly use it to pin
+/// their runs the same way.
+void RecordAssignmentDigest(const std::string& name,
+                            const std::vector<PartitionId>& assignment);
+
 /// Epochs until the partitioning time is amortized by faster training,
 /// averaged over the grid (paper Tables 4/5; Random assumed free).
 /// Returns a negative value when no amortization is possible (slowdown).
