@@ -1,6 +1,7 @@
 #include "partition/edge/hdrf.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <vector>
 
@@ -34,6 +35,14 @@ Result<EdgePartitioning> HdrfPartitioner::Partition(const Graph& graph,
 Status HdrfPartitioner::PartitionStream(
     const Graph& graph, const std::vector<EdgeId>& stream, PartitionId k,
     Rng* /*rng*/, std::vector<PartitionId>* assignment) const {
+  // A NaN score loses every comparison and would send every edge to
+  // partition 0.
+  if (!std::isfinite(lambda_) || lambda_ < 0) {
+    return Status::InvalidArgument("HDRF: lambda must be finite and >= 0");
+  }
+  if (!std::isfinite(epsilon_) || epsilon_ <= 0) {
+    return Status::InvalidArgument("HDRF: epsilon must be finite and > 0");
+  }
   const size_t n = graph.num_vertices();
 
   // Streaming state, scoped to this call so concurrent shard instances over

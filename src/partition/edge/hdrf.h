@@ -13,7 +13,9 @@ namespace gnnpart {
 class HdrfPartitioner : public StreamingEdgePartitioner {
  public:
   /// lambda weighs the balance term (paper default 1.1);
-  /// epsilon avoids division by zero in the balance term.
+  /// epsilon avoids division by zero in the balance term. Partitioning
+  /// returns InvalidArgument for a non-finite or negative lambda and a
+  /// non-finite or non-positive epsilon.
   explicit HdrfPartitioner(double lambda = 1.1, double epsilon = 1.0)
       : lambda_(lambda), epsilon_(epsilon) {}
 

@@ -1,13 +1,15 @@
 #include "partition/edge/hep.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <queue>
+#include <string>
 #include <vector>
 
+#include "check/check.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
-#include "partition/incidence.h"
 
 namespace gnnpart {
 namespace {
@@ -48,7 +50,15 @@ Result<EdgePartitioning> HepPartitioner::Partition(const Graph& graph,
 Status HepPartitioner::PartitionStream(
     const Graph& graph, const std::vector<EdgeId>& stream, PartitionId k,
     Rng* rng, std::vector<PartitionId>* assignment) const {
-  if (tau_ <= 0) return Status::InvalidArgument("HEP: tau must be > 0");
+  if (!std::isfinite(tau_) || tau_ <= 0) {
+    return Status::InvalidArgument("HEP: tau must be finite and > 0");
+  }
+  if (!std::isfinite(alpha_) || alpha_ <= 0) {
+    return Status::InvalidArgument("HEP: alpha must be finite and > 0");
+  }
+  if (!std::isfinite(lambda_) || lambda_ <= 0) {
+    return Status::InvalidArgument("HEP: lambda must be finite and > 0");
+  }
   const size_t n = graph.num_vertices();
   // Degree threshold and balance cap scale with the *stream* size; for the
   // full stream this equals graph.num_edges(), reproducing the sequential
@@ -56,35 +66,75 @@ Status HepPartitioner::PartitionStream(
   const size_t m = stream.size();
   const auto& edges = graph.edges();
   // Ascending edge-id order makes every order-sensitive step below a pure
-  // function of the stream's contents (the shuffled shard stream arrives in
-  // RNG order, which is fixed too, but the sort keeps the in-memory phase
-  // identical to the sequential pass when the stream is the full edge list).
-  std::vector<EdgeId> sorted(stream);
-  std::sort(sorted.begin(), sorted.end());
-  IncidenceList incidence(graph, sorted);
+  // function of the stream's contents, so a shuffled shard stream and the
+  // full edge list take the same in-memory path. The full stream arrives
+  // ascending and is used as is.
+  const bool ascending = std::is_sorted(stream.begin(), stream.end());
+  std::vector<EdgeId> sorted_copy;
+  if (!ascending) {
+    sorted_copy = stream;
+    std::sort(sorted_copy.begin(), sorted_copy.end());
+  }
+  const std::vector<EdgeId>& sorted = ascending ? stream : sorted_copy;
+  if constexpr (check::ParanoidEnabled()) {
+    for (EdgeId e : sorted) {
+      GNNPART_CHECK_PARANOID((*assignment)[e] == kInvalidPartition,
+                             "HEP: stream edge " + std::to_string(e) +
+                                 " arrived already assigned");
+    }
+  }
 
-  // ---- Classify vertices. ----
+  // ---- Classify vertices by their incident-edge count in the stream. ----
+  std::vector<uint64_t> offsets(n + 1, 0);
+  for (EdgeId e : sorted) {
+    ++offsets[edges[e].src + 1];
+    ++offsets[edges[e].dst + 1];
+  }
   const double mean_inc = static_cast<double>(2 * m) / static_cast<double>(n);
   const double threshold = tau_ * mean_inc;
   std::vector<uint8_t> is_high(n, 0);
   for (VertexId v = 0; v < n; ++v) {
-    if (static_cast<double>(incidence.IncidentCount(v)) > threshold) {
-      is_high[v] = 1;
-    }
+    is_high[v] = static_cast<double>(offsets[v + 1]) > threshold;
   }
 
+  // ---- Low-low CSR: for each vertex, its low-low stream edges as
+  // (neighbour, edge) in two parallel arrays, in ascending edge order. ----
+  std::fill(offsets.begin(), offsets.end(), 0);
   size_t low_edges = 0;
   for (EdgeId e : sorted) {
-    if (!is_high[edges[e].src] && !is_high[edges[e].dst]) ++low_edges;
+    if (is_high[edges[e].src] || is_high[edges[e].dst]) continue;
+    ++offsets[edges[e].src + 1];
+    ++offsets[edges[e].dst + 1];
+    ++low_edges;
+  }
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  std::vector<VertexId> nbr(2 * low_edges);
+  std::vector<EdgeId> nbr_edge(2 * low_edges);
+  {
+    std::vector<uint64_t> cursor(offsets.begin(), offsets.end() - 1);
+    for (EdgeId e : sorted) {
+      const VertexId u = edges[e].src;
+      const VertexId v = edges[e].dst;
+      if (is_high[u] || is_high[v]) continue;
+      nbr[cursor[u]] = v;
+      nbr_edge[cursor[u]++] = e;
+      nbr[cursor[v]] = u;
+      nbr_edge[cursor[v]++] = e;
+    }
   }
 
   std::vector<uint64_t> load(k, 0);
   std::vector<uint64_t> replicas(n, 0);
-  // Which expansion set a vertex joined (kInvalidPartition = none yet).
-  std::vector<PartitionId> owner(n, kInvalidPartition);
-  // Last partition whose boundary heap a vertex was pushed into (dedups
-  // pushes; boundary membership itself is implied by heap entries).
-  std::vector<PartitionId> boundary_of(n, kInvalidPartition);
+  // NE state per vertex, side by side so that scoring reads one word per
+  // neighbour. owner: the expansion set the vertex joined (kInvalidPartition
+  // = none yet). boundary: the last partition whose boundary heap it was
+  // pushed into (dedups pushes; boundary membership itself is implied by
+  // heap entries).
+  struct NeState {
+    PartitionId owner = kInvalidPartition;
+    PartitionId boundary = kInvalidPartition;
+  };
+  std::vector<NeState> ne(n);
 
   auto assign_edge = [&](EdgeId e, PartitionId p) {
     (*assignment)[e] = p;
@@ -93,15 +143,23 @@ Status HepPartitioner::PartitionStream(
     replicas[edges[e].dst] |= 1ULL << p;
   };
 
-  // Classic NE selection criterion |N(v) \ (C u S)|: vertices already in
-  // p's core (owner) or queued in p's boundary (boundary_of) count as
-  // internal.
+  // The in-memory phase never reads the assignment. It rests on one
+  // invariant: while v is unowned, its low-low edge (v, x) is unassigned
+  // iff x is unowned. Stream edges start unassigned (checked above), and
+  // only a vertex joining a core assigns low-low edges: it claims every one
+  // whose other endpoint is unowned. (Canonical graphs have no self-loops,
+  // so x != v.) The paranoid check after the phase re-verifies it.
+  //
+  // Classic NE selection criterion |N(v) \ (C u S)|: v's unassigned low-low
+  // edges whose other endpoint is neither in p's core nor queued in p's
+  // boundary. Within one expansion set it only falls (owner and boundary
+  // are only ever set to p), so a popped score is never stale-low and the
+  // heap needs no rescoring.
   auto external_score = [&](VertexId v, PartitionId p) {
     uint32_t ext = 0;
-    for (const IncidentEdge& ie : incidence.Incident(v)) {
-      if ((*assignment)[ie.edge] != kInvalidPartition) continue;
-      if (is_high[ie.neighbor]) continue;
-      if (owner[ie.neighbor] != p && boundary_of[ie.neighbor] != p) ++ext;
+    for (uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+      const VertexId x = nbr[i];
+      ext += ne[x].owner == kInvalidPartition && ne[x].boundary != p;
     }
     return ext;
   };
@@ -117,22 +175,17 @@ Status HepPartitioner::PartitionStream(
 
     std::priority_queue<Candidate> heap;
     auto push_seed = [&]() -> bool {
-      // Find an untaken low-degree vertex with at least one unassigned edge.
+      // Find an untaken vertex with at least one unassigned low-low edge
+      // (high-degree vertices have none).
       for (size_t step = 0; step < n; ++step) {
         VertexId v = scan_cursor;
         scan_cursor = (scan_cursor + 1 == n) ? 0 : scan_cursor + 1;
-        if (is_high[v] || owner[v] != kInvalidPartition) continue;
-        bool has_unassigned = false;
-        for (const IncidentEdge& ie : incidence.Incident(v)) {
-          if ((*assignment)[ie.edge] == kInvalidPartition &&
-              !is_high[ie.neighbor]) {
-            has_unassigned = true;
-            break;
+        if (ne[v].owner != kInvalidPartition) continue;
+        for (uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+          if (ne[nbr[i]].owner == kInvalidPartition) {
+            heap.push({external_score(v, p), v});
+            return true;
           }
-        }
-        if (has_unassigned) {
-          heap.push({external_score(v, p), v});
-          return true;
         }
       }
       return false;
@@ -141,40 +194,39 @@ Status HepPartitioner::PartitionStream(
 
     while (load[p] < target) {
       if (heap.empty() && !push_seed()) break;
-      Candidate cand = heap.top();
+      const VertexId v = heap.top().vertex;
       heap.pop();
-      VertexId v = cand.vertex;
-      if (owner[v] != kInvalidPartition) continue;  // stale entry
-      uint32_t current = external_score(v, p);
-      if (current > cand.external && !heap.empty() &&
-          heap.top().external < current) {
-        // Score went stale; re-queue with the fresh score.
-        heap.push({current, v});
-        continue;
-      }
-      owner[v] = p;
+      if (ne[v].owner != kInvalidPartition) continue;  // stale entry
+      ne[v].owner = p;
       // Neighbourhood expansion proper: once v enters the core, every
       // unassigned low-low edge of v is claimed for p — the other endpoint
-      // becomes (or already is) a boundary/core member of p. Boundary
-      // vertices of other partitions get replicated, which is exactly NE's
-      // replication mechanism.
-      for (const IncidentEdge& ie : incidence.Incident(v)) {
-        if ((*assignment)[ie.edge] != kInvalidPartition) continue;
-        if (is_high[ie.neighbor]) continue;
-        PartitionId nbr_owner = owner[ie.neighbor];
-        if (nbr_owner != kInvalidPartition && nbr_owner != p) {
-          // Other endpoint belongs to another core; leave the edge to the
-          // streaming phase, which places it against replica state.
-          continue;
-        }
-        assign_edge(ie.edge, p);
+      // becomes (or already is) a boundary member of p. Boundary vertices
+      // of other partitions get replicated, which is exactly NE's
+      // replication mechanism. Edges to owned vertices were claimed when
+      // those joined their core.
+      for (uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+        const VertexId x = nbr[i];
+        if (ne[x].owner != kInvalidPartition) continue;
+        assign_edge(nbr_edge[i], p);
         ++assigned_low;
-        if (nbr_owner == kInvalidPartition && boundary_of[ie.neighbor] != p) {
-          boundary_of[ie.neighbor] = p;
-          heap.push({external_score(ie.neighbor, p), ie.neighbor});
+        if (ne[x].boundary != p) {
+          ne[x].boundary = p;
+          heap.push({external_score(x, p), x});
         }
       }
       if (load[p] >= target) break;
+    }
+  }
+  if constexpr (check::ParanoidEnabled()) {
+    for (VertexId v = 0; v < n; ++v) {
+      for (uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+        const bool claimed = ne[v].owner != kInvalidPartition ||
+                             ne[nbr[i]].owner != kInvalidPartition;
+        GNNPART_CHECK_PARANOID(
+            claimed == ((*assignment)[nbr_edge[i]] != kInvalidPartition),
+            "HEP: low-low edge " + std::to_string(nbr_edge[i]) +
+                " breaks the owner invariant");
+      }
     }
   }
 

@@ -35,9 +35,10 @@ class HepPartitioner : public StreamingEdgePartitioner {
   Result<EdgePartitioning> Partition(const Graph& graph, PartitionId k,
                                      uint64_t seed) const override;
   /// Runs the full hybrid pipeline (classification, NE expansion, HDRF
-  /// streaming) over the sub-stream: incidence structure, degree threshold
-  /// and balance cap are all derived from the sub-stream, so shard
-  /// instances are self-contained.
+  /// streaming) over the sub-stream: the low-low CSR that NE expands over,
+  /// the degree threshold and the balance cap are all derived from the
+  /// sub-stream, so shard instances are self-contained. Returns
+  /// InvalidArgument for a non-finite or non-positive tau, alpha or lambda.
   Status PartitionStream(const Graph& graph, const std::vector<EdgeId>& stream,
                          PartitionId k, Rng* rng,
                          std::vector<PartitionId>* assignment) const override;

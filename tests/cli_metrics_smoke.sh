@@ -7,6 +7,8 @@
 #     and the flow engine's work counters are published;
 #   * the multilevel engine's refine_scanned work counter is a det row of
 #     `partition … Metis 4`, byte-identical for --threads 1/8;
+#   * `partition … HEP10 4` records its load and partition wall times
+#     (time/load, time/partition) as det:false rows;
 #   * `gnnpart_cli metrics` pretty-prints (and strictly re-parses) it;
 #   * tools/bench_compare.py exits 0 on identical manifests and non-zero
 #     on an injected 2x regression.
@@ -55,6 +57,14 @@ for t in 1 8; do
 done
 grep -q '"name":"partition/vertex/multilevel/refine_scanned"' "$TMP/pdet1"
 cmp -s "$TMP/pdet1" "$TMP/pdet8"
+
+# partition HEP10: the CLI splits its wall time into load and partition.
+"$CLI" --metrics-out "$TMP/h.jsonl" partition "$TMP/g.txt" HEP10 4 \
+    > /dev/null 2> /dev/null
+grep -q '"name":"time/load".*"det":false' "$TMP/h.jsonl"
+grep -q '"name":"time/partition".*"det":false' "$TMP/h.jsonl"
+grep -q '"name":"partition/edge/HEP10/in_memory_edges".*"det":true' \
+    "$TMP/h.jsonl"
 
 # serve-run: its wall time is the time/serve timer, and a co-tenanted run's
 # det rows (flow engine counters included) do not depend on the threads.

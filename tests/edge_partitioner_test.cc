@@ -1,9 +1,13 @@
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "check_fixture.h"
 #include "gen/datasets.h"
 #include "gen/generators.h"
 #include "metrics/partition_metrics.h"
+#include "partition/edge/hdrf.h"
 #include "partition/edge/hep.h"
 #include "partition/edge/registry.h"
 
@@ -189,6 +193,47 @@ TEST(HepTest, RejectsNonPositiveTau) {
   Graph g = TestGraph();
   HepPartitioner hep(0.0);
   EXPECT_FALSE(hep.Partition(g, 4, 42).ok());
+}
+
+/// Expects an InvalidArgument status whose message names `parameter`.
+void ExpectRejected(const Result<EdgePartitioning>& result,
+                    const std::string& parameter) {
+  ASSERT_FALSE(result.ok()) << parameter;
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find(parameter), std::string::npos)
+      << result.status().message();
+}
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(HepTest, RejectsNonFiniteOrNonPositiveParameters) {
+  // A NaN tau compares false against every degree, which used to make
+  // every vertex low-degree without a word.
+  Graph g = TestGraph();
+  for (double tau : {kNan, kInf, -kInf, -1.0}) {
+    ExpectRejected(HepPartitioner(tau).Partition(g, 4, 42), "tau");
+  }
+  for (double alpha : {kNan, kInf, 0.0, -1.05}) {
+    ExpectRejected(HepPartitioner(10.0, alpha).Partition(g, 4, 42), "alpha");
+  }
+  for (double lambda : {kNan, kInf, 0.0, -1.1}) {
+    ExpectRejected(HepPartitioner(10.0, 1.05, lambda).Partition(g, 4, 42),
+                   "lambda");
+  }
+}
+
+TEST(HdrfTest, RejectsNonFiniteOrNegativeParameters) {
+  Graph g = TestGraph();
+  for (double lambda : {kNan, kInf, -kInf, -0.5}) {
+    ExpectRejected(HdrfPartitioner(lambda).Partition(g, 4, 42), "lambda");
+  }
+  for (double epsilon : {kNan, kInf, 0.0, -1.0}) {
+    ExpectRejected(HdrfPartitioner(1.1, epsilon).Partition(g, 4, 42),
+                   "epsilon");
+  }
+  // lambda = 0 (replication score only) is the ablation's first point.
+  EXPECT_TRUE(HdrfPartitioner(0.0).Partition(g, 4, 42).ok());
 }
 
 TEST(HepTest, LargerTauGivesLowerReplicationFactor) {

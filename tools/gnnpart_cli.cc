@@ -434,7 +434,9 @@ net::NetworkConfig ParseNetworkConfig(const std::vector<std::string>& args,
   return cfg;
 }
 
+/// Reads a graph file, timed as `time/load` in the --metrics-out manifest.
 Result<Graph> LoadGraph(const std::string& path, bool directed) {
+  obs::ScopedTimer timer("time/load");
   if (path.size() > 4 && path.substr(path.size() - 4) == ".bin") {
     return ReadBinaryGraph(path);
   }
@@ -514,7 +516,10 @@ int CmdPartition(const std::vector<std::string>& args) {
   std::vector<PartitionId> assignment;
   if (!choice->vertex_mode) {
     auto partitioner = MakeEdgePartitionerOrDie(choice->edge, split_factor);
-    Result<EdgePartitioning> parts = partitioner->Partition(*graph, k, seed);
+    Result<EdgePartitioning> parts = [&] {
+      obs::ScopedTimer phase("time/partition");
+      return partitioner->Partition(*graph, k, seed);
+    }();
     if (!parts.ok()) return Fail(parts.status());
     std::cout << partitioner->name() << " k=" << k << " took "
               << timer.ElapsedSeconds() << " s: "
@@ -522,8 +527,11 @@ int CmdPartition(const std::vector<std::string>& args) {
               << "\n";
     assignment = parts->assignment;
   } else {
-    Result<VertexPartitioning> parts = MakeVertexPartitioner(choice->vertex)
-                                           ->Partition(*graph, split, k, seed);
+    Result<VertexPartitioning> parts = [&] {
+      obs::ScopedTimer phase("time/partition");
+      return MakeVertexPartitioner(choice->vertex)
+          ->Partition(*graph, split, k, seed);
+    }();
     if (!parts.ok()) return Fail(parts.status());
     std::cout << choice->lookup << " k=" << k << " took "
               << timer.ElapsedSeconds() << " s: "
