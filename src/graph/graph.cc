@@ -1,7 +1,9 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "check/check.h"
 
@@ -24,80 +26,143 @@ bool Graph::HasEdge(VertexId u, VertexId v) const {
 GraphBuilder::GraphBuilder(size_t num_vertices, bool directed)
     : num_vertices_(num_vertices), directed_(directed) {}
 
+GraphBuilder::GraphBuilder(size_t num_vertices, bool directed,
+                           std::vector<Edge> edges)
+    : num_vertices_(num_vertices),
+      directed_(directed),
+      raw_edges_(std::move(edges)) {}
+
+namespace {
+
+/// Sorts `edges` by (src, dst) with two stable counting passes: sources are
+/// grouped by destination into a half-width array, then scattered back into
+/// `edges` by source while visiting destinations in ascending order.
+/// `degree[v + 1]` is v's total endpoint count in `edges`, `out_degree[v]`
+/// its count as a source.
+void CountingSort(const std::vector<uint64_t>& degree,
+                  const std::vector<uint64_t>& out_degree,
+                  std::vector<Edge>* edges) {
+  const size_t n = out_degree.size();
+  std::vector<uint64_t> at(n + 1, 0);
+  for (size_t v = 0; v < n; ++v) {
+    at[v + 1] = at[v] + degree[v + 1] - out_degree[v];
+  }
+  std::vector<VertexId> src_by_dst(edges->size());
+  for (const Edge& e : *edges) src_by_dst[at[e.dst]++] = e.src;
+  at[0] = 0;
+  for (size_t v = 0; v < n; ++v) at[v + 1] = at[v] + out_degree[v];
+  size_t i = 0;
+  for (size_t d = 0; d < n; ++d) {
+    for (const size_t end = i + degree[d + 1] - out_degree[d]; i < end; ++i) {
+      (*edges)[at[src_by_dst[i]]++] = {src_by_dst[i],
+                                       static_cast<VertexId>(d)};
+    }
+  }
+}
+
+}  // namespace
+
 Result<Graph> GraphBuilder::Build(std::string name) {
+  const size_t n = num_vertices_;
   for (const Edge& e : raw_edges_) {
-    if (e.src >= num_vertices_ || e.dst >= num_vertices_) {
+    if (e.src >= n || e.dst >= n) {
       return Status::InvalidArgument(
           "edge endpoint out of range: (" + std::to_string(e.src) + ", " +
-          std::to_string(e.dst) + ") with |V|=" + std::to_string(num_vertices_));
+          std::to_string(e.dst) + ") with |V|=" + std::to_string(n));
     }
   }
 
-  // Canonicalize: drop self-loops; for undirected graphs order endpoints.
-  std::vector<Edge> edges;
-  edges.reserve(raw_edges_.size());
-  for (const Edge& e : raw_edges_) {
-    if (e.src == e.dst) continue;
-    if (!directed_ && e.src > e.dst) {
-      edges.push_back({e.dst, e.src});
-    } else {
-      edges.push_back(e);
-    }
-  }
-  raw_edges_.clear();
-  raw_edges_.shrink_to_fit();
-
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
-  // For directed graphs, (u,v) and (v,u) may both exist as distinct arcs;
-  // the symmetrized adjacency must still list v in N(u) only once.
+  // Canonicalize in place: drop self-loops; for undirected graphs order
+  // endpoints. Count each vertex's degree (into offsets[v + 1]) and
+  // out-degree, and note whether the edges already arrive strictly
+  // ascending (anything this library wrote does), in which case they are
+  // sorted and unique as they stand.
   Graph g;
   g.name_ = std::move(name);
   g.directed_ = directed_;
-  g.edges_ = std::move(edges);
-
-  std::vector<uint64_t> degree(num_vertices_ + 1, 0);
-  for (const Edge& e : g.edges_) {
-    ++degree[e.src];
-    ++degree[e.dst];
+  std::vector<Edge>& edges = g.edges_;
+  edges = std::move(raw_edges_);
+  raw_edges_ = {};
+  std::vector<uint64_t>& offsets = g.offsets_;
+  offsets.assign(n + 1, 0);
+  std::vector<uint64_t> out_degree(n, 0);
+  auto count = [&](const Edge& e) {
+    ++out_degree[e.src];
+    ++offsets[e.src + 1];
+    ++offsets[e.dst + 1];
+  };
+  size_t m = 0;
+  bool ascending = true;
+  for (size_t i = 0; i < edges.size(); ++i) {
+    Edge e = edges[i];
+    if (e.src == e.dst) continue;
+    if (!directed_ && e.src > e.dst) std::swap(e.src, e.dst);
+    ascending = ascending && (m == 0 || edges[m - 1] < e);
+    edges[m++] = e;
+    count(e);
   }
-  g.offsets_.assign(num_vertices_ + 1, 0);
-  for (size_t v = 0; v < num_vertices_; ++v) {
-    g.offsets_[v + 1] = g.offsets_[v] + degree[v];
-  }
-  g.neighbors_.resize(g.offsets_[num_vertices_]);
-  std::vector<uint64_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (const Edge& e : g.edges_) {
-    g.neighbors_[cursor[e.src]++] = e.dst;
-    g.neighbors_[cursor[e.dst]++] = e.src;
-  }
-  // Sort + dedup each neighbourhood (dedup handles directed reciprocal arcs).
-  uint64_t write = 0;
-  std::vector<uint64_t> new_offsets(num_vertices_ + 1, 0);
-  for (size_t v = 0; v < num_vertices_; ++v) {
-    auto begin = g.neighbors_.begin() + static_cast<int64_t>(g.offsets_[v]);
-    auto end = g.neighbors_.begin() + static_cast<int64_t>(g.offsets_[v + 1]);
-    std::sort(begin, end);
-    auto last = std::unique(begin, end);
-    new_offsets[v] = write;
-    for (auto it = begin; it != last; ++it) {
-      g.neighbors_[write++] = *it;
+  edges.resize(m);
+  if (!ascending) {
+    CountingSort(offsets, out_degree, &edges);
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    if (edges.size() != m) {
+      std::fill(offsets.begin(), offsets.end(), 0);
+      std::fill(out_degree.begin(), out_degree.end(), 0);
+      for (const Edge& e : edges) count(e);
     }
   }
-  new_offsets[num_vertices_] = write;
-  g.neighbors_.resize(write);
-  g.neighbors_.shrink_to_fit();
-  g.offsets_ = std::move(new_offsets);
+  for (size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
 
-  GNNPART_CHECK_CHEAP(g.offsets_.size() == num_vertices_ + 1,
+  std::vector<VertexId>& adj = g.neighbors_;
+  adj.resize(offsets[n]);
+  std::vector<uint64_t>& cursor = out_degree;
+  if (!directed_) {
+    // Filling in canonical edge order lists v's smaller neighbours (edges
+    // (u, v), ascending u) before its larger ones (edges (v, w), ascending
+    // w): every neighbourhood comes out sorted and unique.
+    std::copy(offsets.begin(), offsets.end() - 1, cursor.begin());
+    for (const Edge& e : edges) {
+      adj[cursor[e.src]++] = e.dst;
+      adj[cursor[e.dst]++] = e.src;
+    }
+  } else {
+    // v's out-neighbours are its run of the canonical edges; its
+    // in-neighbours fill the tail of its slot range, ascending. Merging the
+    // two runs drops reciprocal arcs; the write position never passes the
+    // unread in-neighbours, so the merge compacts the array in place.
+    for (size_t v = 0; v < n; ++v) cursor[v] += offsets[v];
+    for (const Edge& e : edges) adj[cursor[e.dst]++] = e.src;
+    uint64_t write = 0;
+    const Edge* out = edges.data();
+    const Edge* const out_last = out + edges.size();
+    for (size_t v = 0; v < n; ++v) {
+      const Edge* out_end = out;
+      while (out_end != out_last && out_end->src == v) ++out_end;
+      uint64_t in = offsets[v] + static_cast<uint64_t>(out_end - out);
+      const uint64_t in_end = offsets[v + 1];
+      offsets[v] = write;
+      while (out != out_end && in != in_end) {
+        const VertexId a = out->dst, b = adj[in];
+        adj[write++] = std::min(a, b);
+        out += a <= b;
+        in += b <= a;
+      }
+      for (; out != out_end; ++out) adj[write++] = out->dst;
+      while (in != in_end) adj[write++] = adj[in++];
+    }
+    offsets[n] = write;
+    adj.resize(write);
+    adj.shrink_to_fit();
+  }
+
+  GNNPART_CHECK_CHEAP(offsets.size() == n + 1,
                       "builder produced a malformed offset table");
-  GNNPART_CHECK_CHEAP(g.offsets_.back() == g.neighbors_.size(),
+  GNNPART_CHECK_CHEAP(offsets.back() == adj.size(),
                       "builder offset table does not cover the adjacency");
   if constexpr (check::ParanoidEnabled()) {
     // Self-audit of the CSR contract the rest of the library relies on
     // (sorted, unique, self-loop-free neighbourhoods).
-    for (VertexId v = 0; v < num_vertices_; ++v) {
+    for (VertexId v = 0; v < n; ++v) {
       auto nbrs = g.Neighbors(v);
       for (size_t i = 0; i < nbrs.size(); ++i) {
         GNNPART_CHECK_PARANOID(nbrs[i] != v,

@@ -90,6 +90,9 @@ class GraphBuilder {
  public:
   /// num_vertices fixes the vertex-id universe [0, num_vertices).
   GraphBuilder(size_t num_vertices, bool directed);
+  /// Adopts `edges` as the pending edges, as if each had been added with
+  /// AddEdge (the readers parse straight into this vector).
+  GraphBuilder(size_t num_vertices, bool directed, std::vector<Edge> edges);
 
   /// Appends an edge. Out-of-range endpoints are rejected at Build() time.
   void AddEdge(VertexId src, VertexId dst) { raw_edges_.push_back({src, dst}); }
@@ -99,7 +102,10 @@ class GraphBuilder {
   size_t pending_edges() const { return raw_edges_.size(); }
 
   /// Validates, dedups and assembles the CSR structure. The builder is left
-  /// empty afterwards.
+  /// empty afterwards. Canonicalizes in place, sorts with a counting sort
+  /// (skipped when the edges already arrive in canonical order) and fills
+  /// the adjacency in canonical edge order; it never holds two edge lists
+  /// (DESIGN.md §4, "Ingest in flat passes").
   Result<Graph> Build(std::string name = "");
 
  private:

@@ -8,7 +8,9 @@
 #   * the multilevel engine's refine_scanned work counter is a det row of
 #     `partition … Metis 4`, byte-identical for --threads 1/8;
 #   * `partition … HEP10 4` records its load and partition wall times
-#     (time/load, time/partition) as det:false rows;
+#     (time/load, time/partition) as det:false rows and the reader's
+#     io/edges_parsed as a det row;
+#   * `generate … --metrics-out` records time/generate and time/write;
 #   * `gnnpart_cli metrics` pretty-prints (and strictly re-parses) it;
 #   * tools/bench_compare.py exits 0 on identical manifests and non-zero
 #     on an injected 2x regression.
@@ -20,7 +22,10 @@ COMPARE="$2"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
-"$CLI" generate OR 0.02 "$TMP/g.txt" 7 > /dev/null
+"$CLI" --metrics-out "$TMP/gen.jsonl" generate OR 0.02 "$TMP/g.txt" 7 \
+    > /dev/null 2> /dev/null
+grep -q '"name":"time/generate".*"det":false' "$TMP/gen.jsonl"
+grep -q '"name":"time/write".*"det":false' "$TMP/gen.jsonl"
 
 # Manifest written by the global flag (before the subcommand, as documented).
 for t in 1 2 8; do
@@ -65,6 +70,7 @@ grep -q '"name":"time/load".*"det":false' "$TMP/h.jsonl"
 grep -q '"name":"time/partition".*"det":false' "$TMP/h.jsonl"
 grep -q '"name":"partition/edge/HEP10/in_memory_edges".*"det":true' \
     "$TMP/h.jsonl"
+grep -q '"name":"io/edges_parsed".*"det":true' "$TMP/h.jsonl"
 
 # serve-run: its wall time is the time/serve timer, and a co-tenanted run's
 # det rows (flow engine counters included) do not depend on the threads.

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "graph/io.h"
 
@@ -70,6 +74,92 @@ TEST_F(GraphIoTest, ReadMissingFileFails) {
   Result<Graph> g = ReadEdgeListFile(Path("nope.txt"), false);
   ASSERT_FALSE(g.ok());
   EXPECT_EQ(g.status().code(), StatusCode::kIoError);
+}
+
+TEST_F(GraphIoTest, ReadDirectoryFailsNamingIt) {
+  Result<Graph> g = ReadEdgeListFile(dir_.string(), false);
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), StatusCode::kIoError);
+  EXPECT_NE(g.status().message().find(dir_.string()), std::string::npos)
+      << g.status();
+  Result<Graph> b = ReadBinaryGraph(dir_.string());
+  ASSERT_FALSE(b.ok());
+  EXPECT_EQ(b.status().code(), StatusCode::kIoError);
+}
+
+TEST_F(GraphIoTest, ReadEmptyFileIsEmptyGraph) {
+  std::ofstream(Path("empty.txt")).close();
+  Result<Graph> g = ReadEdgeListFile(Path("empty.txt"), false);
+  ASSERT_TRUE(g.ok()) << g.status();
+  EXPECT_EQ(g->num_vertices(), 0u);
+  EXPECT_EQ(g->num_edges(), 0u);
+}
+
+// A stdio stream that serves `limit` bytes of "0 1\n" lines and then
+// fails, as a disk or network file system can partway through a file.
+struct FlakySource {
+  size_t served = 0;
+  size_t limit = 0;
+};
+
+ssize_t FlakyRead(void* cookie, char* buf, size_t size) {
+  FlakySource& src = *static_cast<FlakySource*>(cookie);
+  if (src.served == src.limit) {
+    errno = EIO;
+    return -1;
+  }
+  const size_t n = std::min(size, src.limit - src.served);
+  for (size_t i = 0; i < n; ++i) buf[i] = "0 1\n"[(src.served + i) % 4];
+  src.served += n;
+  return static_cast<ssize_t>(n);
+}
+
+TEST_F(GraphIoTest, ReadErrorPartwayFailsNamingTheSource) {
+  FlakySource src{0, 3 * kEdgeListChunkBytes / 2};
+  std::FILE* in =
+      fopencookie(&src, "r", {FlakyRead, nullptr, nullptr, nullptr});
+  ASSERT_NE(in, nullptr);
+  Result<Graph> g = ReadEdgeList(in, "flaky.txt", false);
+  std::fclose(in);
+  EXPECT_EQ(src.served, src.limit);  // the error came after a whole chunk
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), StatusCode::kIoError);
+  EXPECT_NE(g.status().message().find("'flaky.txt'"), std::string::npos)
+      << g.status();
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// Both writers' exact output on a small named directed graph.
+TEST_F(GraphIoTest, WritersMatchGoldenBytes) {
+  GraphBuilder builder(4295, /*directed=*/true);
+  builder.AddEdge(10, 0);
+  builder.AddEdge(0, 10);
+  builder.AddEdge(4294, 7);
+  Result<Graph> g = builder.Build("gold");
+  ASSERT_TRUE(g.ok()) << g.status();
+
+  ASSERT_TRUE(WriteEdgeListFile(*g, Path("g.txt")).ok());
+  EXPECT_EQ(FileBytes(Path("g.txt")),
+            "# gold |V|=4295 |E|=3 directed\n0 10\n10 0\n4294 7\n");
+
+  ASSERT_TRUE(WriteBinaryGraph(*g, Path("g.bin")).ok());
+  std::string want;
+  auto put = [&want](uint64_t x, size_t bytes) {
+    for (size_t i = 0; i < bytes; ++i) want += static_cast<char>(x >> (8 * i));
+  };
+  put(0x474e4e5047525048ULL, 8);  // "GNNPGRPH"
+  put(1, 8);                      // version
+  put(4295, 8);
+  put(3, 8);
+  put(1, 8);  // directed
+  put(4, 8);  // name length
+  want += "gold";
+  for (uint64_t id : {0, 10, 10, 0, 4294, 7}) put(id, 4);
+  EXPECT_EQ(FileBytes(Path("g.bin")), want);
 }
 
 TEST_F(GraphIoTest, EdgeListRoundTrip) {

@@ -468,12 +468,18 @@ int CmdGenerate(const std::vector<std::string>& args) {
     }
     seed = static_cast<uint64_t>(v);
   }
-  Result<Graph> graph = MakeDataset(*id, scale, seed);
+  Result<Graph> graph = [&] {
+    obs::ScopedTimer timer("time/generate");
+    return MakeDataset(*id, scale, seed);
+  }();
   if (!graph.ok()) return Fail(graph.status());
   const std::string& out = pos[2];
-  Status st = (out.size() > 4 && out.substr(out.size() - 4) == ".bin")
-                  ? WriteBinaryGraph(*graph, out)
-                  : WriteEdgeListFile(*graph, out);
+  Status st = [&] {
+    obs::ScopedTimer timer("time/write");
+    return (out.size() > 4 && out.substr(out.size() - 4) == ".bin")
+               ? WriteBinaryGraph(*graph, out)
+               : WriteEdgeListFile(*graph, out);
+  }();
   if (!st.ok()) return Fail(st);
   std::cout << "wrote " << graph->name() << " |V|=" << graph->num_vertices()
             << " |E|=" << graph->num_edges() << " to " << out << "\n";
