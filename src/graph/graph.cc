@@ -34,28 +34,28 @@ GraphBuilder::GraphBuilder(size_t num_vertices, bool directed,
 
 namespace {
 
-/// Sorts `edges` by (src, dst) with two stable counting passes: sources are
-/// grouped by destination into a half-width array, then scattered back into
-/// `edges` by source while visiting destinations in ascending order.
-/// `degree[v + 1]` is v's total endpoint count in `edges`, `out_degree[v]`
-/// its count as a source.
-void CountingSort(const std::vector<uint64_t>& degree,
-                  const std::vector<uint64_t>& out_degree,
-                  std::vector<Edge>* edges) {
-  const size_t n = out_degree.size();
-  std::vector<uint64_t> at(n + 1, 0);
+/// Sorts `edges`, whose endpoints are below `n`, by (src, dst) with two
+/// stable counting passes: sources are grouped by destination into a
+/// half-width array, then scattered back into `edges` by source while
+/// visiting destinations in ascending order.
+void CountingSort(size_t n, std::vector<Edge>* edges) {
+  std::vector<uint64_t> dst_at(n + 1, 0), src_at(n + 1, 0);
+  for (const Edge& e : *edges) {
+    ++dst_at[e.dst + 1];
+    ++src_at[e.src + 1];
+  }
   for (size_t v = 0; v < n; ++v) {
-    at[v + 1] = at[v] + degree[v + 1] - out_degree[v];
+    dst_at[v + 1] += dst_at[v];
+    src_at[v + 1] += src_at[v];
   }
   std::vector<VertexId> src_by_dst(edges->size());
-  for (const Edge& e : *edges) src_by_dst[at[e.dst]++] = e.src;
-  at[0] = 0;
-  for (size_t v = 0; v < n; ++v) at[v + 1] = at[v] + out_degree[v];
+  for (const Edge& e : *edges) src_by_dst[dst_at[e.dst]++] = e.src;
+  // dst_at[d] now ends d's run of src_by_dst.
   size_t i = 0;
   for (size_t d = 0; d < n; ++d) {
-    for (const size_t end = i + degree[d + 1] - out_degree[d]; i < end; ++i) {
-      (*edges)[at[src_by_dst[i]]++] = {src_by_dst[i],
-                                       static_cast<VertexId>(d)};
+    for (; i < dst_at[d]; ++i) {
+      (*edges)[src_at[src_by_dst[i]]++] = {src_by_dst[i],
+                                           static_cast<VertexId>(d)};
     }
   }
 }
@@ -73,24 +73,15 @@ Result<Graph> GraphBuilder::Build(std::string name) {
   }
 
   // Canonicalize in place: drop self-loops; for undirected graphs order
-  // endpoints. Count each vertex's degree (into offsets[v + 1]) and
-  // out-degree, and note whether the edges already arrive strictly
-  // ascending (anything this library wrote does), in which case they are
-  // sorted and unique as they stand.
+  // endpoints. Note whether the edges already arrive strictly ascending
+  // (anything this library wrote does), in which case they are sorted and
+  // unique as they stand.
   Graph g;
   g.name_ = std::move(name);
   g.directed_ = directed_;
   std::vector<Edge>& edges = g.edges_;
   edges = std::move(raw_edges_);
   raw_edges_ = {};
-  std::vector<uint64_t>& offsets = g.offsets_;
-  offsets.assign(n + 1, 0);
-  std::vector<uint64_t> out_degree(n, 0);
-  auto count = [&](const Edge& e) {
-    ++out_degree[e.src];
-    ++offsets[e.src + 1];
-    ++offsets[e.dst + 1];
-  };
   size_t m = 0;
   bool ascending = true;
   for (size_t i = 0; i < edges.size(); ++i) {
@@ -99,28 +90,33 @@ Result<Graph> GraphBuilder::Build(std::string name) {
     if (!directed_ && e.src > e.dst) std::swap(e.src, e.dst);
     ascending = ascending && (m == 0 || edges[m - 1] < e);
     edges[m++] = e;
-    count(e);
   }
   edges.resize(m);
   if (!ascending) {
-    CountingSort(offsets, out_degree, &edges);
+    CountingSort(n, &edges);
     edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    if (edges.size() != m) {
-      std::fill(offsets.begin(), offsets.end(), 0);
-      std::fill(out_degree.begin(), out_degree.end(), 0);
-      for (const Edge& e : edges) count(e);
-    }
+  }
+
+  // The offsets and the adjacency are allocated after any sort scratch is
+  // freed, and the fill cursor after them, so no freed scratch block is
+  // left between two of the graph's arrays: reloading a graph of the same
+  // shape then reuses the blocks the previous one freed, and peak RSS does
+  // not depend on how the heap happened to be laid out.
+  std::vector<uint64_t>& offsets = g.offsets_;
+  offsets.assign(n + 1, 0);
+  for (const Edge& e : edges) {
+    ++offsets[e.src + 1];
+    ++offsets[e.dst + 1];
   }
   for (size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
 
   std::vector<VertexId>& adj = g.neighbors_;
   adj.resize(offsets[n]);
-  std::vector<uint64_t>& cursor = out_degree;
+  std::vector<uint64_t> cursor(offsets.begin(), offsets.end() - 1);
   if (!directed_) {
     // Filling in canonical edge order lists v's smaller neighbours (edges
     // (u, v), ascending u) before its larger ones (edges (v, w), ascending
     // w): every neighbourhood comes out sorted and unique.
-    std::copy(offsets.begin(), offsets.end() - 1, cursor.begin());
     for (const Edge& e : edges) {
       adj[cursor[e.src]++] = e.dst;
       adj[cursor[e.dst]++] = e.src;
@@ -130,8 +126,9 @@ Result<Graph> GraphBuilder::Build(std::string name) {
     // in-neighbours fill the tail of its slot range, ascending. Merging the
     // two runs drops reciprocal arcs; the write position never passes the
     // unread in-neighbours, so the merge compacts the array in place.
-    for (size_t v = 0; v < n; ++v) cursor[v] += offsets[v];
+    for (const Edge& e : edges) ++cursor[e.src];
     for (const Edge& e : edges) adj[cursor[e.dst]++] = e.src;
+    cursor = {};
     uint64_t write = 0;
     const Edge* out = edges.data();
     const Edge* const out_last = out + edges.size();
