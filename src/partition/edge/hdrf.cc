@@ -1,12 +1,14 @@
 #include "partition/edge/hdrf.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 #include <vector>
 
 #include "common/rng.h"
 #include "obs/metrics.h"
+#include "partition/edge/replica_classes.h"
 
 namespace gnnpart {
 
@@ -49,15 +51,18 @@ Status HdrfPartitioner::PartitionStream(
   // disjoint streams are independent.
   std::vector<uint64_t> replicas(n, 0);        // partition bitmask per vertex
   std::vector<uint32_t> partial_degree(n, 0);  // degree seen so far
-  std::vector<uint64_t> load(k, 0);            // edges per partition
+  std::vector<uint64_t> key(k);  // LoadKey(edges in p, p)
+  for (PartitionId p = 0; p < k; ++p) key[p] = LoadKey(0, p);
   uint64_t max_load = 0;
-  uint64_t min_load = 0;
 
   const auto& edges = graph.edges();
   uint64_t score_evals = 0;  // accumulated locally, published once below
-  for (EdgeId e : stream) {
-    VertexId u = edges[e].src;
-    VertexId v = edges[e].dst;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    const EdgeId e = stream[i];
+    const Edge edge = StreamEdge(stream, i, edges.data(), assignment->data(),
+                                 replicas.data(), partial_degree.data());
+    VertexId u = edge.src;
+    VertexId v = edge.dst;
     ++partial_degree[u];
     ++partial_degree[v];
     double du = partial_degree[u];
@@ -65,31 +70,38 @@ Status HdrfPartitioner::PartitionStream(
     double theta_u = du / (du + dv);
     double theta_v = 1.0 - theta_u;
 
-    PartitionId best = 0;
-    double best_score = -1.0;
-    uint64_t best_load = ~0ULL;
+    // The best partition is the best class winner (replica_classes.h). The
+    // tie rule -- highest score, then lowest load, then lowest index -- is
+    // the key order on equal scores. Every partition is in some class, so
+    // the least class key is the least load.
+    const std::array<uint64_t, 4> min_key =
+        MinKeyPerClass(key.data(), k, replicas[u], replicas[v]);
+    const uint64_t min_load =
+        *std::min_element(min_key.begin(), min_key.end()) >> 6;
     double denom = epsilon_ + static_cast<double>(max_load - min_load);
+    double best_score = -1.0;
+    uint64_t best_key = kNoKey;
     score_evals += k;
-    for (PartitionId p = 0; p < k; ++p) {
+    for (int c = 0; c < 4; ++c) {
+      if (min_key[c] == kNoKey) continue;
       double g = 0;
-      if (replicas[u] & (1ULL << p)) g += 1.0 + (1.0 - theta_u);
-      if (replicas[v] & (1ULL << p)) g += 1.0 + (1.0 - theta_v);
+      if (c & kUOnly) g += 1.0 + (1.0 - theta_u);
+      if (c & kVOnly) g += 1.0 + (1.0 - theta_v);
       double bal =
-          lambda_ * static_cast<double>(max_load - load[p]) / denom;
+          lambda_ * static_cast<double>(max_load - (min_key[c] >> 6)) / denom;
       double score = g + bal;
       if (score > best_score ||
-          (score == best_score && load[p] < best_load)) {
+          (score == best_score && min_key[c] < best_key)) {
         best_score = score;
-        best = p;
-        best_load = load[p];
+        best_key = min_key[c];
       }
     }
+    const PartitionId best = static_cast<PartitionId>(best_key & 63);
     (*assignment)[e] = best;
     replicas[u] |= 1ULL << best;
     replicas[v] |= 1ULL << best;
-    ++load[best];
-    max_load = std::max(max_load, load[best]);
-    min_load = *std::min_element(load.begin(), load.end());
+    key[best] += LoadKey(1, 0);  // one more edge in best
+    max_load = std::max(max_load, key[best] >> 6);
   }
   obs::Count("partition/edge/" + name() + "/edges_assigned", stream.size(),
              "edges");

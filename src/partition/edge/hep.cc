@@ -1,6 +1,7 @@
 #include "partition/edge/hep.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 #include <queue>
@@ -10,6 +11,7 @@
 #include "check/check.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
+#include "partition/edge/replica_classes.h"
 
 namespace gnnpart {
 namespace {
@@ -244,38 +246,90 @@ Status HepPartitioner::PartitionStream(
   const uint64_t cap = static_cast<uint64_t>(
       alpha_ * static_cast<double>(m) / static_cast<double>(k)) + 1;
   uint64_t max_load = *std::max_element(load.begin(), load.end());
-  for (EdgeId e : rest) {
-    VertexId u = edges[e].src;
-    VertexId v = edges[e].dst;
+  // LoadKey(load[p], p), or kNoKey once p is capped: capped partitions are
+  // never scored, so they belong to no replica class (replica_classes.h).
+  std::vector<uint64_t> key(k);
+  PartitionId uncapped = 0;
+  for (PartitionId p = 0; p < k; ++p) {
+    key[p] = load[p] >= cap ? kNoKey : LoadKey(load[p], p);
+    uncapped += load[p] < cap;
+  }
+  for (size_t i = 0; i < rest.size(); ++i) {
+    const EdgeId e = rest[i];
+    const Edge edge = StreamEdge(rest, i, edges.data(), assignment->data(),
+                                 replicas.data(), partial_degree.data());
+    VertexId u = edge.src;
+    VertexId v = edge.dst;
     ++partial_degree[u];
     ++partial_degree[v];
     double du = partial_degree[u];
     double dv = partial_degree[v];
     double theta_u = du / (du + dv);
-    uint64_t min_load = *std::min_element(load.begin(), load.end());
-    double denom = 1.0 + static_cast<double>(max_load - min_load);
+    score_evals += uncapped;
     PartitionId best = kInvalidPartition;
-    double best_score = -1.0;
-    for (PartitionId p = 0; p < k; ++p) {
-      if (load[p] >= cap) continue;
-      ++score_evals;
-      double g = 0;
-      if (replicas[u] & (1ULL << p)) g += 1.0 + (1.0 - theta_u);
-      if (replicas[v] & (1ULL << p)) g += 1.0 + theta_u;
-      double bal = lambda_ * static_cast<double>(max_load - load[p]) / denom;
-      double score = g + bal;
-      if (score > best_score) {
-        best_score = score;
-        best = p;
+    if (uncapped > 0) {
+      const std::array<uint64_t, 4> min_key =
+          MinKeyPerClass(key.data(), k, replicas[u], replicas[v]);
+      // Every capped load is >= cap > every uncapped load, so the least
+      // uncapped load is the least load.
+      const uint64_t min_load =
+          *std::min_element(min_key.begin(), min_key.end()) >> 6;
+      const double denom = 1.0 + static_cast<double>(max_load - min_load);
+      auto replication = [&](int c) {
+        double g = 0;
+        if (c & kUOnly) g += 1.0 + (1.0 - theta_u);
+        if (c & kVOnly) g += 1.0 + theta_u;
+        return g;
+      };
+      auto balance = [&](uint64_t l) {
+        return lambda_ * static_cast<double>(max_load - l) / denom;
+      };
+      double score[4] = {};
+      double best_score = -1.0;
+      for (int c = 0; c < 4; ++c) {
+        if (min_key[c] == kNoKey) continue;
+        score[c] = replication(c) + balance(min_key[c] >> 6);
+        const PartitionId p = static_cast<PartitionId>(min_key[c] & 63);
+        if (score[c] > best_score || (score[c] == best_score && p < best)) {
+          best_score = score[c];
+          best = p;
+        }
       }
-    }
-    if (best == kInvalidPartition) {
+      // HEP breaks score ties on the index alone, so a member of a tying
+      // class with a higher load and a lower index than its class winner
+      // could tie it and win. That needs g + bal(load + 1) to round to the
+      // winner's score; then score this edge the full way.
+      bool certain = true;
+      for (int c = 0; c < 4; ++c) {
+        if (min_key[c] == kNoKey || score[c] != best_score) continue;
+        const uint64_t l = min_key[c] >> 6;
+        certain &=
+            l == max_load || replication(c) + balance(l + 1) < best_score;
+      }
+      if (!certain) {
+        best_score = -1.0;
+        for (PartitionId p = 0; p < k; ++p) {
+          if (load[p] >= cap) continue;
+          const int c = static_cast<int>(((replicas[u] >> p) & 1) |
+                                         ((replicas[v] >> p) & 1) << 1);
+          const double s = replication(c) + balance(load[p]);
+          if (s > best_score) {
+            best_score = s;
+            best = p;
+          }
+        }
+      }
+    } else {
       // All partitions at cap (can only happen with tiny alpha): least load.
       best = static_cast<PartitionId>(
           std::min_element(load.begin(), load.end()) - load.begin());
     }
     assign_edge(e, best);
     max_load = std::max(max_load, load[best]);
+    if (key[best] != kNoKey) {
+      key[best] = load[best] >= cap ? kNoKey : LoadKey(load[best], best);
+      uncapped -= load[best] >= cap;
+    }
   }
   obs::Count("partition/edge/" + name() + "/edges_assigned", m, "edges");
   obs::Count("partition/edge/" + name() + "/in_memory_edges", assigned_low,

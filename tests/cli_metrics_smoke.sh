@@ -7,9 +7,10 @@
 #     and the flow engine's work counters are published;
 #   * the multilevel engine's refine_scanned work counter is a det row of
 #     `partition … Metis 4`, byte-identical for --threads 1/8;
-#   * `partition … HEP10 4` records its load and partition wall times
-#     (time/load, time/partition) as det:false rows and the reader's
-#     io/edges_parsed as a det row;
+#   * `partition … HEP10 4` records its load, partition and metrics wall
+#     times (time/load, time/partition, time/metrics) as det:false rows and
+#     the reader's io/edges_parsed as a det row;
+#   * `info` records time/load and time/info;
 #   * `generate … --metrics-out` records time/generate and time/write;
 #   * `gnnpart_cli metrics` pretty-prints (and strictly re-parses) it;
 #   * tools/bench_compare.py exits 0 on identical manifests and non-zero
@@ -71,6 +72,13 @@ grep -q '"name":"time/partition".*"det":false' "$TMP/h.jsonl"
 grep -q '"name":"partition/edge/HEP10/in_memory_edges".*"det":true' \
     "$TMP/h.jsonl"
 grep -q '"name":"io/edges_parsed".*"det":true' "$TMP/h.jsonl"
+# ... and times its partition-quality metrics apart from both.
+grep -q '"name":"time/metrics".*"det":false' "$TMP/h.jsonl"
+
+# info: its degree, component and diameter statistics are one timer.
+"$CLI" --metrics-out "$TMP/i.jsonl" info "$TMP/g.txt" > /dev/null 2> /dev/null
+grep -q '"name":"time/load".*"det":false' "$TMP/i.jsonl"
+grep -q '"name":"time/info".*"det":false' "$TMP/i.jsonl"
 
 # serve-run: its wall time is the time/serve timer, and a co-tenanted run's
 # det rows (flow engine counters included) do not depend on the threads.

@@ -15,9 +15,10 @@ namespace oracle {
 /// PartitionStream (partition/edge/hep.h), computed on a full incidence list
 /// (every stream edge twice, as 16-byte (neighbour, edge) entries) that
 /// reads the assignment of each edge it scores, with the pop-time rescore
-/// of the original code. Slow, simple, and the bit-exact definition the
-/// low-low CSR engine must reproduce. Publishes the same four
-/// partition/edge/HEP<tau>/ counters.
+/// of the original code, and a streaming tail that scores every uncapped
+/// partition for every edge. Slow, simple, and the bit-exact definition the
+/// low-low CSR engine and the replica-class tail must reproduce. Publishes
+/// the same four partition/edge/HEP<tau>/ counters.
 Status HepPartitionStream(const Graph& graph, const std::vector<EdgeId>& stream,
                           PartitionId k, double tau, double alpha,
                           double lambda, Rng* rng,

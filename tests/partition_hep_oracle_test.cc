@@ -1,12 +1,14 @@
-// Differential test of HEP's low-low CSR engine against the incidence-list
-// engine it replaced (tests/hep_oracle.*): on the full edge stream and on
-// the shuffled contiguous shard streams split-merge feeds it, both must give
-// equal assignments and equal edges_assigned / in_memory_edges /
-// streamed_edges / score_evals counters, for every dataset, tau and k.
+// Differential test of HEP's low-low CSR engine and replica-class streaming
+// tail against the incidence-list engine and score-every-partition tail they
+// replaced (tests/hep_oracle.*): on the full edge stream and on the shuffled
+// contiguous shard streams split-merge feeds it, both must give equal
+// assignments and equal edges_assigned / in_memory_edges / streamed_edges /
+// score_evals counters, for every dataset, tau, k, alpha and lambda.
 #include <cstdint>
 #include <iterator>
 #include <memory>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,6 +27,17 @@ namespace {
 
 constexpr double kTaus[] = {1.0, 2.5, 10.0, 100.0};
 constexpr PartitionId kKs[] = {1, 2, 4, 32, 64};
+
+/// HEP's balance knobs. The default pair; lambda = 1e-300, where the
+/// balance term vanishes next to any replica, so equal-load ties between
+/// replica classes send the streaming tail to its full scoring loop; and
+/// alpha = 0.5, whose cap every partition reaches, so the tail skips capped
+/// partitions and, once all are capped, falls back to the least load.
+struct Knobs {
+  double alpha;
+  double lambda;
+};
+constexpr Knobs kKnobs[] = {{1.05, 1.1}, {1.05, 1e-300}, {0.5, 1.1}};
 
 struct GraphCase {
   std::string name;
@@ -62,7 +75,7 @@ std::vector<GraphCase> Graphs() {
 /// exactly as it feeds HepPartitioner.
 class OracleHep : public StreamingEdgePartitioner {
  public:
-  explicit OracleHep(double tau) : tau_(tau) {}
+  OracleHep(double tau, Knobs knobs) : tau_(tau), knobs_(knobs) {}
   std::string name() const override { return HepPartitioner(tau_).name(); }
   std::string category() const override { return "hybrid"; }
   Result<EdgePartitioning> Partition(const Graph& graph, PartitionId k,
@@ -81,13 +94,21 @@ class OracleHep : public StreamingEdgePartitioner {
   Status PartitionStream(const Graph& graph, const std::vector<EdgeId>& stream,
                          PartitionId k, Rng* rng,
                          std::vector<PartitionId>* assignment) const override {
-    return oracle::HepPartitionStream(graph, stream, k, tau_, 1.05, 1.1, rng,
-                                      assignment);
+    return oracle::HepPartitionStream(graph, stream, k, tau_, knobs_.alpha,
+                                      knobs_.lambda, rng, assignment);
   }
 
  private:
   double tau_;
+  Knobs knobs_;
 };
+
+/// `x` as %g would print it: 1e-300, not to_string's 0.000000.
+std::string Num(double x) {
+  std::ostringstream out;
+  out << x;
+  return out.str();
+}
 
 uint64_t CounterValue(const std::string& name) {
   for (const obs::MetricRow& row : obs::Snapshot().rows) {
@@ -135,18 +156,23 @@ void ExpectEnginesAgree(int split_factor) {
   for (const GraphCase& gc : Graphs()) {
     for (double tau : kTaus) {
       for (PartitionId k : kKs) {
-        const uint64_t seed = 7 + k;
-        SCOPED_TRACE(gc.name + " tau=" + std::to_string(tau) +
-                     " k=" + std::to_string(k) +
-                     " split=" + std::to_string(split_factor));
-        Outcome csr = Run(std::make_unique<HepPartitioner>(tau), gc.graph, k,
-                          seed, split_factor);
-        Outcome ref = Run(std::make_unique<OracleHep>(tau), gc.graph, k,
-                          seed, split_factor);
-        EXPECT_EQ(csr.assignment, ref.assignment);
-        EXPECT_EQ(csr.sub_assignment, ref.sub_assignment);
-        EXPECT_EQ(csr.counters, ref.counters);
-        EXPECT_EQ(csr.counters[0], gc.graph.num_edges());
+        for (Knobs knobs : kKnobs) {
+          const uint64_t seed = 7 + k;
+          SCOPED_TRACE(gc.name + " tau=" + std::to_string(tau) +
+                       " k=" + std::to_string(k) +
+                       " alpha=" + Num(knobs.alpha) +
+                       " lambda=" + Num(knobs.lambda) +
+                       " split=" + std::to_string(split_factor));
+          Outcome csr = Run(
+              std::make_unique<HepPartitioner>(tau, knobs.alpha, knobs.lambda),
+              gc.graph, k, seed, split_factor);
+          Outcome ref = Run(std::make_unique<OracleHep>(tau, knobs), gc.graph,
+                            k, seed, split_factor);
+          EXPECT_EQ(csr.assignment, ref.assignment);
+          EXPECT_EQ(csr.sub_assignment, ref.sub_assignment);
+          EXPECT_EQ(csr.counters, ref.counters);
+          EXPECT_EQ(csr.counters[0], gc.graph.num_edges());
+        }
       }
     }
   }

@@ -491,6 +491,7 @@ int CmdInfo(const std::vector<std::string>& args) {
                                              1, 1);
   Result<Graph> graph = LoadGraph(pos[0], HasFlag(args, "--directed"));
   if (!graph.ok()) return Fail(graph.status());
+  obs::ScopedTimer timer("time/info");
   DegreeStats stats = ComputeDegreeStats(*graph);
   ComponentInfo comps = ConnectedComponents(*graph);
   std::cout << stats.ToString() << "\n"
@@ -527,10 +528,13 @@ int CmdPartition(const std::vector<std::string>& args) {
       return partitioner->Partition(*graph, k, seed);
     }();
     if (!parts.ok()) return Fail(parts.status());
-    std::cout << partitioner->name() << " k=" << k << " took "
-              << timer.ElapsedSeconds() << " s: "
-              << ComputeEdgePartitionMetrics(*graph, *parts).ToString()
-              << "\n";
+    const double took = timer.ElapsedSeconds();
+    const EdgePartitionMetrics metrics = [&] {
+      obs::ScopedTimer phase("time/metrics");
+      return ComputeEdgePartitionMetrics(*graph, *parts);
+    }();
+    std::cout << partitioner->name() << " k=" << k << " took " << took
+              << " s: " << metrics.ToString() << "\n";
     assignment = parts->assignment;
   } else {
     Result<VertexPartitioning> parts = [&] {
@@ -539,11 +543,13 @@ int CmdPartition(const std::vector<std::string>& args) {
           ->Partition(*graph, split, k, seed);
     }();
     if (!parts.ok()) return Fail(parts.status());
-    std::cout << choice->lookup << " k=" << k << " took "
-              << timer.ElapsedSeconds() << " s: "
-              << ComputeVertexPartitionMetrics(*graph, *parts, split)
-                     .ToString()
-              << "\n";
+    const double took = timer.ElapsedSeconds();
+    const VertexPartitionMetrics metrics = [&] {
+      obs::ScopedTimer phase("time/metrics");
+      return ComputeVertexPartitionMetrics(*graph, *parts, split);
+    }();
+    std::cout << choice->lookup << " k=" << k << " took " << took
+              << " s: " << metrics.ToString() << "\n";
     assignment = parts->assignment;
   }
   if (!out.empty()) {
