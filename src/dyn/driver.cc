@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <memory>
 #include <utility>
 
@@ -32,10 +31,12 @@ uint64_t VertexRecordBytes(const GnnConfig& gnn) {
   return gnn.feature_size * sizeof(float) + 8;
 }
 
+// "batch%03zu" without snprintf, whose truncation warning a 20-digit
+// size_t trips.
 std::string BatchTag(size_t b) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "batch%03zu", b);
-  return std::string(buf);
+  std::string digits = std::to_string(b);
+  if (digits.size() < 3) digits.insert(0, 3 - digits.size(), '0');
+  return "batch" + digits;
 }
 
 uint64_t Ppm(double x) {

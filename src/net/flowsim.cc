@@ -19,21 +19,25 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Flat state of one SimulateFlows run, indexed by *slot*. An admitted
 /// flow takes a free slot and returns it when it retires, so the state is
 /// sized by the peak number of concurrently active flows, not by the flow
-/// count, and is reused across events. The active set and every per-link
-/// crossing list append at admission and compact in place, so each stays
-/// in admission order, which FairShare's bit-exactness rests on
-/// (DESIGN.md §10 "Event model").
+/// count, and is reused across events. Every per-link crossing list and
+/// every component's member list appends at admission and compacts in
+/// place, so each stays in admission order, which FairShare's bit-exactness
+/// rests on (DESIGN.md §10 "Event model").
+///
+/// The links are labelled once per call into connected components: two
+/// links are joined when one flow crosses both. No flow spans two
+/// components, so a component's water-fill, re-anchoring and finish times
+/// involve only its own flows. An event recomputes the components whose
+/// member set it changed (`dirty`) and reuses every other component's
+/// rates, round count and earliest finish.
 struct Engine {
-  Engine(size_t num_links, size_t max_route)
-      : stride(max_route),
-        crossing(num_links),
-        cap(num_links),
-        wsum(num_links),
-        nflows(num_links) {}
+  Engine(const std::vector<Link>& links, const std::vector<Flow>& flows,
+         size_t max_route);
 
   size_t stride;  // longest route: slot q's links start at path[q*stride]
   // Per slot.
   std::vector<size_t> flow;  // index into the caller's flows
+  std::vector<size_t> seq;   // admission sequence: position in arrival order
   std::vector<int> path;
   std::vector<size_t> path_len;
   std::vector<double> weight;
@@ -41,18 +45,32 @@ struct Engine {
   std::vector<double> remaining;  //   remaining / rate, cached in `finish`
   std::vector<double> rate;
   std::vector<double> finish;
-  std::vector<double> fill;  // the current event's fair-share rate
+  std::vector<double> fill;  // the last water-fill's rate
   std::vector<char> assigned;
   std::vector<size_t> free_slots;
-  std::vector<size_t> active;  // slots, admission order
+  size_t num_active = 0;
   // Per link.
   std::vector<std::vector<size_t>> crossing;  // active slots, admission order
   std::vector<double> cap;
-  std::vector<double> wsum;
+  std::vector<double> wsum_base;  // left fold of weights over `crossing`
+  std::vector<double> wsum;       // the water-fill's working copy
   std::vector<int> nflows;
+  std::vector<char> stale;  // a retirement erased from the crossing list
+  std::vector<int> comp_of;  // component id, -1 for links no flow crosses
+  // Per component; its links, ascending, are
+  // comp_links[comp_off[c], comp_off[c + 1]).
+  std::vector<size_t> comp_off;
+  std::vector<int> comp_links;
+  std::vector<std::vector<size_t>> members;  // active slots, admission order
+  std::vector<char> dirty;
+  std::vector<uint64_t> comp_rounds;  // the last water-fill's round count
+  std::vector<double> comp_finish;    // earliest member finish, kInf if none
 
   std::span<const int> Path(size_t q) const {
     return {path.data() + q * stride, path_len[q]};
+  }
+  std::span<const int> CompLinks(size_t c) const {
+    return {comp_links.data() + comp_off[c], comp_off[c + 1] - comp_off[c]};
   }
 
   /// The anchored projection; re-evaluated only when the anchor moves.
@@ -61,9 +79,11 @@ struct Engine {
                              : anchor_t[q] + remaining[q] / rate[q];
   }
 
-  /// Puts flow `idx` in a slot (a recycled one first) and appends it to
-  /// the active set and to its links' crossing lists.
-  void Admit(size_t idx, const Flow& f) {
+  /// Puts flow `idx` (admission sequence `s`) in a slot, a recycled one
+  /// first, appends it to its component's members and to its links'
+  /// crossing lists, and marks the component dirty. Extending a link's
+  /// weight sum by the new weight is exactly the left fold's last step.
+  void Admit(size_t idx, size_t s, const Flow& f) {
     size_t q;
     if (!free_slots.empty()) {
       q = free_slots.back();
@@ -74,11 +94,13 @@ struct Engine {
         v->resize(q + 1);
       }
       flow.resize(q + 1);
+      seq.resize(q + 1);
       path.resize((q + 1) * stride);
       path_len.resize(q + 1);
       assigned.resize(q + 1);
     }
     flow[q] = idx;
+    seq[q] = s;
     std::copy(f.links.begin(), f.links.end(), path.begin() + q * stride);
     path_len[q] = f.links.size();
     weight[q] = f.weight;
@@ -86,15 +108,81 @@ struct Engine {
     remaining[q] = f.bytes;
     rate[q] = 0.0;
     finish[q] = Project(q);
-    active.push_back(q);
-    for (int l : Path(q)) crossing[static_cast<size_t>(l)].push_back(q);
+    const size_t c =
+        static_cast<size_t>(comp_of[static_cast<size_t>(f.links[0])]);
+    members[c].push_back(q);
+    dirty[c] = 1;
+    ++num_active;
+    for (int l : Path(q)) {
+      crossing[static_cast<size_t>(l)].push_back(q);
+      wsum_base[static_cast<size_t>(l)] += f.weight;
+    }
   }
 
-  uint64_t FairShare(const std::vector<Link>& links);
+  /// Water-fills component `c`, re-anchors the members whose rate changed
+  /// at `now`, and caches the round count and the earliest finish.
+  void Recompute(size_t c, const std::vector<Link>& links, double now);
+  uint64_t FairShare(size_t c, const std::vector<Link>& links);
+  /// Moves the members of `c` whose projection is due by `now` to
+  /// `*retired`, in admission order, and compacts the lists they leave.
+  void Retire(size_t c, double now, std::vector<size_t>* retired);
 };
 
+Engine::Engine(const std::vector<Link>& links, const std::vector<Flow>& flows,
+               size_t max_route)
+    : stride(max_route),
+      crossing(links.size()),
+      cap(links.size()),
+      wsum_base(links.size(), 0.0),
+      wsum(links.size()),
+      nflows(links.size()),
+      stale(links.size(), 0),
+      comp_of(links.size(), -1) {
+  // Union-find over the flows' routes, then a counting sort of the crossed
+  // links by component. Components are numbered in order of their lowest
+  // link, and each lists its links ascending: the bottleneck tie order.
+  std::vector<size_t> parent(links.size());
+  std::iota(parent.begin(), parent.end(), size_t{0});
+  auto find = [&](size_t l) {
+    while (parent[l] != l) l = parent[l] = parent[parent[l]];
+    return l;
+  };
+  for (const Flow& f : flows) {
+    const size_t root = find(static_cast<size_t>(f.links[0]));
+    for (int l : f.links) {
+      comp_of[static_cast<size_t>(l)] = 0;  // crossed; labelled below
+      parent[find(static_cast<size_t>(l))] = root;
+    }
+  }
+  std::vector<int> label(links.size(), -1);
+  size_t count = 0;
+  for (size_t l = 0; l < links.size(); ++l) {
+    if (comp_of[l] < 0) continue;
+    int& id = label[find(l)];
+    if (id < 0) id = static_cast<int>(count++);
+    comp_of[l] = id;
+  }
+  comp_off.assign(count + 1, 0);
+  for (int c : comp_of) {
+    if (c >= 0) ++comp_off[static_cast<size_t>(c) + 1];
+  }
+  std::partial_sum(comp_off.begin(), comp_off.end(), comp_off.begin());
+  comp_links.resize(comp_off[count]);
+  std::vector<size_t> cursor(comp_off.begin(), comp_off.end() - 1);
+  for (size_t l = 0; l < links.size(); ++l) {
+    if (comp_of[l] >= 0) {
+      comp_links[cursor[static_cast<size_t>(comp_of[l])]++] =
+          static_cast<int>(l);
+    }
+  }
+  members.resize(count);
+  dirty.assign(count, 0);
+  comp_rounds.assign(count, 0);
+  comp_finish.assign(count, kInf);
+}
+
 /// Weighted max-min fair-share allocation (progressive water-filling) over
-/// the active flows into `fill`: a link's per-weight-unit share is
+/// component `c`'s members into `fill`: a link's per-weight-unit share is
 /// capacity / (sum of crossing flow weights), and a flow crossing the
 /// bottleneck receives `share * weight`. Deterministic: the bottleneck link
 /// is the strict minimum of capacity/weight-sum with ties broken on the
@@ -105,9 +193,12 @@ struct Engine {
 /// list empties (nflows hits 0) the round it is the bottleneck, every list
 /// is walked at most once per call. Lists are in admission order, so the
 /// flows crossing the bottleneck are fixed, and each weight sum is
-/// accumulated, in the order a scan of the whole active set would use;
-/// every `cap`/`wsum` operation and every rate is therefore bitwise that
-/// scan's (the reference engine in tests/flowsim_oracle.cc).
+/// accumulated, in the order a scan of the whole active set would use.
+/// The whole-fabric bottleneck sequence restricted to one component is the
+/// sequence that component picks alone, so every `cap`/`wsum` operation
+/// and every rate is bitwise that scan's (the reference engine in
+/// tests/flowsim_oracle.cc), and the whole-fabric round count is the sum
+/// of the components' counts.
 ///
 /// Bit-exactness with the historical unweighted engine: with every weight
 /// at 1.0 each weight sum is a sum of exact 1.0s — the same double the
@@ -116,26 +207,27 @@ struct Engine {
 /// arithmetic. The integer `nflows` count stays alongside the weight sums
 /// as the crossing-flows guard so an emptied link is skipped exactly, not
 /// via a residue-prone `wsum > 0` comparison.
-uint64_t Engine::FairShare(const std::vector<Link>& links) {
-  for (size_t l = 0; l < links.size(); ++l) {
+uint64_t Engine::FairShare(size_t c, const std::vector<Link>& links) {
+  const std::span<const int> comp = CompLinks(c);
+  for (int i : comp) {
+    const size_t l = static_cast<size_t>(i);
     cap[l] = links[l].capacity;
     nflows[l] = static_cast<int>(crossing[l].size());
-    double w = 0.0;
-    for (size_t q : crossing[l]) w += weight[q];
-    wsum[l] = w;
+    wsum[l] = wsum_base[l];
   }
-  for (size_t q : active) assigned[q] = 0;
-  size_t left = active.size();
+  for (size_t q : members[c]) assigned[q] = 0;
+  size_t left = members[c].size();
   uint64_t rounds = 0;
   while (left > 0) {
     ++rounds;
     int bottleneck = -1;
     double fair = 0;
-    for (size_t l = 0; l < links.size(); ++l) {
-      if (nflows[l] == 0) continue;
-      const double share = cap[l] / wsum[l];
+    for (int l : comp) {
+      if (nflows[static_cast<size_t>(l)] == 0) continue;
+      const double share =
+          cap[static_cast<size_t>(l)] / wsum[static_cast<size_t>(l)];
       if (bottleneck < 0 || share < fair) {
-        bottleneck = static_cast<int>(l);
+        bottleneck = l;
         fair = share;
       }
     }
@@ -154,6 +246,54 @@ uint64_t Engine::FairShare(const std::vector<Link>& links) {
     }
   }
   return rounds;
+}
+
+void Engine::Recompute(size_t c, const std::vector<Link>& links, double now) {
+  comp_rounds[c] = FairShare(c, links);
+  double t_finish = kInf;
+  for (size_t q : members[c]) {
+    if (rate[q] != fill[q]) {
+      if (rate[q] > 0) {
+        remaining[q] -= rate[q] * (now - anchor_t[q]);
+        if (remaining[q] < 0) remaining[q] = 0;
+      }
+      anchor_t[q] = now;
+      rate[q] = fill[q];
+      finish[q] = Project(q);
+    }
+    t_finish = std::min(t_finish, finish[q]);
+  }
+  comp_finish[c] = t_finish;
+  dirty[c] = 0;
+}
+
+void Engine::Retire(size_t c, double now, std::vector<size_t>* retired) {
+  std::vector<size_t>& list = members[c];
+  size_t kept = 0;
+  for (size_t q : list) {
+    if (!(finish[q] <= now)) {
+      list[kept++] = q;
+      continue;
+    }
+    retired->push_back(q);
+    for (int l : Path(q)) stale[static_cast<size_t>(l)] = 1;
+  }
+  num_active -= list.size() - kept;
+  list.resize(kept);
+  dirty[c] = 1;
+  // A crossing-list entry is retired iff its projection is due — the
+  // predicate that just retired it from the members. Freed slots are
+  // reused only by the next event's admissions, after this. An erase
+  // breaks the weight sum's append-only fold, so it is refolded.
+  for (int i : CompLinks(c)) {
+    const size_t l = static_cast<size_t>(i);
+    if (!stale[l]) continue;
+    stale[l] = 0;
+    std::erase_if(crossing[l], [&](size_t q) { return finish[q] <= now; });
+    double w = 0.0;
+    for (size_t q : crossing[l]) w += weight[q];
+    wsum_base[l] = w;
+  }
 }
 
 }  // namespace
@@ -216,15 +356,16 @@ std::vector<double> SimulateFlows(const Fabric& fabric,
   // moves ONLY when the fair-share rate changes (bitwise), so uncontended
   // flows keep anchor_t == start, remaining == bytes and finish exactly at
   // start + bytes/rate — the closed form (see flowsim.h).
-  Engine e(links.size(), max_route);
+  Engine e(links, flows, max_route);
+  std::vector<size_t> retired;
   size_t next_arrival = 0;
   double now = 0.0;
   uint64_t events = 0;
   uint64_t rounds = 0;
 
-  while (next_arrival < order.size() || !e.active.empty()) {
+  while (next_arrival < order.size() || e.num_active > 0) {
     ++events;
-    if (e.active.empty()) {
+    if (e.num_active == 0) {
       // Idle fabric: jump straight to the next arrival. Arrivals at or
       // before `now` were admitted at an earlier event, so time moves
       // forward (event-queue monotonicity).
@@ -234,24 +375,18 @@ std::vector<double> SimulateFlows(const Fabric& fabric,
     }
     while (next_arrival < order.size() &&
            flows[order[next_arrival]].start <= now) {
-      const size_t idx = order[next_arrival++];
-      e.Admit(idx, flows[idx]);
+      const size_t idx = order[next_arrival];
+      e.Admit(idx, next_arrival++, flows[idx]);
     }
 
-    // Reallocate bandwidth; re-anchor only flows whose rate changed.
-    rounds += e.FairShare(links);
+    // Reallocate bandwidth in the components this event changed; every
+    // other component keeps its rates, and its last round count still
+    // counts, so `fill_rounds` keeps its whole-fabric meaning.
     double t_finish = kInf;
-    for (size_t q : e.active) {
-      if (e.rate[q] != e.fill[q]) {
-        if (e.rate[q] > 0) {
-          e.remaining[q] -= e.rate[q] * (now - e.anchor_t[q]);
-          if (e.remaining[q] < 0) e.remaining[q] = 0;
-        }
-        e.anchor_t[q] = now;
-        e.rate[q] = e.fill[q];
-        e.finish[q] = e.Project(q);
-      }
-      t_finish = std::min(t_finish, e.finish[q]);
+    for (size_t c = 0; c < e.members.size(); ++c) {
+      if (e.dirty[c]) e.Recompute(c, links, now);
+      rounds += e.comp_rounds[c];
+      t_finish = std::min(t_finish, e.comp_finish[c]);
     }
     const double t_arrive = next_arrival < order.size()
                                 ? flows[order[next_arrival]].start
@@ -279,14 +414,19 @@ std::vector<double> SimulateFlows(const Fabric& fabric,
     }
     now = t_next;
 
-    // Retire flows whose projection is due. The completion uses the flow's
-    // own projection (not `now`) so the closed form survives bit-exactly.
-    size_t kept = 0;
-    for (size_t q : e.active) {
-      if (!(e.finish[q] <= now)) {
-        e.active[kept++] = q;
-        continue;
-      }
+    // Retire flows whose projection is due, from the components whose
+    // earliest finish is. Retirees of several components are merged back
+    // into admission order, the order `LinkUsage` sums in: a host's flows
+    // can sit in several components (a ring host's cw and ccw routes). The
+    // completion uses the flow's own projection (not `now`) so the closed
+    // form survives bit-exactly.
+    retired.clear();
+    for (size_t c = 0; c < e.members.size(); ++c) {
+      if (e.comp_finish[c] <= now) e.Retire(c, now, &retired);
+    }
+    std::sort(retired.begin(), retired.end(),
+              [&](size_t a, size_t b) { return e.seq[a] < e.seq[b]; });
+    for (size_t q : retired) {
       e.free_slots.push_back(q);
       const size_t idx = e.flow[q];
       completion[idx] = e.finish[q] + flows[idx].latency_rounds * latency;
@@ -315,15 +455,6 @@ std::vector<double> SimulateFlows(const Fabric& fabric,
         }
         usage->host_egress_bytes[static_cast<size_t>(flows[idx].host)] +=
             flows[idx].bytes;
-      }
-    }
-    if (kept < e.active.size()) {
-      // A crossing-list entry is retired iff its projection is due — the
-      // predicate that just retired it from the active set. Freed slots
-      // are reused only by the next event's admissions, after this.
-      e.active.resize(kept);
-      for (std::vector<size_t>& list : e.crossing) {
-        std::erase_if(list, [&](size_t q) { return e.finish[q] <= now; });
       }
     }
   }

@@ -11,6 +11,7 @@
 #     times (time/load, time/partition, time/metrics) as det:false rows and
 #     the reader's io/edges_parsed as a det row;
 #   * `info` records time/load and time/info;
+#   * `check` records time/check and `dyn-run` records time/dyn;
 #   * `generate … --metrics-out` records time/generate and time/write;
 #   * `gnnpart_cli metrics` pretty-prints (and strictly re-parses) it;
 #   * tools/bench_compare.py exits 0 on identical manifests and non-zero
@@ -79,6 +80,16 @@ grep -q '"name":"time/metrics".*"det":false' "$TMP/h.jsonl"
 "$CLI" --metrics-out "$TMP/i.jsonl" info "$TMP/g.txt" > /dev/null 2> /dev/null
 grep -q '"name":"time/load".*"det":false' "$TMP/i.jsonl"
 grep -q '"name":"time/info".*"det":false' "$TMP/i.jsonl"
+
+# check: its validators (and the partitioner runs they verify) are one
+# timer; dyn-run times the dynamic driver.
+"$CLI" --metrics-out "$TMP/c.jsonl" check "$TMP/g.txt" HDRF 4 \
+    > /dev/null 2> /dev/null
+grep -q '"name":"time/load".*"det":false' "$TMP/c.jsonl"
+grep -q '"name":"time/check".*"det":false' "$TMP/c.jsonl"
+"$CLI" --metrics-out "$TMP/d.jsonl" dyn-run "$TMP/g.txt" HDRF 4 \
+    --growth-batches 2 > /dev/null 2> /dev/null
+grep -q '"name":"time/dyn".*"det":false' "$TMP/d.jsonl"
 
 # serve-run: its wall time is the time/serve timer, and a co-tenanted run's
 # det rows (flow engine counters included) do not depend on the threads.

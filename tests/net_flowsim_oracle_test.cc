@@ -1,7 +1,8 @@
-// Differential test of the indexed flow engine against the whole-set-scan
-// engine it replaced (tests/flowsim_oracle.*): randomized weighted flow sets
-// on all three fabrics must give bitwise-equal completion times, link usage,
-// flow details and link samples. Also pins the engine's work counters.
+// Differential test of the component engine against the whole-set-scan
+// engine (tests/flowsim_oracle.*): randomized weighted flow sets on all
+// three fabrics must give bitwise-equal completion times, link usage, flow
+// details and link samples, and so must same-instant retirements from two
+// components. Also pins the engine's work counters.
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -38,6 +39,12 @@ std::vector<FabricCase> Fabrics() {
   for (int hosts : {2, 3, 8, 16}) {
     cases.push_back({"ring" + std::to_string(hosts), ring, hosts});
   }
+  // The serve-contended fat-tree (two racks of four), three racks of
+  // uneven occupancy (4, 4, 2), and one component per host.
+  fat.rack_size = 4;
+  cases.push_back({"fat-tree-rack4", fat, 8});
+  cases.push_back({"fat-tree10-rack4", fat, 10});
+  cases.push_back({"full-bisection8", full, 8});
   return cases;
 }
 
@@ -128,6 +135,55 @@ TEST(FlowSimOracleTest, IndexedEngineMatchesWholeSetScanBitwise) {
   }
 }
 
+/// The first of `host`'s routes whose links all lie in [lo, hi).
+const net::Route& RouteWithin(const net::Fabric& fabric, int host, int lo,
+                              int hi) {
+  for (const net::Route& route : fabric.HostRoutes(host)) {
+    bool inside = true;
+    for (int l : route.links) inside = inside && l >= lo && l < hi;
+    if (inside) return route;
+  }
+  ADD_FAILURE() << "no route of host " << host << " in [" << lo << ", "
+                << hi << ")";
+  return fabric.HostRoutes(host)[0];
+}
+
+TEST(FlowSimOracleTest, SameInstantRetirementsSumInAdmissionOrder) {
+  // One ring host's clockwise and counter-clockwise flows sit in different
+  // components yet feed the same host_egress_bytes sum, whose rounding
+  // depends on the order. A 1-byte flow deposits 1.0 early; then a 2^53-byte
+  // ccw flow (admitted first) and a 1-byte cw flow retire at the same
+  // instant. Admission order sums (1 + 2^53) + 1 = 2^53; the component
+  // order (cw first) would sum (1 + 1) + 2^53 = 2^53 + 2.
+  net::NetworkConfig config;
+  config.topology = net::TopologyKind::kRing;
+  config.nic_bandwidth = 0x1p30;  // every drain time below is exact
+  const int hosts = 4;
+  const net::Fabric fabric(config, hosts);
+  const net::Route& cw = RouteWithin(fabric, 0, 0, hosts);
+  const net::Route& ccw = RouteWithin(fabric, 0, hosts, 2 * hosts);
+  net::Flow early;
+  early.links = cw.links;
+  early.bytes = 1.0;
+  net::Flow big;
+  big.links = ccw.links;
+  big.bytes = 0x1p53;  // drains at 2^53 / 2^30 = 2^23 s
+  net::Flow late = early;
+  late.start = 0x1p23 - 0x1p-30;  // drains at 2^23 s too
+  const std::vector<net::Flow> flows = {early, late, big};
+
+  net::LinkUsage usage, oracle_usage;
+  net::PhaseLog log, oracle_log;
+  const std::vector<double> finish =
+      net::SimulateFlows(fabric, flows, &usage, &log);
+  EXPECT_EQ(finish, net::oracle::SimulateFlows(fabric, flows, &oracle_usage,
+                                               &oracle_log));
+  EXPECT_EQ(log.flows[1].finish, log.flows[2].finish);
+  EXPECT_EQ(usage.host_egress_bytes[0], 0x1p53);
+  ExpectUsageEq(usage, oracle_usage);
+  ExpectLogEq(log, oracle_log);
+}
+
 uint64_t CounterValue(const std::string& name) {
   for (const obs::MetricRow& row : obs::Snapshot().rows) {
     if (row.name == name) return row.value;
@@ -151,6 +207,25 @@ TEST(FlowSimOracleTest, WorkCountersTallyEventsAndFillRounds) {
   net::SimulateFlows(fabric, {a, b}, nullptr);
   EXPECT_EQ(CounterValue("net/flowsim/events") - events, 3u);
   EXPECT_EQ(CounterValue("net/flowsim/fill_rounds") - rounds, 3u);
+
+  // Two components (nic0, nic1). A drains on nic0 from 0 to 8 ms while B
+  // (1 to 1.8 ms) and C (3 to 3.8 ms) come and go on nic1, so nic0 is
+  // reused at every event after the first. A whole-fabric water-fill needs
+  // one round per loaded NIC per event:
+  //   0 ms admit A: 1;  1 ms admit B: 2;  1.8 ms B retired: 1;
+  //   3 ms admit C: 2;  3.8 ms C retired: 1  -> 5 events, 7 rounds,
+  // which the reused nic0's cached round counts must still make up.
+  net::Flow c = a;
+  c.links = fabric.HostRoutes(1)[0].links;
+  c.bytes = 1e5;
+  c.start = 1e-3;
+  net::Flow d = c;
+  d.start = 3e-3;
+  const uint64_t events2 = CounterValue("net/flowsim/events");
+  const uint64_t rounds2 = CounterValue("net/flowsim/fill_rounds");
+  net::SimulateFlows(fabric, {a, c, d}, nullptr);
+  EXPECT_EQ(CounterValue("net/flowsim/events") - events2, 5u);
+  EXPECT_EQ(CounterValue("net/flowsim/fill_rounds") - rounds2, 7u);
 }
 
 }  // namespace

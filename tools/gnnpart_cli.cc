@@ -661,6 +661,9 @@ int CmdCheck(const std::vector<std::string>& args) {
   }
   Result<Graph> graph = LoadGraph(pos[0], HasFlag(args, "--directed"));
   if (!graph.ok()) return Fail(graph.status());
+  // Everything after the load: the validators and the partitioner runs
+  // they verify.
+  obs::ScopedTimer timer("time/check");
   if (Status st = check::ValidateGraph(*graph); !st.ok()) return Fail(st);
   std::cout << "graph OK: |V|=" << graph->num_vertices()
             << " |E|=" << graph->num_edges()
@@ -1031,8 +1034,10 @@ int CmdDynRun(const std::vector<std::string>& args) {
   obs::EventLog* events =
       (trace_out.empty() && events_out.empty()) ? nullptr : &event_log;
 
-  Result<dyn::DynReport> report =
-      dyn::RunDynamic(*graph, spec, k, config, events);
+  Result<dyn::DynReport> report = [&] {
+    obs::ScopedTimer timer("time/dyn");
+    return dyn::RunDynamic(*graph, spec, k, config, events);
+  }();
   if (!report.ok()) return Fail(report.status());
 
   TablePrinter table({"batch", "edges", "vertices",
