@@ -9,7 +9,7 @@
 // published as deterministic obs rows, so CI gates the quality surface
 // byte-exactly while the (det:false) timers stay informational.
 #include <algorithm>
-#include <bit>
+#include <numeric>
 
 #include "bench/study/tables.h"
 
@@ -19,18 +19,6 @@
 #include "partition/split_merge.h"
 
 namespace gnnpart::bench {
-
-namespace {
-
-uint64_t TotalReplicas(const Graph& graph, const EdgePartitioning& parts) {
-  uint64_t total = 0;
-  for (uint64_t mask : ComputeReplicaMasks(graph, parts)) {
-    total += static_cast<uint64_t>(std::popcount(mask));
-  }
-  return total;
-}
-
-}  // namespace
 
 void FigSmp(Study& study) {
   const ExperimentContext& ctx = study.ctx();
@@ -80,7 +68,10 @@ void FigSmp(Study& study) {
 
       const std::string name = partitioner.name();
       obs::Count("bench/fig_smp/" + name + "/replicas",
-                 TotalReplicas(graph, parts), "replicas");
+                 std::accumulate(metrics.vertices_per_partition.begin(),
+                                 metrics.vertices_per_partition.end(),
+                                 uint64_t{0}),
+                 "replicas");
       obs::RecordSeconds("bench/fig_smp/" + name + "/partition_seconds",
                          wall_ms / 1e3);
       table.AddRow({name, std::to_string(factor), bench::F(wall_ms, 2),

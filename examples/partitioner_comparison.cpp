@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     double seconds = timer.ElapsedSeconds();
     EdgePartitionMetrics m = ComputeEdgePartitionMetrics(*graph, *parts);
     DistGnnEpochReport r = SimulateDistGnnEpoch(
-        BuildDistGnnWorkload(*graph, *parts), config, cluster);
+        BuildDistGnnWorkload(*graph, m), config, cluster);
     if (partitioner->name() == "Random") random_epoch = r.epoch_seconds;
     edge_table.AddRow(
         {partitioner->name(), partitioner->category(),

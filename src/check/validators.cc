@@ -238,6 +238,7 @@ Status CheckEdgeMetrics(const Graph& graph, const EdgePartitioning& parts,
   uint64_t covered = 0;
   uint64_t extra_replicas = 0;
   std::vector<uint64_t> vertex_counts(parts.k, 0);
+  std::vector<uint64_t> synced_counts(parts.k, 0);
   for (uint64_t mask : masks) {
     int replicas = 0;
     uint64_t m = mask;
@@ -248,10 +249,18 @@ Status CheckEdgeMetrics(const Graph& graph, const EdgePartitioning& parts,
     }
     covered += static_cast<uint64_t>(replicas);
     if (replicas > 0) extra_replicas += static_cast<uint64_t>(replicas - 1);
+    if (replicas > 1) {
+      for (m = mask; m; m &= m - 1) {
+        ++synced_counts[static_cast<size_t>(std::countr_zero(m))];
+      }
+    }
   }
   GNNPART_RETURN_NOT_OK(CompareCounts(vertex_counts,
                                       reported.vertices_per_partition,
                                       "metrics/vertices-per-partition"));
+  GNNPART_RETURN_NOT_OK(CompareCounts(synced_counts,
+                                      reported.synced_vertices_per_partition,
+                                      "metrics/synced-per-partition"));
   if (extra_replicas != reported.total_replicas) {
     return Violation("metrics/total-replicas",
                      "reported " + std::to_string(reported.total_replicas) +

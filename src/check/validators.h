@@ -61,7 +61,7 @@ Status ValidateReplicaMasks(const Graph& graph, const EdgePartitioning& parts,
 
 /// Recomputes every EdgePartitionMetrics field serially from scratch and
 /// compares bit-exactly (==, not approximately) with `reported` — the
-/// parallel metrics path must agree with the obvious serial one.
+/// metrics fold must agree with the obvious per-field recomputation.
 Status CheckEdgeMetrics(const Graph& graph, const EdgePartitioning& parts,
                         const EdgePartitionMetrics& reported);
 

@@ -270,6 +270,7 @@ Result<DynReport> RunDynamic(const Graph& full, const DynPartitionerSpec& spec,
 
     EdgePartitioning eparts;
     VertexPartitioning vparts;
+    EdgePartitionMetrics edge_metrics;
     auto refresh_parts = [&]() {
       if (spec.vertex_mode) {
         vparts.k = k;
@@ -289,9 +290,9 @@ Result<DynReport> RunDynamic(const Graph& full, const DynPartitionerSpec& spec,
         interval.quality = mv.edge_cut_ratio;
         interval.balance = mv.vertex_balance;
       } else {
-        EdgePartitionMetrics me = ComputeEdgePartitionMetrics(prefix, eparts);
-        interval.quality = me.replication_factor;
-        interval.balance = me.vertex_balance;
+        edge_metrics = ComputeEdgePartitionMetrics(prefix, eparts);
+        interval.quality = edge_metrics.replication_factor;
+        interval.balance = edge_metrics.vertex_balance;
       }
     };
     refresh_parts();
@@ -385,7 +386,8 @@ Result<DynReport> RunDynamic(const Graph& full, const DynPartitionerSpec& spec,
       interval.epoch_seconds = report.distdgl.epoch_seconds;
       interval.epoch_network_bytes = report.distdgl.total_network_bytes;
     } else {
-      const DistGnnWorkload workload = BuildDistGnnWorkload(prefix, eparts);
+      const DistGnnWorkload workload =
+          BuildDistGnnWorkload(prefix, edge_metrics);
       report.distgnn = SimulateDistGnnEpoch(workload, gnn, cluster, &fabric,
                                             &usage, events);
       interval.epoch_seconds = report.distgnn.epoch_seconds;

@@ -179,7 +179,7 @@ Result<const EdgeRun*> Study::Edge(DatasetId dataset, EdgePartitionerId id,
   RecordAssignmentDigest(RunName("edge", dataset, partitioner->name(), k),
                          parts->assignment);
   run.metrics = ComputeEdgePartitionMetrics(graph, *parts);
-  run.workload = BuildDistGnnWorkload(graph, *parts);
+  run.workload = BuildDistGnnWorkload(graph, run.metrics);
   return &edge_runs_.emplace(key, std::move(run)).first->second;
 }
 

@@ -34,51 +34,31 @@ EdgePartitionMetrics ComputeEdgePartitionMetrics(
   EdgePartitionMetrics m;
   m.edges_per_partition = parts.EdgeCounts();
 
-  std::vector<uint64_t> masks = ComputeReplicaMasks(graph, parts);
-  // Per-chunk integer accumulators over vertex chunks, combined in chunk
-  // order; integer sums commute, so any thread count gives the same result.
-  struct MaskAcc {
-    uint64_t covered = 0;
-    uint64_t extra_replicas = 0;
-    std::vector<uint64_t> per_partition;
-  };
-  MaskAcc init;
-  init.per_partition.assign(parts.k, 0);
-  MaskAcc total = ParallelReduce<MaskAcc>(
-      masks.size(), 8192, std::move(init),
-      [&](size_t begin, size_t end, size_t) {
-        MaskAcc acc;
-        acc.per_partition.assign(parts.k, 0);
-        for (size_t v = begin; v < end; ++v) {
-          uint64_t mask = masks[v];
-          int replicas = std::popcount(mask);
-          acc.covered += static_cast<uint64_t>(replicas);
-          if (replicas > 0) {
-            acc.extra_replicas += static_cast<uint64_t>(replicas - 1);
-          }
-          while (mask) {
-            int p = std::countr_zero(mask);
-            ++acc.per_partition[static_cast<size_t>(p)];
-            mask &= mask - 1;
-          }
-        }
-        return acc;
-      },
-      [](MaskAcc acc, MaskAcc part) {
-        acc.covered += part.covered;
-        acc.extra_replicas += part.extra_replicas;
-        for (size_t p = 0; p < acc.per_partition.size(); ++p) {
-          acc.per_partition[p] += part.per_partition[p];
-        }
-        return acc;
-      });
-  m.total_replicas = total.extra_replicas;
-  m.vertices_per_partition = std::move(total.per_partition);
+  // One fold over the masks. A partition's synced vertices are its covered
+  // vertices minus those it holds alone, which costs one increment per
+  // vertex instead of one per replica.
+  m.vertices_per_partition.assign(parts.k, 0);
+  std::vector<uint64_t> alone(parts.k, 0);
+  uint64_t covered = 0;
+  for (uint64_t mask : ComputeReplicaMasks(graph, parts)) {
+    if (mask == 0) continue;
+    const int replicas = std::popcount(mask);
+    covered += static_cast<uint64_t>(replicas);
+    m.total_replicas += static_cast<uint64_t>(replicas - 1);
+    if (replicas == 1) ++alone[static_cast<size_t>(std::countr_zero(mask))];
+    for (; mask != 0; mask &= mask - 1) {
+      ++m.vertices_per_partition[static_cast<size_t>(std::countr_zero(mask))];
+    }
+  }
+  m.synced_vertices_per_partition.resize(parts.k);
+  for (size_t p = 0; p < parts.k; ++p) {
+    m.synced_vertices_per_partition[p] = m.vertices_per_partition[p] - alone[p];
+  }
   // The paper normalizes by |V|; isolated vertices (none at our scales
   // after dedup) would dilute RF identically for every partitioner.
   double denom = static_cast<double>(graph.num_vertices());
   m.replication_factor =
-      denom > 0 ? static_cast<double>(total.covered) / denom : 0;
+      denom > 0 ? static_cast<double>(covered) / denom : 0;
   m.edge_balance = MaxOverMean(ToDoubles(m.edges_per_partition));
   m.vertex_balance = MaxOverMean(ToDoubles(m.vertices_per_partition));
   return m;

@@ -23,6 +23,9 @@ struct EdgePartitionMetrics {
   std::vector<uint64_t> edges_per_partition;
   /// Covered vertices |V(p_i)| per partition (masters + replicas).
   std::vector<uint64_t> vertices_per_partition;
+  /// Covered vertices per partition that are replicated somewhere
+  /// (|A(v)| > 1); each synchronizes its state in full-batch training.
+  std::vector<uint64_t> synced_vertices_per_partition;
   /// Total number of vertex replicas, sum_v (|A(v)| - 1).
   uint64_t total_replicas = 0;
 
@@ -44,7 +47,8 @@ struct VertexPartitionMetrics {
   std::string ToString() const;
 };
 
-/// Computes vertex-cut quality metrics.
+/// Computes vertex-cut quality metrics from one serial replica-mask pass and
+/// one fold over the masks.
 EdgePartitionMetrics ComputeEdgePartitionMetrics(const Graph& graph,
                                                  const EdgePartitioning& parts);
 

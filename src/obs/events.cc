@@ -1,6 +1,7 @@
 #include "obs/events.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "check/check.h"
@@ -147,6 +148,11 @@ Status ParseEventLine(const JsonObject& obj, const std::string& type,
     // dst may be -1 (aggregate route), so it goes through the signed path.
     auto dst = RequireNumber(obj, lineno, "dst");
     if (!dst.ok()) return dst.status();
+    // Converting a double outside int's range (1e999 parses as inf) is
+    // undefined behaviour, so range-check before the cast.
+    if (!(*dst >= -1 && *dst <= std::numeric_limits<int>::max())) {
+      return BadJson(lineno, "field 'dst' out of range");
+    }
     e->dst = static_cast<int>(*dst);
     for (auto [field, slot] :
          {std::pair<const char*, double*>{"t0", &e->t0},

@@ -71,7 +71,13 @@ Status ParseMetricLine(const JsonObject& obj, const std::string& type,
     if (type == "counter") {
       row->value = (*value)->uint_value;
     } else {
-      row->level = static_cast<int64_t>((*value)->num);
+      // Range-check before the cast: out of int64's range (1e999 parses as
+      // inf) the conversion is undefined behaviour.
+      const double level = (*value)->num;
+      if (!(level >= -0x1p63 && level < 0x1p63)) {
+        return BadJson(lineno, "gauge value out of range");
+      }
+      row->level = static_cast<int64_t>(level);
     }
     return Status::Ok();
   }

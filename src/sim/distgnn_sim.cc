@@ -1,12 +1,9 @@
 #include "sim/distgnn_sim.h"
 
 #include <algorithm>
-#include <bit>
 #include <optional>
-#include <utility>
 
 #include "check/check.h"
-#include "common/parallel.h"
 #include "gnn/costs.h"
 #include "net/flowsim.h"
 #include "obs/events.h"
@@ -15,59 +12,21 @@
 namespace gnnpart {
 
 DistGnnWorkload BuildDistGnnWorkload(const Graph& graph,
-                                     const EdgePartitioning& parts) {
+                                     const EdgePartitionMetrics& metrics) {
   DistGnnWorkload w;
-  w.k = parts.k;
+  w.k = static_cast<PartitionId>(metrics.edges_per_partition.size());
   w.graph_vertices = graph.num_vertices();
   w.graph_edges = graph.num_edges();
-  w.edges = parts.EdgeCounts();
-
-  std::vector<uint64_t> masks = ComputeReplicaMasks(graph, parts);
-  // Scan vertex chunks concurrently into integer partials; combining in
-  // chunk order keeps the counts identical for every thread count.
-  struct MaskAcc {
-    uint64_t covered = 0;
-    std::vector<uint64_t> vertices;
-    std::vector<uint64_t> synced;
-  };
-  MaskAcc init;
-  init.vertices.assign(parts.k, 0);
-  init.synced.assign(parts.k, 0);
-  MaskAcc total = ParallelReduce<MaskAcc>(
-      masks.size(), 8192, std::move(init),
-      [&](size_t begin, size_t end, size_t) {
-        MaskAcc acc;
-        acc.vertices.assign(parts.k, 0);
-        acc.synced.assign(parts.k, 0);
-        for (size_t v = begin; v < end; ++v) {
-          int replicas = std::popcount(masks[v]);
-          acc.covered += static_cast<uint64_t>(replicas);
-          uint64_t bits = masks[v];
-          while (bits) {
-            int p = std::countr_zero(bits);
-            ++acc.vertices[static_cast<size_t>(p)];
-            if (replicas > 1) ++acc.synced[static_cast<size_t>(p)];
-            bits &= bits - 1;
-          }
-        }
-        return acc;
-      },
-      [](MaskAcc acc, MaskAcc part) {
-        acc.covered += part.covered;
-        for (size_t p = 0; p < acc.vertices.size(); ++p) {
-          acc.vertices[p] += part.vertices[p];
-          acc.synced[p] += part.synced[p];
-        }
-        return acc;
-      });
-  const uint64_t covered = total.covered;
-  w.vertices = std::move(total.vertices);
-  w.synced_vertices = std::move(total.synced);
-  w.replication_factor =
-      w.graph_vertices > 0
-          ? static_cast<double>(covered) / static_cast<double>(w.graph_vertices)
-          : 0;
+  w.edges = metrics.edges_per_partition;
+  w.vertices = metrics.vertices_per_partition;
+  w.synced_vertices = metrics.synced_vertices_per_partition;
+  w.replication_factor = metrics.replication_factor;
   return w;
+}
+
+DistGnnWorkload BuildDistGnnWorkload(const Graph& graph,
+                                     const EdgePartitioning& parts) {
+  return BuildDistGnnWorkload(graph, ComputeEdgePartitionMetrics(graph, parts));
 }
 
 DistGnnEpochReport SimulateDistGnnEpoch(const DistGnnWorkload& workload,

@@ -8,6 +8,7 @@
 #include "common/status.h"
 #include "gnn/model_config.h"
 #include "graph/graph.h"
+#include "metrics/partition_metrics.h"
 #include "partition/partitioning.h"
 #include "sim/cluster.h"
 
@@ -40,7 +41,12 @@ struct DistGnnWorkload {
   double replication_factor = 0;
 };
 
-/// Builds the workload profile from a real edge partitioning.
+/// Builds the workload profile from the partitioning's quality metrics,
+/// which already hold every per-partition count the cost model needs.
+DistGnnWorkload BuildDistGnnWorkload(const Graph& graph,
+                                     const EdgePartitionMetrics& metrics);
+
+/// Computes the metrics of `parts`, then builds the workload from them.
 DistGnnWorkload BuildDistGnnWorkload(const Graph& graph,
                                      const EdgePartitioning& parts);
 

@@ -207,6 +207,10 @@ TEST(CheckMetricsTest, AcceptsComputedEdgeMetricsAndCatchesEachField) {
   ExpectViolation(check::CheckEdgeMetrics(g, *parts, m),
                   "metrics/vertices-per-partition");
   m = metrics;
+  m.synced_vertices_per_partition[2] += 1;
+  ExpectViolation(check::CheckEdgeMetrics(g, *parts, m),
+                  "metrics/synced-per-partition");
+  m = metrics;
   m.total_replicas += 1;
   ExpectViolation(check::CheckEdgeMetrics(g, *parts, m),
                   "metrics/total-replicas");

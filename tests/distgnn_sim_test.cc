@@ -46,6 +46,7 @@ TEST(DistGnnWorkloadTest, CountsAreConsistent) {
   // Covered vertices match the metrics module exactly.
   EdgePartitionMetrics m = ComputeEdgePartitionMetrics(g, parts);
   EXPECT_DOUBLE_EQ(w.replication_factor, m.replication_factor);
+  EXPECT_EQ(w.synced_vertices, m.synced_vertices_per_partition);
   for (PartitionId p = 0; p < 8; ++p) {
     EXPECT_EQ(w.vertices[p], m.vertices_per_partition[p]);
     EXPECT_LE(w.synced_vertices[p], w.vertices[p]);

@@ -1,6 +1,7 @@
 // Seeded mutation fuzzer for the graph readers (ctest label `fuzz`). It
-// mutates the seed corpus in tests/fuzz_corpus with common/rng, for a fixed
-// number of iterations, and requires:
+// mutates the seed corpus in tests/fuzz_corpus with the common/rng text
+// mutator of tests/fuzz_mutator.h (plus binary header patches here), for a
+// fixed number of iterations, and requires:
 //   * edge lists: ParseEdgeList gives the same ok-ness, StatusCode and
 //     message as the reference reader (tests/ingest_oracle.*), and an equal
 //     graph when both succeed;
@@ -9,7 +10,6 @@
 //     and edge array in the file.
 // The text cases pass an explicit |V|, so a mutated id cannot size a huge
 // graph; inputs that parse with it are parsed again with |V| inferred.
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "fuzz_mutator.h"
 #include "graph/io.h"
 #include "ingest_oracle.h"
 
@@ -36,80 +37,7 @@ constexpr size_t kFuzzVertices = 64;
 constexpr size_t kHeaderBytes = 48;
 
 std::vector<std::string> Corpus() {
-  std::vector<std::filesystem::path> paths;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(GNNPART_FUZZ_CORPUS)) {
-    paths.push_back(entry.path());
-  }
-  std::sort(paths.begin(), paths.end());
-  std::vector<std::string> corpus;
-  for (const auto& path : paths) {
-    std::ifstream in(path, std::ios::binary);
-    corpus.emplace_back(std::istreambuf_iterator<char>(in),
-                        std::istreambuf_iterator<char>());
-  }
-  return corpus;
-}
-
-size_t Pos(const std::string& s, Rng& rng) {
-  return rng.NextBounded(s.size() + 1);
-}
-
-/// The start of a random line of `s`.
-size_t LineStart(const std::string& s, Rng& rng) {
-  const size_t pos = Pos(s, rng);
-  const size_t nl = pos == 0 ? std::string::npos : s.rfind('\n', pos - 1);
-  return nl == std::string::npos ? 0 : nl + 1;
-}
-
-void MutateTextOnce(std::string& s, Rng& rng) {
-  static const char* const kIds[] = {
-      "4294967294",           "4294967295", "18446744073709551615",
-      "18446744073709551616", "-0",         "+7",
-      "-18446744073709551615"};
-  static const char* const kBlankLines[] = {" \n", "\t\n", "\r\n", " \t \r\n"};
-  switch (rng.NextBounded(8)) {
-    case 0:  // byte flip
-      if (!s.empty()) {
-        s[rng.NextBounded(s.size())] ^=
-            static_cast<char>(1u << rng.NextBounded(8));
-      }
-      break;
-    case 1:  // sign, CR or tab
-      s.insert(Pos(s, rng), 1, "-+\r\t"[rng.NextBounded(4)]);
-      break;
-    case 2: {  // long digit run
-      std::string digits;
-      const size_t len = 1 + rng.NextBounded(40);
-      for (size_t i = 0; i < len; ++i) {
-        digits += static_cast<char>('0' + rng.NextBounded(10));
-      }
-      s.insert(Pos(s, rng), digits);
-      break;
-    }
-    case 3:  // whitespace-only line
-      s.insert(LineStart(s, rng), kBlankLines[rng.NextBounded(4)]);
-      break;
-    case 4: {  // shifted '#': off a line start, or onto one
-      const size_t hash = s.find('#', Pos(s, rng));
-      if (hash != std::string::npos) s.erase(hash, 1);
-      s.insert(rng.NextBounded(2) ? LineStart(s, rng) : Pos(s, rng), 1, '#');
-      break;
-    }
-    case 5:  // truncation
-      s.resize(Pos(s, rng));
-      break;
-    case 6: {  // boundary id
-      s.insert(Pos(s, rng), kIds[rng.NextBounded(std::size(kIds))]);
-      break;
-    }
-    default: {  // splice a piece of the input elsewhere
-      const size_t from = Pos(s, rng);
-      const std::string piece = s.substr(from, rng.NextBounded(16));
-      s.insert(Pos(s, rng), piece);
-      break;
-    }
-  }
+  return fuzz::ReadCorpus(GNNPART_FUZZ_CORPUS);
 }
 
 TEST(IngestFuzzTest, EdgeListsMatchTheReferenceReader) {
@@ -120,7 +48,7 @@ TEST(IngestFuzzTest, EdgeListsMatchTheReferenceReader) {
   for (int i = 0; i < kTextIterations; ++i) {
     std::string text = corpus[rng.NextBounded(corpus.size())];
     for (uint64_t m = 1 + rng.NextBounded(4); m > 0; --m) {
-      MutateTextOnce(text, rng);
+      fuzz::MutateTextOnce(text, rng);
     }
     const bool directed = rng.NextBounded(2) == 0;
     const Result<Graph> want =
