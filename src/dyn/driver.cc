@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "dyn/migrate.h"
 #include "dyn/stream.h"
+#include "gen/generators.h"
 #include "graph/split.h"
 #include "metrics/partition_metrics.h"
 #include "net/flowsim.h"
@@ -150,8 +151,11 @@ Result<DynReport> RunDynamic(const Graph& full, const DynPartitionerSpec& spec,
   const size_t n = full.num_vertices();
   const size_t m = full.num_edges();
 
-  Result<EdgeStream> stream_res = BuildEdgeStream(
-      full, config.growth_batches, config.initial_fraction, config.seed);
+  Result<EdgeStream> stream_res = [&] {
+    obs::ScopedTimer timer("time/dyn/stream");
+    return BuildEdgeStream(full, config.growth_batches,
+                           config.initial_fraction, config.seed);
+  }();
   GNNPART_RETURN_NOT_OK(stream_res.status());
   const EdgeStream& stream = *stream_res;
   GNNPART_RETURN_NOT_OK(check::ValidateEdgeStream(stream, m));
@@ -208,18 +212,30 @@ Result<DynReport> RunDynamic(const Graph& full, const DynPartitionerSpec& spec,
     interval.batch = b;
     bool repartition_allowed = b > 0;
 
+    // The prefix graph after this batch. Prefix edge i is full edge
+    // arrived_edges[i], so assignments scatter back to full-graph ids.
+    std::vector<EdgeId> arrived_edges;
+    Result<Graph> prefix_res = [&] {
+      obs::ScopedTimer timer("time/dyn/prefix");
+      arrived_edges = ArrivedEdges(stream, b);
+      return InducedEdgeSubgraph(full, arrived_edges);
+    }();
+    GNNPART_RETURN_NOT_OK(prefix_res.status());
+    const Graph& prefix = *prefix_res;
+    interval.arrived_edges = arrived_edges.size();
+
     if (b == 0) {
       // Initial snapshot: one static partition, exactly the static pipeline
       // when growth_batches == 0.
-      Result<Graph> prefix0 = BuildPrefixGraph(full, stream, 0);
-      GNNPART_RETURN_NOT_OK(prefix0.status());
       if (spec.vertex_mode) {
-        Result<VertexPartitioning> parts =
-            vertex_partitioner->Partition(*prefix0, split, k, config.seed);
+        Result<VertexPartitioning> parts = [&] {
+          obs::ScopedTimer timer("time/dyn/partition");
+          return vertex_partitioner->Partition(prefix, split, k, config.seed);
+        }();
         GNNPART_RETURN_NOT_OK(parts.status());
         vertex_assignment = parts->assignment;
         vertex_arrived.assign(n, 0);
-        for (const Edge& e : prefix0->edges()) {
+        for (const Edge& e : prefix.edges()) {
           vertex_arrived[e.src] = 1;
           vertex_arrived[e.dst] = 1;
         }
@@ -227,32 +243,39 @@ Result<DynReport> RunDynamic(const Graph& full, const DynPartitionerSpec& spec,
         for (uint8_t a : vertex_arrived) arrived_vertex_count += a;
         vertex_load = ArrivedVertexLoads(vertex_assignment, vertex_arrived, k);
       } else {
-        Result<EdgePartitioning> parts =
-            edge_partitioner->Partition(*prefix0, k, config.seed);
+        Result<EdgePartitioning> parts = [&] {
+          obs::ScopedTimer timer("time/dyn/partition");
+          return edge_partitioner->Partition(prefix, k, config.seed);
+        }();
         GNNPART_RETURN_NOT_OK(parts.status());
         edge_assignment.assign(m, kInvalidPartition);
         edge_arrived.assign(m, 0);
-        const std::vector<EdgeId> arrived0 = ArrivedEdges(stream, 0);
-        for (size_t i = 0; i < arrived0.size(); ++i) {
-          edge_assignment[arrived0[i]] = parts->assignment[i];
-          edge_arrived[arrived0[i]] = 1;
+        for (size_t i = 0; i < arrived_edges.size(); ++i) {
+          edge_assignment[arrived_edges[i]] = parts->assignment[i];
+          edge_arrived[arrived_edges[i]] = 1;
         }
-        masks = ComputeReplicaMasks(*prefix0, *parts);
+        masks = ComputeReplicaMasks(prefix, *parts);
         edge_load = parts->EdgeCounts();
       }
     } else if (spec.vertex_mode) {
       const std::vector<PartitionId> before = vertex_assignment;
       const std::vector<uint8_t> frozen = vertex_arrived;
-      PlaceArrivingVertices(full, stream, b, k, 1.05, &vertex_arrived,
-                            &vertex_assignment, &vertex_load,
-                            &arrived_vertex_count);
+      {
+        obs::ScopedTimer timer("time/dyn/partition");
+        PlaceArrivingVertices(full, stream, b, k, 1.05, &vertex_arrived,
+                              &vertex_assignment, &vertex_load,
+                              &arrived_vertex_count);
+      }
       GNNPART_RETURN_NOT_OK(check::ValidateAssignmentContinuity(
           before, vertex_assignment, frozen));
     } else {
       const std::vector<PartitionId> before = edge_assignment;
       const std::vector<uint8_t> frozen = edge_arrived;
-      AssignArrivingEdges(full, stream, b, k, &edge_assignment, &masks,
-                          &edge_load);
+      {
+        obs::ScopedTimer timer("time/dyn/partition");
+        AssignArrivingEdges(full, stream, b, k, &edge_assignment, &masks,
+                            &edge_load);
+      }
       for (size_t i = stream.batch_begin[b]; i < stream.batch_begin[b + 1];
            ++i) {
         edge_arrived[stream.order[i]] = 1;
@@ -260,13 +283,6 @@ Result<DynReport> RunDynamic(const Graph& full, const DynPartitionerSpec& spec,
       GNNPART_RETURN_NOT_OK(check::ValidateAssignmentContinuity(
           before, edge_assignment, frozen));
     }
-
-    // Materialize the prefix and its partitioning for metrics + training.
-    const std::vector<EdgeId> arrived_edges = ArrivedEdges(stream, b);
-    Result<Graph> prefix_res = BuildPrefixGraph(full, stream, b);
-    GNNPART_RETURN_NOT_OK(prefix_res.status());
-    const Graph& prefix = *prefix_res;
-    interval.arrived_edges = arrived_edges.size();
 
     EdgePartitioning eparts;
     VertexPartitioning vparts;
@@ -315,17 +331,19 @@ Result<DynReport> RunDynamic(const Graph& full, const DynPartitionerSpec& spec,
     if (repartition_allowed && (period_hit || threshold_hit)) {
       const uint64_t event_seed = HashCombine64(config.seed, b);
       if (spec.vertex_mode) {
-        Result<VertexPartitioning> parts =
-            spec.vertex == VertexPartitionerId::kFennel
-                ? FennelPartitioner().Repartition(
-                      prefix, split, k, event_seed, vertex_assignment,
-                      config.stay_bonus, config.repartition_passes)
-                : spec.vertex == VertexPartitionerId::kReldg
-                      ? ReldgPartitioner().Repartition(
-                            prefix, split, k, event_seed, vertex_assignment,
-                            config.stay_bonus, config.repartition_passes)
-                      : vertex_partitioner->Partition(prefix, split, k,
-                                                      event_seed);
+        Result<VertexPartitioning> parts = [&] {
+          obs::ScopedTimer timer("time/dyn/partition");
+          return spec.vertex == VertexPartitionerId::kFennel
+                     ? FennelPartitioner().Repartition(
+                           prefix, split, k, event_seed, vertex_assignment,
+                           config.stay_bonus, config.repartition_passes)
+                 : spec.vertex == VertexPartitionerId::kReldg
+                     ? ReldgPartitioner().Repartition(
+                           prefix, split, k, event_seed, vertex_assignment,
+                           config.stay_bonus, config.repartition_passes)
+                     : vertex_partitioner->Partition(prefix, split, k,
+                                                     event_seed);
+        }();
         GNNPART_RETURN_NOT_OK(parts.status());
         MigrationPlan plan =
             DiffAssignments(vertex_assignment, parts->assignment,
@@ -339,8 +357,10 @@ Result<DynReport> RunDynamic(const Graph& full, const DynPartitionerSpec& spec,
         vertex_assignment = parts->assignment;
         vertex_load = ArrivedVertexLoads(vertex_assignment, vertex_arrived, k);
       } else {
-        Result<EdgePartitioning> parts =
-            edge_partitioner->Partition(prefix, k, event_seed);
+        Result<EdgePartitioning> parts = [&] {
+          obs::ScopedTimer timer("time/dyn/partition");
+          return edge_partitioner->Partition(prefix, k, event_seed);
+        }();
         GNNPART_RETURN_NOT_OK(parts.status());
         std::vector<PartitionId> after(m, kInvalidPartition);
         for (size_t i = 0; i < arrived_edges.size(); ++i) {
@@ -374,24 +394,27 @@ Result<DynReport> RunDynamic(const Graph& full, const DynPartitionerSpec& spec,
 
     // Training epochs on the prefix. The report is per epoch; totals weight
     // it by epochs_per_batch.
-    if (spec.vertex_mode) {
-      const uint64_t profile_seed =
-          b == 0 ? config.seed : HashCombine64(config.seed, b);
-      Result<DistDglEpochProfile> profile = ProfileDistDglEpoch(
-          prefix, vparts, split, gnn.fanouts, gnn.global_batch_size,
-          profile_seed);
-      GNNPART_RETURN_NOT_OK(profile.status());
-      report.distdgl = SimulateDistDglEpoch(*profile, gnn, cluster, &fabric,
-                                            &usage, events);
-      interval.epoch_seconds = report.distdgl.epoch_seconds;
-      interval.epoch_network_bytes = report.distdgl.total_network_bytes;
-    } else {
-      const DistGnnWorkload workload =
-          BuildDistGnnWorkload(prefix, edge_metrics);
-      report.distgnn = SimulateDistGnnEpoch(workload, gnn, cluster, &fabric,
-                                            &usage, events);
-      interval.epoch_seconds = report.distgnn.epoch_seconds;
-      interval.epoch_network_bytes = report.distgnn.total_network_bytes;
+    {
+      obs::ScopedTimer timer("time/dyn/simulate");
+      if (spec.vertex_mode) {
+        const uint64_t profile_seed =
+            b == 0 ? config.seed : HashCombine64(config.seed, b);
+        Result<DistDglEpochProfile> profile = ProfileDistDglEpoch(
+            prefix, vparts, split, gnn.fanouts, gnn.global_batch_size,
+            profile_seed);
+        GNNPART_RETURN_NOT_OK(profile.status());
+        report.distdgl = SimulateDistDglEpoch(*profile, gnn, cluster, &fabric,
+                                              &usage, events);
+        interval.epoch_seconds = report.distdgl.epoch_seconds;
+        interval.epoch_network_bytes = report.distdgl.total_network_bytes;
+      } else {
+        const DistGnnWorkload workload =
+            BuildDistGnnWorkload(prefix, edge_metrics);
+        report.distgnn = SimulateDistGnnEpoch(workload, gnn, cluster, &fabric,
+                                              &usage, events);
+        interval.epoch_seconds = report.distgnn.epoch_seconds;
+        interval.epoch_network_bytes = report.distgnn.total_network_bytes;
+      }
     }
 
     if (events != nullptr) {

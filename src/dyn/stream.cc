@@ -5,7 +5,6 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "gen/generators.h"
 #include "obs/metrics.h"
 
 namespace gnnpart {
@@ -73,15 +72,15 @@ Result<EdgeStream> BuildEdgeStream(const Graph& full, size_t growth_batches,
 }
 
 std::vector<EdgeId> ArrivedEdges(const EdgeStream& stream, size_t b) {
-  std::vector<EdgeId> arrived(stream.order.begin(),
-                              stream.order.begin() + stream.arrived_after(b));
-  std::sort(arrived.begin(), arrived.end());
+  const size_t count = stream.arrived_after(b);
+  std::vector<uint8_t> mark(stream.order.size(), 0);
+  for (size_t i = 0; i < count; ++i) mark[stream.order[i]] = 1;
+  std::vector<EdgeId> arrived;
+  arrived.reserve(count);
+  for (size_t e = 0; e < mark.size(); ++e) {
+    if (mark[e]) arrived.push_back(static_cast<EdgeId>(e));
+  }
   return arrived;
-}
-
-Result<Graph> BuildPrefixGraph(const Graph& full, const EdgeStream& stream,
-                               size_t b) {
-  return InducedEdgeSubgraph(full, ArrivedEdges(stream, b));
 }
 
 }  // namespace dyn

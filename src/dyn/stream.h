@@ -48,14 +48,10 @@ Result<EdgeStream> BuildEdgeStream(const Graph& full, size_t growth_batches,
 
 /// Sorted canonical EdgeIds of every edge arrived once batch `b` has been
 /// applied. Because canonical edge lists are sorted, element i of this list
-/// is exactly edge i of the prefix graph built from it.
+/// is exactly edge i of `InducedEdgeSubgraph(full, list)`, the prefix graph
+/// (same vertex-id universe; unarrived vertices are isolated). A linear
+/// mark-and-scan over the m edge ids, no sort.
 std::vector<EdgeId> ArrivedEdges(const EdgeStream& stream, size_t b);
-
-/// Materializes the prefix graph after batch `b`: the full graph restricted
-/// to its arrived edges, same vertex-id universe (unarrived vertices are
-/// isolated). Delegates to gen's InducedEdgeSubgraph.
-Result<Graph> BuildPrefixGraph(const Graph& full, const EdgeStream& stream,
-                               size_t b);
 
 }  // namespace dyn
 }  // namespace gnnpart

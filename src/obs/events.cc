@@ -1,5 +1,6 @@
 #include "obs/events.h"
 
+#include <cstdint>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -33,6 +34,20 @@ Result<uint64_t> RequireUint(const JsonObject& obj, size_t lineno,
 Result<double> RequireNumber(const JsonObject& obj, size_t lineno,
                              const std::string& field) {
   return jsonl::RequireNumber(kDomain, obj, lineno, field);
+}
+
+constexpr uint64_t kIntMax = std::numeric_limits<int>::max();
+constexpr uint64_t kUint32Max = std::numeric_limits<uint32_t>::max();
+
+// RequireUint for a field the reader narrows: a value above `max` would
+// wrap in the cast and re-serialize as a different record.
+Result<uint64_t> RequireUintAtMost(const JsonObject& obj, size_t lineno,
+                                   const std::string& field, uint64_t max) {
+  auto value = RequireUint(obj, lineno, field);
+  if (value.ok() && *value > max) {
+    return BadJson(lineno, "field '" + field + "' out of range");
+  }
+  return value;
 }
 
 // Reverse of PhaseName; rejects a name that matches no phase.
@@ -114,10 +129,10 @@ Status ParseEventLine(const JsonObject& obj, const std::string& type,
                       size_t lineno, Event* e) {
   if (type == "span") {
     e->kind = Event::Kind::kSpan;
-    auto step = RequireUint(obj, lineno, "step");
+    auto step = RequireUintAtMost(obj, lineno, "step", kUint32Max);
     if (!step.ok()) return step.status();
     e->step = static_cast<uint32_t>(*step);
-    auto worker = RequireUint(obj, lineno, "worker");
+    auto worker = RequireUintAtMost(obj, lineno, "worker", kIntMax);
     if (!worker.ok()) return worker.status();
     e->src = static_cast<int>(*worker);
     auto phase = RequirePhase(obj, lineno);
@@ -136,13 +151,13 @@ Status ParseEventLine(const JsonObject& obj, const std::string& type,
   }
   if (type == "flow") {
     e->kind = Event::Kind::kFlow;
-    auto step = RequireUint(obj, lineno, "step");
+    auto step = RequireUintAtMost(obj, lineno, "step", kUint32Max);
     if (!step.ok()) return step.status();
     e->step = static_cast<uint32_t>(*step);
     auto phase = RequirePhase(obj, lineno);
     if (!phase.ok()) return phase.status();
     e->phase = *phase;
-    auto src = RequireUint(obj, lineno, "src");
+    auto src = RequireUintAtMost(obj, lineno, "src", kIntMax);
     if (!src.ok()) return src.status();
     e->src = static_cast<int>(*src);
     // dst may be -1 (aggregate route), so it goes through the signed path.
@@ -166,12 +181,15 @@ Status ParseEventLine(const JsonObject& obj, const std::string& type,
     auto links = Require(obj, lineno, "links", JsonValue::kIntArray);
     if (!links.ok()) return links.status();
     e->links.clear();
-    for (uint64_t l : (*links)->array) e->links.push_back(static_cast<int>(l));
+    for (uint64_t l : (*links)->array) {
+      if (l > kIntMax) return BadJson(lineno, "field 'links' out of range");
+      e->links.push_back(static_cast<int>(l));
+    }
     return Status::Ok();
   }
   if (type == "sample") {
     e->kind = Event::Kind::kSample;
-    auto link = RequireUint(obj, lineno, "link");
+    auto link = RequireUintAtMost(obj, lineno, "link", kIntMax);
     if (!link.ok()) return link.status();
     e->link = static_cast<int>(*link);
     for (auto [field, slot] :
@@ -189,7 +207,7 @@ Status ParseEventLine(const JsonObject& obj, const std::string& type,
   }
   if (type == "cache") {
     e->kind = Event::Kind::kCache;
-    auto step = RequireUint(obj, lineno, "step");
+    auto step = RequireUintAtMost(obj, lineno, "step", kUint32Max);
     if (!step.ok()) return step.status();
     e->step = static_cast<uint32_t>(*step);
     auto hits = RequireUint(obj, lineno, "hits");
@@ -506,11 +524,11 @@ Result<EventLog> ParseEvents(const std::string& content) {
     if (t == "epoch") {
       auto sim = Require(obj, lineno, "sim", JsonValue::kString);
       if (!sim.ok()) return sim.status();
-      auto steps = RequireUint(obj, lineno, "steps");
+      auto steps = RequireUintAtMost(obj, lineno, "steps", kUint32Max);
       if (!steps.ok()) return steps.status();
-      auto workers = RequireUint(obj, lineno, "workers");
+      auto workers = RequireUintAtMost(obj, lineno, "workers", kUint32Max);
       if (!workers.ok()) return workers.status();
-      auto grain = RequireUint(obj, lineno, "grain");
+      auto grain = RequireUintAtMost(obj, lineno, "grain", kUint32Max);
       if (!grain.ok()) return grain.status();
       log.BeginEpoch((*sim)->str, static_cast<uint32_t>(*steps),
                      static_cast<uint32_t>(*workers),

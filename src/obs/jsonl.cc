@@ -1,6 +1,8 @@
 #include "obs/jsonl.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -148,10 +150,21 @@ Status ParseNumber(const char* domain, Cursor* c, size_t lineno,
   if (nend != text.c_str() + text.size()) {
     return BadJson(domain, lineno, "malformed number '" + text + "'");
   }
-  out->is_integer = is_integer && text[0] != '-';
-  if (out->is_integer) {
-    out->uint_value = std::strtoull(text.c_str(), nullptr, 10);
+  if (!is_integer) return Status::Ok();
+  // Integer text is read exactly: strtod rounds above 2^53 and strtoull
+  // saturates above 2^64 - 1, and neither may pass for the written value.
+  const char* first = text.c_str() + (text[0] == '+' ? 1 : 0);
+  const char* last = text.c_str() + text.size();
+  const bool negative = text[0] == '-';
+  const std::from_chars_result r =
+      negative ? std::from_chars(first, last, out->int_value)
+               : std::from_chars(first, last, out->uint_value);
+  if (r.ec != std::errc() || r.ptr != last) {
+    return BadJson(domain, lineno, "integer out of range '" + text + "'");
   }
+  out->is_integer = !negative;
+  out->is_int64 = negative || out->uint_value <= INT64_MAX;
+  if (!negative) out->int_value = static_cast<int64_t>(out->uint_value);
   return Status::Ok();
 }
 

@@ -43,8 +43,13 @@ struct JsonValue {
   enum Kind { kString, kNumber, kBool, kIntArray } kind = kNumber;
   std::string str;
   double num = 0.0;
+  /// Exact values of integer text (no '.', 'e' or 'E'): `uint_value` when
+  /// it is non-negative (`is_integer`), `int_value` when it fits int64
+  /// (`is_int64`). Integer text outside both ranges is rejected.
   uint64_t uint_value = 0;
+  int64_t int_value = 0;
   bool is_integer = false;
+  bool is_int64 = false;
   bool boolean = false;
   std::vector<uint64_t> array;
 };

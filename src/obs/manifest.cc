@@ -65,19 +65,16 @@ Status ParseMetricLine(const JsonObject& obj, const std::string& type,
     row->kind = (type == "counter") ? MetricKind::kCounter : MetricKind::kGauge;
     auto value = Require(obj, lineno, "value", JsonValue::kNumber);
     if (!value.ok()) return value.status();
-    if (!(*value)->is_integer && type == "counter") {
-      return BadJson(lineno, "counter value must be a non-negative integer");
-    }
     if (type == "counter") {
+      if (!(*value)->is_integer) {
+        return BadJson(lineno, "counter value must be a non-negative integer");
+      }
       row->value = (*value)->uint_value;
     } else {
-      // Range-check before the cast: out of int64's range (1e999 parses as
-      // inf) the conversion is undefined behaviour.
-      const double level = (*value)->num;
-      if (!(level >= -0x1p63 && level < 0x1p63)) {
-        return BadJson(lineno, "gauge value out of range");
+      if (!(*value)->is_int64) {
+        return BadJson(lineno, "gauge value must be an integer in int64 range");
       }
-      row->level = static_cast<int64_t>(level);
+      row->level = (*value)->int_value;
     }
     return Status::Ok();
   }

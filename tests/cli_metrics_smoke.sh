@@ -11,7 +11,8 @@
 #     times (time/load, time/partition, time/metrics) as det:false rows and
 #     the reader's io/edges_parsed as a det row;
 #   * `info` records time/load and time/info;
-#   * `check` records time/check and `dyn-run` records time/dyn;
+#   * `check` records time/check and `dyn-run` records time/dyn plus its
+#     stream, prefix, partition and simulate rows;
 #   * `generate … --metrics-out` records time/generate and time/write;
 #   * `gnnpart_cli metrics` pretty-prints (and strictly re-parses) it;
 #   * tools/bench_compare.py exits 0 on identical manifests and non-zero
@@ -89,7 +90,10 @@ grep -q '"name":"time/load".*"det":false' "$TMP/c.jsonl"
 grep -q '"name":"time/check".*"det":false' "$TMP/c.jsonl"
 "$CLI" --metrics-out "$TMP/d.jsonl" dyn-run "$TMP/g.txt" HDRF 4 \
     --growth-batches 2 > /dev/null 2> /dev/null
-grep -q '"name":"time/dyn".*"det":false' "$TMP/d.jsonl"
+for timer in time/dyn time/dyn/stream time/dyn/prefix time/dyn/partition \
+    time/dyn/simulate; do
+  grep -q "\"name\":\"$timer\".*\"det\":false" "$TMP/d.jsonl"
+done
 
 # serve-run: its wall time is the time/serve timer, and a co-tenanted run's
 # det rows (flow engine counters included) do not depend on the threads.

@@ -93,18 +93,50 @@ TEST(EdgeStreamTest, BitIdenticalAcrossThreadCountsAndRuns) {
 
 TEST(EdgeStreamTest, PrefixGraphIsSortedArrivedEdges) {
   Graph g = DynGraph();
-  Result<dyn::EdgeStream> stream = dyn::BuildEdgeStream(g, 4, 0.5, 7);
-  ASSERT_TRUE(stream.ok());
-  for (size_t b = 0; b < stream->num_batches(); ++b) {
-    const std::vector<EdgeId> arrived = dyn::ArrivedEdges(*stream, b);
-    Result<Graph> prefix = dyn::BuildPrefixGraph(g, *stream, b);
-    ASSERT_TRUE(prefix.ok());
-    ASSERT_EQ(prefix->num_edges(), arrived.size());
-    EXPECT_EQ(prefix->num_vertices(), g.num_vertices());
-    // Prefix edge i is exactly the i-th arrived canonical edge: the identity
-    // the driver's full-id-space bookkeeping stands on.
-    for (size_t i = 0; i < arrived.size(); ++i) {
-      ASSERT_EQ(prefix->edge(i), g.edge(arrived[i]));
+  // A 3-edge path split over 6 growth batches leaves its late batches empty.
+  GraphBuilder tiny_builder(4, false);
+  tiny_builder.AddEdge(0, 1);
+  tiny_builder.AddEdge(1, 2);
+  tiny_builder.AddEdge(2, 3);
+  Result<Graph> tiny = tiny_builder.Build("tiny");
+  ASSERT_TRUE(tiny.ok());
+  ASSERT_EQ(tiny->num_edges(), 3u);
+  struct Case {
+    const Graph* graph;
+    size_t growth_batches;
+    double initial_fraction;
+  };
+  for (const Case& c : {Case{&g, 4, 0.5}, Case{&g, 0, 0.25},
+                        Case{&g, 3, 1.0}, Case{&*tiny, 6, 0.4}}) {
+    const Graph& full = *c.graph;
+    Result<dyn::EdgeStream> stream =
+        dyn::BuildEdgeStream(full, c.growth_batches, c.initial_fraction, 7);
+    ASSERT_TRUE(stream.ok());
+    for (size_t b = 0; b < stream->num_batches(); ++b) {
+      SCOPED_TRACE("growth " + std::to_string(c.growth_batches) +
+                   " fraction " + std::to_string(c.initial_fraction) +
+                   " batch " + std::to_string(b));
+      // Oracle: the arrived prefix of the stream order, sorted.
+      std::vector<EdgeId> expected(
+          stream->order.begin(),
+          stream->order.begin() + stream->arrived_after(b));
+      std::sort(expected.begin(), expected.end());
+      const std::vector<EdgeId> arrived = dyn::ArrivedEdges(*stream, b);
+      ASSERT_EQ(arrived, expected);
+      Result<Graph> prefix = InducedEdgeSubgraph(full, arrived);
+      ASSERT_TRUE(prefix.ok());
+      ASSERT_EQ(prefix->num_edges(), arrived.size());
+      EXPECT_EQ(prefix->num_vertices(), full.num_vertices());
+      // Prefix edge i is exactly the i-th arrived canonical edge: the
+      // identity the driver's full-id-space bookkeeping stands on.
+      for (size_t i = 0; i < arrived.size(); ++i) {
+        ASSERT_EQ(prefix->edge(i), full.edge(arrived[i]));
+      }
+    }
+    if (c.graph == &*tiny) {
+      // The tiny stream's last growth batch is empty.
+      EXPECT_EQ(stream->arrived_after(stream->num_batches() - 1),
+                stream->arrived_after(stream->num_batches() - 2));
     }
   }
 }

@@ -130,24 +130,59 @@ TEST(JsonlFuzzTest, MutatedInputsReturnANamedStatus) {
 TEST(JsonlFuzzTest, OutOfRangeCastsAreRejected) {
   const std::string events_meta =
       "{\"type\":\"meta\",\"schema\":\"gnnpart.events\",\"version\":1}\n";
+  const std::string epoch =
+      "{\"type\":\"epoch\",\"sim\":\"distgnn\",\"steps\":1,\"workers\":2,"
+      "\"grain\":1}\n";
+  auto flow = [](const std::string& step, const std::string& src,
+                 const std::string& dst, const std::string& links) {
+    return "{\"type\":\"flow\",\"step\":" + step +
+           ",\"phase\":\"fwd_sync\",\"src\":" + src + ",\"dst\":" + dst +
+           ",\"t0\":0,\"t1\":1,\"t1f\":1,\"bytes\":8,\"links\":[" + links +
+           "]}\n";
+  };
+  auto span = [](const std::string& step, const std::string& worker) {
+    return "{\"type\":\"span\",\"step\":" + step + ",\"worker\":" + worker +
+           ",\"phase\":\"fwd_sync\",\"t0\":0,\"dur\":1,\"comm\":0,"
+           "\"bytes\":8}\n";
+  };
+  // Each record holds one value outside the range of the field it is
+  // narrowed into: int for worker/src/dst/link/links, uint32 for the step
+  // and epoch-shape fields.
+  std::vector<std::string> records;
   for (const char* dst : {"1e999", "-1e999", "2147483648", "-2"}) {
-    const std::string text =
-        events_meta +
-        "{\"type\":\"epoch\",\"sim\":\"distgnn\",\"steps\":1,\"workers\":2,"
-        "\"grain\":1}\n"
-        "{\"type\":\"flow\",\"step\":0,\"phase\":\"fwd_sync\",\"src\":0,"
-        "\"dst\":" +
-        std::string(dst) +
-        ",\"t0\":0,\"t1\":1,\"t1f\":1,\"bytes\":8,\"links\":[0]}\n";
-    const Result<obs::EventLog> log = obs::ParseEvents(text);
-    ASSERT_FALSE(log.ok()) << dst;
+    records.push_back(epoch + flow("0", "0", dst, "0"));
+  }
+  records.push_back(epoch + flow("0", "2147483648", "1", "0"));
+  records.push_back(epoch + flow("4294967296", "0", "1", "0"));
+  records.push_back(epoch + flow("0", "0", "1", "0,2147483648"));
+  records.push_back(epoch + span("0", "2147483648"));
+  records.push_back(epoch + span("4294967296", "0"));
+  records.push_back(epoch +
+                    "{\"type\":\"sample\",\"link\":2147483648,\"t0\":0,"
+                    "\"t1\":1,\"rate\":1,\"flows\":1}\n");
+  records.push_back(epoch +
+                    "{\"type\":\"cache\",\"step\":4294967296,\"hits\":1,"
+                    "\"misses\":1}\n");
+  for (const char* field : {"steps", "workers", "grain"}) {
+    std::string shape = epoch;
+    const size_t at = shape.find(std::string("\"") + field + "\":") +
+                      std::string(field).size() + 3;
+    shape.replace(at, shape.find_first_of(",}", at) - at, "4294967296");
+    records.push_back(shape);
+  }
+  for (const std::string& record : records) {
+    const Result<obs::EventLog> log = obs::ParseEvents(events_meta + record);
+    ASSERT_FALSE(log.ok()) << record;
     EXPECT_NE(log.status().message().find("events/bad-json"),
               std::string::npos)
+        << log.status();
+    EXPECT_NE(log.status().message().find("out of range"), std::string::npos)
         << log.status();
   }
   const std::string manifest_meta =
       "{\"type\":\"meta\",\"schema\":\"gnnpart.metrics\",\"version\":1}\n";
-  for (const char* value : {"1e999", "-1e999", "9223372036854775808"}) {
+  for (const char* value : {"1e999", "-1e999", "9223372036854775808",
+                            "-9223372036854775809"}) {
     const Result<obs::Manifest> manifest = obs::ParseManifest(
         manifest_meta + "{\"type\":\"gauge\",\"name\":\"g\",\"unit\":\"b\","
                         "\"det\":false,\"value\":" +

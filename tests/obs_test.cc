@@ -8,6 +8,7 @@
 //   * the manifest round-trips through the strict parser, and corrupted
 //     manifests are rejected with invariant-named errors
 //     (manifest/bad-json, manifest/missing-meta, ...).
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -235,6 +236,37 @@ void ExpectRejected(const std::string& text, const std::string& invariant) {
   ASSERT_FALSE(manifest.ok()) << "parsed despite " << invariant;
   EXPECT_NE(manifest.status().ToString().find(invariant), std::string::npos)
       << "wanted " << invariant << ", got " << manifest.status();
+}
+
+TEST(ObsManifestTest, IntegersRoundTripExactly) {
+  // Values past 2^53 that a double would round: an fnv1a64 digest row of
+  // BENCH_study.json, both int64 ends and the largest counter.
+  const std::string text =
+      std::string(kMeta) +
+      R"({"type":"gauge","name":"study/ablation/hdrf_lambda/0.0/digest",)"
+      R"("unit":"fnv1a64","det":true,"value":-5643145515841345690})" "\n"
+      R"({"type":"gauge","name":"min","unit":"","det":true,)"
+      R"("value":-9223372036854775808})" "\n"
+      R"({"type":"gauge","name":"max","unit":"","det":true,)"
+      R"("value":9223372036854775807})" "\n"
+      R"({"type":"counter","name":"top","unit":"","det":true,)"
+      R"("value":18446744073709551615})" "\n";
+  Result<Manifest> manifest = obs::ParseManifest(text);
+  ASSERT_TRUE(manifest.ok()) << manifest.status();
+  ASSERT_EQ(manifest->rows.size(), 4u);
+  EXPECT_EQ(manifest->rows[0].level, -5643145515841345690LL);
+  EXPECT_EQ(manifest->rows[1].level, std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(manifest->rows[2].level, std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(manifest->rows[3].value, std::numeric_limits<uint64_t>::max());
+  std::string again;
+  obs::WriteManifest(obs::MetricsSnapshot{manifest->rows}, {}, &again);
+  EXPECT_EQ(again, text);
+  // One past UINT64_MAX would saturate in strtoull; it is rejected instead.
+  ExpectRejected(std::string(kMeta) +
+                     R"({"type":"counter","name":"x","unit":"","det":true,)"
+                     R"("value":18446744073709551616})"
+                     "\n",
+                 "manifest/bad-json");
 }
 
 TEST(ObsManifestTest, RejectsBadJson) {
