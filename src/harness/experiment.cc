@@ -233,6 +233,28 @@ Result<const DistDglEpochProfile*> Study::Profile(DatasetId dataset,
         ctx_.seed + static_cast<uint64_t>(num_layers));
   }();
   if (!profile.ok()) return profile.status();
+  uint64_t digest = kFnvOffsetBasis;
+  for (const std::vector<MiniBatchProfile>& step : profile->profiles) {
+    for (const MiniBatchProfile& mb : step) {
+      const size_t scalars[] = {
+          mb.seeds, mb.input_vertices, mb.local_input_vertices,
+          mb.remote_input_vertices, mb.computation_edges,
+          mb.remote_sampling_requests, mb.frontier_sizes.size(),
+          mb.hop_edges.size()};
+      digest = Fnv1a(scalars, sizeof(scalars), digest);
+      digest = Fnv1a(mb.frontier_sizes.data(),
+                     mb.frontier_sizes.size() * sizeof(size_t), digest);
+      digest = Fnv1a(mb.hop_edges.data(), mb.hop_edges.size() * sizeof(size_t),
+                     digest);
+    }
+  }
+  // The memo key includes the batch size (fig26 sweeps it), so the row
+  // name does too.
+  RecordDigest(RunName("profile", dataset, MakeVertexPartitioner(id)->name(),
+                       k) +
+                   "/L" + std::to_string(num_layers) + "/b" +
+                   std::to_string(global_batch_size),
+               digest);
   return &profiles_.emplace(key, std::move(profile).value()).first->second;
 }
 

@@ -542,6 +542,12 @@ std::vector<double> SimulatePhase(const Fabric& fabric, const PhaseSpec& spec,
   return completion;
 }
 
+double UncontendedFinish(const Fabric& fabric, double start, double bytes,
+                         double rounds) {
+  const NetworkConfig& config = fabric.config();
+  return (start + bytes / config.nic_bandwidth) + rounds * config.link_latency;
+}
+
 double PhaseBarrierSeconds(const Fabric& fabric, const PhaseSpec& spec,
                            LinkUsage* usage) {
   const std::vector<double> completion = SimulatePhase(fabric, spec, usage);

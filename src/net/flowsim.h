@@ -147,6 +147,14 @@ size_t AppendHostFlows(const Fabric& fabric, int host, double start,
                        double bytes, double rounds, double weight,
                        std::vector<Flow>* flows);
 
+/// The α-β closed form of one host's traffic alone on the fabric:
+/// (start + bytes / nic_bandwidth) + rounds * link_latency, read from the
+/// fabric's own NetworkConfig, with that floating-point association — so on
+/// the full-bisection fabric it is SimulatePhase's per-host completion,
+/// bitwise. gnnpart::serve builds its uncontended timetable from it.
+double UncontendedFinish(const Fabric& fabric, double start, double bytes,
+                         double rounds);
+
 /// Completion instant of the phase's barrier: the max over hosts of
 /// SimulatePhase's per-host completion times (0 when the fabric has no
 /// hosts; ties keep the lowest host index, which max over a left-to-right

@@ -1,6 +1,9 @@
 #include "sampling/neighbor_sampler.h"
 
 #include <algorithm>
+#include <memory>
+#include <mutex>
+#include <utility>
 
 #include "check/check.h"
 #include "common/parallel.h"
@@ -168,6 +171,37 @@ MiniBatchProfile NeighborSampler::SampleBatch(
   revisits.Add(revisit_skips);
   input_hist.Observe(profile.input_vertices);
   return profile;
+}
+
+void ParallelSample(
+    const Graph& graph, size_t n, const std::string& metric_prefix,
+    const std::function<void(const NeighborSampler& sampler, size_t begin,
+                             size_t end)>& fn) {
+  const obs::Counter reused = obs::GetCounter(
+      metric_prefix + "/sampler_reuse", "samplers", /*deterministic=*/false);
+  const obs::Counter allocated = obs::GetCounter(
+      metric_prefix + "/sampler_alloc", "samplers", /*deterministic=*/false);
+  std::mutex mu;  // guards free_list
+  std::vector<std::unique_ptr<NeighborSampler>> free_list;
+  ParallelFor(n, 1, [&](size_t begin, size_t end, size_t) {
+    std::unique_ptr<NeighborSampler> sampler;
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      if (!free_list.empty()) {
+        sampler = std::move(free_list.back());
+        free_list.pop_back();
+      }
+    }
+    if (sampler) {
+      reused.Inc();
+    } else {
+      sampler = std::make_unique<NeighborSampler>(graph);
+      allocated.Inc();
+    }
+    fn(*sampler, begin, end);
+    std::lock_guard<std::mutex> lk(mu);
+    free_list.push_back(std::move(sampler));
+  });
 }
 
 }  // namespace gnnpart

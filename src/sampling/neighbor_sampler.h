@@ -2,7 +2,9 @@
 #define GNNPART_SAMPLING_NEIGHBOR_SAMPLER_H_
 
 #include <cstdint>
+#include <functional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -71,6 +73,18 @@ class NeighborSampler {
   mutable std::vector<uint32_t> visit_stamp_;
   mutable uint32_t stamp_ = 0;
 };
+
+/// ParallelFor(n, 1, ...) over batch-sampling chunks, each handed a sampler
+/// borrowed from a free list. A sampler carries an O(|V|) visit-stamp array,
+/// so building one per batch would swamp small batches with allocation;
+/// SampleBatch resets its scratch per call, so reuse is output-neutral, and
+/// live samplers are bounded by the chunks running at once. Free-list hits
+/// depend on chunk scheduling, so `<metric_prefix>/sampler_reuse` and
+/// `<metric_prefix>/sampler_alloc` are det:false counters.
+void ParallelSample(
+    const Graph& graph, size_t n, const std::string& metric_prefix,
+    const std::function<void(const NeighborSampler& sampler, size_t begin,
+                             size_t end)>& fn);
 
 }  // namespace gnnpart
 

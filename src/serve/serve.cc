@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
-#include <mutex>
 #include <utility>
 
 #include "check/check.h"
 #include "check/validators.h"
-#include "common/parallel.h"
 #include "common/rng.h"
-#include "gnn/costs.h"
 #include "graph/split.h"
 #include "net/flowsim.h"
 #include "obs/events.h"
@@ -32,110 +28,53 @@ double SortedQuantile(const std::vector<double>& sorted, double q) {
   return sorted[idx];
 }
 
-/// Forward-pass seconds of one sampled mini batch — the same per-layer
-/// walk over the shrinking computation graph as the DistDGL simulator,
-/// minus training's backward/update terms (inference stops at the logits).
-double ForwardSeconds(const MiniBatchProfile& mb, const GnnConfig& config,
-                      const ClusterSpec& cluster) {
-  double forward = 0;
-  for (int l = 0; l < config.num_layers; ++l) {
-    const size_t hop = static_cast<size_t>(config.num_layers - 1 - l);
-    const double edges =
-        hop < mb.hop_edges.size() ? static_cast<double>(mb.hop_edges[hop]) : 0;
-    double vertices = 0;
-    for (size_t j = 0; j <= hop && j < mb.frontier_sizes.size(); ++j) {
-      vertices += static_cast<double>(mb.frontier_sizes[j]);
-    }
-    const LayerCost cost = ComputeLayerCost(config, l, vertices, edges);
-    forward += cost.aggregation_flops / cluster.aggregation_flops_per_second +
-               cost.dense_flops / cluster.flops_per_second;
-  }
-  return forward;
-}
-
 /// Replays one DistDGL training epoch's communication onto the shared
 /// fabric as weight-1.0 bulk flows, cycling steps back-to-back at their
-/// uncontended (full-bisection closed-form) barrier times until the
-/// serving window is covered. Returns the number of steps replayed.
-/// `offered` accrues per-host offered bytes for flow conservation.
+/// uncontended (closed-form) barrier times until the serving window is
+/// covered. Returns the number of steps replayed. `offered` accrues
+/// per-host offered bytes for flow conservation.
 uint64_t AppendCotenantFlows(const DistDglEpochProfile& profile,
                              const ServeConfig& config,
                              const net::Fabric& fabric,
                              std::vector<net::Flow>* flows,
                              std::vector<double>* offered) {
   const PartitionId k = profile.workers;
-  const ClusterSpec& cluster = config.cluster;
-  const double bw = cluster.network_bandwidth;
-  const double lat = cluster.network_latency;
-  const double feat_bytes =
-      static_cast<double>(config.gnn.feature_size) * sizeof(float);
-  const double params = ModelParameterBytes(config.gnn);
-  const double update = params / sizeof(float) / cluster.flops_per_second;
-  const int layers = config.gnn.num_layers;
+  std::vector<MiniBatchCost> costs(k);
+  auto append = [&](PartitionId w, double t, const CommCost& comm) {
+    net::AppendHostFlows(fabric, static_cast<int>(w), t + comm.start,
+                         comm.bytes, comm.rounds, /*weight=*/1.0, flows);
+    (*offered)[w] += comm.bytes;
+  };
+  auto finish = [&](const CommCost& comm) {
+    return net::UncontendedFinish(fabric, comm.start, comm.bytes, comm.rounds);
+  };
 
   uint64_t steps = 0;
   double t = 0;
   while (t < config.workload.duration && profile.steps > 0) {
     const size_t step = static_cast<size_t>(steps) % profile.steps;
-    // Per-phase specs, priced with the DistDGL simulator's formulas; the
-    // BSP barriers between phases use the legacy closed form so the
-    // replay schedule itself never depends on serving traffic.
+    // The BSP barriers between phases use the closed form so the replay
+    // schedule itself never depends on serving traffic.
     double barrier_sampling = 0, barrier_feature = 0, barrier_forward = 0,
            barrier_backward = 0;
     for (PartitionId w = 0; w < k; ++w) {
-      const MiniBatchProfile& mb = profile.profiles[step][w];
-      const double samp_start = static_cast<double>(mb.computation_edges) /
-                                cluster.sampling_edges_per_second;
-      const double samp_bytes =
-          static_cast<double>(mb.remote_sampling_requests) *
-          cluster.rpc_bytes_per_remote_vertex;
-      const double samp_rounds =
-          std::min(static_cast<double>(layers) * (k - 1),
-                   static_cast<double>(mb.remote_sampling_requests));
-      const double feat_start = static_cast<double>(mb.local_input_vertices) *
-                                feat_bytes / cluster.memory_bandwidth;
-      const double fetch_bytes =
-          static_cast<double>(mb.remote_input_vertices) * feat_bytes;
-      const double feat_rounds =
-          std::min(static_cast<double>(k - 1),
-                   static_cast<double>(mb.remote_input_vertices));
-      const double forward = ForwardSeconds(mb, config.gnn, cluster);
-
-      net::AppendHostFlows(fabric, static_cast<int>(w), t + samp_start,
-                           samp_bytes, samp_rounds, /*weight=*/1.0, flows);
-      (*offered)[w] += samp_bytes;
-      barrier_sampling = std::max(
-          barrier_sampling, (samp_start + samp_bytes / bw) + samp_rounds * lat);
-      barrier_feature = std::max(
-          barrier_feature, (feat_start + fetch_bytes / bw) + feat_rounds * lat);
-      barrier_forward = std::max(barrier_forward, forward);
-      barrier_backward = std::max(
-          barrier_backward, (2.0 * forward + 2.0 * params / bw) + 2.0 * lat);
+      costs[w] = DistDglMiniBatchCost(profile.profiles[step][w], config.gnn,
+                                      config.cluster, k);
+      const MiniBatchCost& c = costs[w];
+      append(w, t, c.sampling);
+      barrier_sampling = std::max(barrier_sampling, finish(c.sampling));
+      barrier_feature = std::max(barrier_feature, finish(c.feature));
+      barrier_forward = std::max(barrier_forward, c.forward_seconds);
+      barrier_backward = std::max(barrier_backward, finish(c.backward));
     }
     const double t_feature = t + barrier_sampling;
-    for (PartitionId w = 0; w < k; ++w) {
-      const MiniBatchProfile& mb = profile.profiles[step][w];
-      const double feat_start = static_cast<double>(mb.local_input_vertices) *
-                                feat_bytes / cluster.memory_bandwidth;
-      const double fetch_bytes =
-          static_cast<double>(mb.remote_input_vertices) * feat_bytes;
-      net::AppendHostFlows(fabric, static_cast<int>(w), t_feature + feat_start,
-                           fetch_bytes, /*rounds=*/
-                           std::min(static_cast<double>(k - 1),
-                                    static_cast<double>(mb.remote_input_vertices)),
-                           /*weight=*/1.0, flows);
-      (*offered)[w] += fetch_bytes;
-    }
+    for (PartitionId w = 0; w < k; ++w) append(w, t_feature, costs[w].feature);
     const double t_backward = t_feature + barrier_feature + barrier_forward;
     for (PartitionId w = 0; w < k; ++w) {
-      const double forward =
-          ForwardSeconds(profile.profiles[step][w], config.gnn, cluster);
-      net::AppendHostFlows(fabric, static_cast<int>(w),
-                           t_backward + 2.0 * forward, 2.0 * params,
-                           /*rounds=*/2.0, /*weight=*/1.0, flows);
-      (*offered)[w] += 2.0 * params;
+      append(w, t_backward, costs[w].backward);
     }
-    t = t_backward + barrier_backward + update;
+    // The model update is the same for every worker.
+    t = t_backward + barrier_backward + costs[0].update_seconds;
     ++steps;
   }
   return steps;
@@ -176,12 +115,6 @@ Result<ServeReport> RunServe(const Graph& graph,
     return Status::InvalidArgument("serve: fan-outs must not be empty");
   }
   const PartitionId k = owners.k;
-  const ClusterSpec& cluster = config.cluster;
-  const double bw = cluster.network_bandwidth;
-  const double lat = cluster.network_latency;
-  const double feat_bytes =
-      static_cast<double>(config.gnn.feature_size) * sizeof(float);
-  const int layers = config.gnn.num_layers;
 
   // --- Workload + batching (deterministic by construction, then verified).
   const std::vector<ServeRequest> requests =
@@ -195,41 +128,20 @@ Result<ServeReport> RunServe(const Graph& graph,
 
   // --- Ego-graph sampling: one mini batch per dispatched batch, via the
   // real layered sampler. Batches are independent cells (each forks its
-  // own RNG stream off the batch id), so they sample concurrently with a
-  // sampler free list, same as the DistDGL epoch profiler.
+  // own RNG stream off the batch id), so they sample concurrently, as the
+  // DistDGL epoch profiler does.
   const Rng sample_base(config.seed);
   std::vector<MiniBatchProfile> profiles(batches.size());
-  std::mutex sampler_mu;
-  std::vector<std::unique_ptr<NeighborSampler>> free_samplers;
-  ParallelFor(batches.size(), 1, [&](size_t begin, size_t end, size_t) {
-    std::unique_ptr<NeighborSampler> sampler;
-    {
-      std::lock_guard<std::mutex> lk(sampler_mu);
-      if (!free_samplers.empty()) {
-        sampler = std::move(free_samplers.back());
-        free_samplers.pop_back();
-      }
-    }
-    static const obs::Counter reused = obs::GetCounter(
-        "serve/sampler_reuse", "samplers", /*deterministic=*/false);
-    static const obs::Counter allocated = obs::GetCounter(
-        "serve/sampler_alloc", "samplers", /*deterministic=*/false);
-    if (!sampler) {
-      sampler = std::make_unique<NeighborSampler>(graph);
-      allocated.Inc();
-    } else {
-      reused.Inc();
-    }
+  ParallelSample(graph, batches.size(), "serve",
+                 [&](const NeighborSampler& sampler, size_t begin, size_t end) {
     std::vector<VertexId> seeds;
     for (size_t b = begin; b < end; ++b) {
       seeds.clear();
       for (uint32_t m : batches[b].members) seeds.push_back(requests[m].ego);
       Rng rng = sample_base.Fork(batches[b].id);
-      profiles[b] = sampler->SampleBatch(seeds, config.gnn.fanouts, &owners,
-                                         batches[b].part, &rng);
+      profiles[b] = sampler.SampleBatch(seeds, config.gnn.fanouts, &owners,
+                                        batches[b].part, &rng);
     }
-    std::lock_guard<std::mutex> lk(sampler_mu);
-    free_samplers.push_back(std::move(sampler));
   });
 
   // --- Pricing: pin every batch's flows to its uncontended timetable
@@ -242,42 +154,34 @@ Result<ServeReport> RunServe(const Graph& graph,
   std::vector<std::pair<size_t, size_t>> samp_range(batches.size());
   std::vector<std::pair<size_t, size_t>> feat_range(batches.size());
   for (size_t b = 0; b < batches.size(); ++b) {
-    const MiniBatchProfile& mb = profiles[b];
+    const MiniBatchCost cost =
+        DistDglMiniBatchCost(profiles[b], config.gnn, config.cluster, k);
     BatchOutcome& out = outcomes[b];
-    out.sampling_compute = static_cast<double>(mb.computation_edges) /
-                           cluster.sampling_edges_per_second;
-    out.sampling_bytes = static_cast<double>(mb.remote_sampling_requests) *
-                         cluster.rpc_bytes_per_remote_vertex;
-    const double samp_rounds =
-        std::min(static_cast<double>(layers) * (k - 1),
-                 static_cast<double>(mb.remote_sampling_requests));
-    out.gather_compute = static_cast<double>(mb.local_input_vertices) *
-                         feat_bytes / cluster.memory_bandwidth;
-    out.feature_bytes =
-        static_cast<double>(mb.remote_input_vertices) * feat_bytes;
-    const double feat_rounds =
-        std::min(static_cast<double>(k - 1),
-                 static_cast<double>(mb.remote_input_vertices));
-    out.forward_compute = ForwardSeconds(mb, config.gnn, cluster);
+    out.sampling_compute = cost.sampling.start;
+    out.sampling_bytes = cost.sampling.bytes;
+    out.gather_compute = cost.feature.start;
+    out.feature_bytes = cost.feature.bytes;
+    out.forward_compute = cost.forward_seconds;
 
     out.sampling_flow_start = batches[b].dispatch + out.sampling_compute;
     out.sampling_uncontended_end =
-        (out.sampling_flow_start + out.sampling_bytes / bw) +
-        samp_rounds * lat;
+        net::UncontendedFinish(fabric, out.sampling_flow_start,
+                               out.sampling_bytes, cost.sampling.rounds);
     out.feature_flow_start = out.sampling_uncontended_end + out.gather_compute;
     out.feature_uncontended_end =
-        (out.feature_flow_start + out.feature_bytes / bw) + feat_rounds * lat;
+        net::UncontendedFinish(fabric, out.feature_flow_start,
+                               out.feature_bytes, cost.feature.rounds);
 
     const int host = static_cast<int>(batches[b].part);
     samp_range[b].first = flows.size();
     net::AppendHostFlows(fabric, host, out.sampling_flow_start,
-                         out.sampling_bytes, samp_rounds, config.serve_weight,
-                         &flows);
+                         out.sampling_bytes, cost.sampling.rounds,
+                         config.serve_weight, &flows);
     samp_range[b].second = flows.size();
     feat_range[b].first = flows.size();
     net::AppendHostFlows(fabric, host, out.feature_flow_start,
-                         out.feature_bytes, feat_rounds, config.serve_weight,
-                         &flows);
+                         out.feature_bytes, cost.feature.rounds,
+                         config.serve_weight, &flows);
     feat_range[b].second = flows.size();
     offered[batches[b].part] += out.sampling_bytes + out.feature_bytes;
   }

@@ -26,6 +26,8 @@ struct ClusterSpec {
   /// Aggregations are memory-bound; they run at a lower effective rate.
   double aggregation_flops_per_second = 4e9;
   /// Point-to-point bandwidth per machine (bytes/s), full duplex (1 GbE).
+  /// This and network_latency are read only by NetworkConfig::FromCluster;
+  /// every simulator prices communication from the fabric's NetworkConfig.
   double network_bandwidth = 125e6;
   /// Per-message/RPC latency (seconds).
   double network_latency = 100e-6;

@@ -1,8 +1,6 @@
 #include "sim/distdgl_sim.h"
 
 #include <algorithm>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -92,36 +90,8 @@ Result<DistDglEpochProfile> ProfileDistDglEpoch(
   // the chunk's thread (nested ParallelFor inside a chunk is inline-serial
   // by design), so with fewer steps than threads the pool is underused;
   // that regime is small by construction (steps ~ |train| / batch).
-  //
-  // Samplers carry an O(|V|) visit-stamp scratch array, so constructing one
-  // per step would swamp small batches with allocation. SampleBatch resets
-  // its scratch state per call (stamp bump), making reuse output-neutral;
-  // chunks therefore borrow a sampler from a free list and return it when
-  // done, bounding live samplers by the number of concurrently running
-  // chunks instead of the step count.
-  std::mutex sampler_mu;
-  std::vector<std::unique_ptr<NeighborSampler>> free_samplers;
-  ParallelFor(epoch.steps, 1, [&](size_t begin, size_t end, size_t) {
-    std::unique_ptr<NeighborSampler> sampler;
-    {
-      std::lock_guard<std::mutex> lk(sampler_mu);
-      if (!free_samplers.empty()) {
-        sampler = std::move(free_samplers.back());
-        free_samplers.pop_back();
-      }
-    }
-    // Free-list hits depend on chunk scheduling, so these counters are
-    // registered non-deterministic (exempt from cross-thread byte-equality).
-    static const obs::Counter reused = obs::GetCounter(
-        "sim/distdgl/sampler_reuse", "samplers", /*deterministic=*/false);
-    static const obs::Counter allocated = obs::GetCounter(
-        "sim/distdgl/sampler_alloc", "samplers", /*deterministic=*/false);
-    if (!sampler) {
-      sampler = std::make_unique<NeighborSampler>(graph);
-      allocated.Inc();
-    } else {
-      reused.Inc();
-    }
+  ParallelSample(graph, epoch.steps, "sim/distdgl",
+                 [&](const NeighborSampler& sampler, size_t begin, size_t end) {
     std::vector<VertexId> seeds;
     for (size_t step = begin; step < end; ++step) {
       epoch.profiles[step].reserve(k);
@@ -135,15 +105,73 @@ Result<DistDglEpochProfile> ProfileDistDglEpoch(
         }
         Rng worker_rng = rng.Fork((step << 8) ^ w);
         epoch.profiles[step].push_back(
-            sampler->SampleBatch(seeds, fanouts, &parts, w, &worker_rng));
+            sampler.SampleBatch(seeds, fanouts, &parts, w, &worker_rng));
       }
     }
-    std::lock_guard<std::mutex> lk(sampler_mu);
-    free_samplers.push_back(std::move(sampler));
   });
   obs::Count("sim/distdgl/epochs_profiled", 1, "epochs");
   obs::Count("sim/distdgl/steps_profiled", epoch.steps, "steps");
   return epoch;
+}
+
+MiniBatchCost DistDglMiniBatchCost(const MiniBatchProfile& mb,
+                                   const GnnConfig& config,
+                                   const ClusterSpec& cluster,
+                                   PartitionId k) {
+  const double feat_bytes = static_cast<double>(config.feature_size) *
+                            sizeof(float);
+  const double params = ModelParameterBytes(config);
+  const int layers = config.num_layers;
+  MiniBatchCost cost;
+
+  // --- Mini-batch sampling: local traversal + remote sampling RPCs.
+  // DistDGL batches RPCs per (layer, remote machine), so the latency
+  // charge is one round trip per remote machine actually contacted —
+  // at most layers * (k-1), but zero when the partitioning keeps the
+  // expansion local (the regime that makes DI scale so well).
+  cost.sampling.start = static_cast<double>(mb.computation_edges) /
+                        cluster.sampling_edges_per_second;
+  cost.sampling.bytes = static_cast<double>(mb.remote_sampling_requests) *
+                        cluster.rpc_bytes_per_remote_vertex;
+  cost.sampling.rounds =
+      std::min(static_cast<double>(layers) * (k - 1),
+               static_cast<double>(mb.remote_sampling_requests));
+
+  // --- Feature loading: remote fetch over the network, local gather
+  // from memory. Latency again per remote machine actually holding
+  // needed features.
+  cost.feature.start = static_cast<double>(mb.local_input_vertices) *
+                       feat_bytes / cluster.memory_bandwidth;
+  cost.feature.bytes =
+      static_cast<double>(mb.remote_input_vertices) * feat_bytes;
+  cost.feature.rounds = std::min(static_cast<double>(k - 1),
+                                 static_cast<double>(mb.remote_input_vertices));
+
+  // --- Forward: per-layer cost on the shrinking computation graph.
+  // Layer l aggregates over the edges sampled at hop (layers-1-l) and
+  // transforms the vertices within (layers-1-l) hops of the seeds.
+  for (int l = 0; l < layers; ++l) {
+    size_t hop = static_cast<size_t>(layers - 1 - l);
+    double edges = hop < mb.hop_edges.size()
+                       ? static_cast<double>(mb.hop_edges[hop])
+                       : 0;
+    double vertices = 0;
+    for (size_t j = 0; j <= hop && j < mb.frontier_sizes.size(); ++j) {
+      vertices += static_cast<double>(mb.frontier_sizes[j]);
+    }
+    LayerCost layer = ComputeLayerCost(config, l, vertices, edges);
+    cost.forward_seconds +=
+        layer.aggregation_flops / cluster.aggregation_flops_per_second +
+        layer.dense_flops / cluster.flops_per_second;
+  }
+
+  // --- Backward: ~2x forward compute + gradient all-reduce; then the
+  // model update, the same for every (step, worker).
+  cost.backward.start = 2.0 * cost.forward_seconds;
+  cost.backward.bytes = 2.0 * params;
+  cost.backward.rounds = 2.0;
+  cost.update_seconds = params / sizeof(float) / cluster.flops_per_second;
+  return cost;
 }
 
 DistDglEpochReport SimulateDistDglEpoch(const DistDglEpochProfile& profile,
@@ -170,36 +198,26 @@ DistDglEpochReport SimulateDistDglEpoch(const DistDglEpochProfile& profile,
   GNNPART_CHECK_CHEAP(fabric->num_hosts() == static_cast<int>(k),
                       "distdgl: fabric host count != worker count");
 
-  // Event sidecar: per-(step, worker, phase) durations, comm shares and
-  // network bytes, per-step flow/sample logs for the three communication
-  // phases (slots: 0 = sampling, 1 = feature, 2 = backward) and per-step
-  // cache aggregates. The parallel cost loop below fills them (each cell
-  // written exactly once by its owning chunk, so the arrays are
-  // deterministic and race-free); a serial pass at the end replays them
-  // onto the BSP timeline. Null log = nothing allocated, and the loop only
-  // tests one null pointer per (step, worker).
+  // Per-(step, worker) batch costs, and the event sidecar: per-(step,
+  // worker, phase) durations and per-step flow/sample logs for the three
+  // communication phases (slots: 0 = sampling, 1 = feature, 2 = backward).
+  // The parallel cost loop below fills them (each cell written exactly once
+  // by its owning chunk, so the arrays are deterministic and race-free); a
+  // serial pass at the end replays them onto the BSP timeline. Null log =
+  // no sidecar allocated, and the loop only tests one null pointer per
+  // (step, worker).
   constexpr size_t kStepPhases = 5;
   constexpr size_t kCommPhases = 3;
-  std::vector<double> span_dur, span_bytes, span_comm;
+  std::vector<MiniBatchCost> costs(profile.steps * static_cast<size_t>(k));
+  std::vector<double> span_dur;
   std::vector<net::PhaseLog> phase_logs;
-  std::vector<uint64_t> cache_hits, cache_misses;
   if (events != nullptr) {
-    span_dur.assign(profile.steps * static_cast<size_t>(k) * kStepPhases, 0);
-    span_bytes.assign(span_dur.size(), 0);
-    span_comm.assign(span_dur.size(), 0);
+    span_dur.assign(costs.size() * kStepPhases, 0);
     phase_logs.resize(profile.steps * kCommPhases);
-    cache_hits.assign(profile.steps, 0);
-    cache_misses.assign(profile.steps, 0);
   }
   double* const dur_out = events != nullptr ? span_dur.data() : nullptr;
-  double* const bytes_out = events != nullptr ? span_bytes.data() : nullptr;
-  double* const comm_out = events != nullptr ? span_comm.data() : nullptr;
   net::PhaseLog* const logs_out =
       events != nullptr ? phase_logs.data() : nullptr;
-  const double feat_bytes = static_cast<double>(config.feature_size) *
-                            sizeof(float);
-  const double params = ModelParameterBytes(config);
-  const int layers = config.num_layers;
 
   // The per-machine cost loop is independent across steps; step chunks are
   // evaluated concurrently into partial accumulators that are combined in
@@ -211,8 +229,6 @@ DistDglEpochReport SimulateDistDglEpoch(const DistDglEpochProfile& profile,
     uint64_t remote_input_vertices = 0;
     net::LinkUsage usage;
   };
-  // The model update is the same for every (step, worker).
-  const double update = params / sizeof(float) / cluster.flops_per_second;
   StepAcc init;
   init.workers.resize(k);
   StepAcc total = ParallelReduce<StepAcc>(
@@ -223,68 +239,27 @@ DistDglEpochReport SimulateDistDglEpoch(const DistDglEpochProfile& profile,
         net::LinkUsage* const chunk_usage =
             usage != nullptr ? &acc.usage : nullptr;
         // Per-step scratch, refilled for every step of the chunk. Each
-        // communication phase of a step is one gnnpart::net phase: the
-        // worker's serial pre-comm work is the flow start offset, the
-        // network volume the flow bytes, the RPC round trips the latency
-        // rounds (see flowsim.h for why the uncontended charge is the
-        // legacy closed form bit-exactly).
+        // communication phase of a step is one gnnpart::net phase (see
+        // flowsim.h for why the uncontended charge is the legacy closed
+        // form bit-exactly).
         net::PhaseSpec sampling_spec(k);
         net::PhaseSpec feature_spec(k);
         net::PhaseSpec backward_spec(k);
-        std::vector<double> forward_w(k, 0.0);
         for (size_t step = chunk_begin; step < chunk_end; ++step) {
+          MiniBatchCost* const step_costs = &costs[step * k];
           for (PartitionId w = 0; w < k; ++w) {
-            const MiniBatchProfile& mb = profile.profiles[step][w];
-
-            // --- Mini-batch sampling: local traversal + remote sampling RPCs.
-            // DistDGL batches RPCs per (layer, remote machine), so the latency
-            // charge is one round trip per remote machine actually contacted —
-            // at most layers * (k-1), but zero when the partitioning keeps the
-            // expansion local (the regime that makes DI scale so well).
-            sampling_spec.start[w] = static_cast<double>(mb.computation_edges) /
-                                     cluster.sampling_edges_per_second;
-            sampling_spec.bytes[w] =
-                static_cast<double>(mb.remote_sampling_requests) *
-                cluster.rpc_bytes_per_remote_vertex;
-            sampling_spec.rounds[w] =
-                std::min(static_cast<double>(layers) * (k - 1),
-                         static_cast<double>(mb.remote_sampling_requests));
-
-            // --- Feature loading: remote fetch over the network, local gather
-            // from memory. Latency again per remote machine actually holding
-            // needed features.
-            feature_spec.start[w] = static_cast<double>(mb.local_input_vertices) *
-                                    feat_bytes / cluster.memory_bandwidth;
-            feature_spec.bytes[w] =
-                static_cast<double>(mb.remote_input_vertices) * feat_bytes;
-            feature_spec.rounds[w] =
-                std::min(static_cast<double>(k - 1),
-                         static_cast<double>(mb.remote_input_vertices));
-
-            // --- Forward: per-layer cost on the shrinking computation graph.
-            // Layer l aggregates over the edges sampled at hop (layers-1-l) and
-            // transforms the vertices within (layers-1-l) hops of the seeds.
-            double forward = 0;
-            for (int l = 0; l < layers; ++l) {
-              size_t hop = static_cast<size_t>(layers - 1 - l);
-              double edges = hop < mb.hop_edges.size()
-                                 ? static_cast<double>(mb.hop_edges[hop])
-                                 : 0;
-              double vertices = 0;
-              for (size_t j = 0; j <= hop && j < mb.frontier_sizes.size(); ++j) {
-                vertices += static_cast<double>(mb.frontier_sizes[j]);
-              }
-              LayerCost cost = ComputeLayerCost(config, l, vertices, edges);
-              forward +=
-                  cost.aggregation_flops / cluster.aggregation_flops_per_second +
-                  cost.dense_flops / cluster.flops_per_second;
-            }
-            forward_w[w] = forward;
-
-            // --- Backward: ~2x forward compute + gradient all-reduce.
-            backward_spec.start[w] = 2.0 * forward;
-            backward_spec.bytes[w] = 2.0 * params;
-            backward_spec.rounds[w] = 2.0;
+            step_costs[w] = DistDglMiniBatchCost(profile.profiles[step][w],
+                                                 config, cluster, k);
+            const MiniBatchCost& cost = step_costs[w];
+            sampling_spec.start[w] = cost.sampling.start;
+            sampling_spec.bytes[w] = cost.sampling.bytes;
+            sampling_spec.rounds[w] = cost.sampling.rounds;
+            feature_spec.start[w] = cost.feature.start;
+            feature_spec.bytes[w] = cost.feature.bytes;
+            feature_spec.rounds[w] = cost.feature.rounds;
+            backward_spec.start[w] = cost.backward.start;
+            backward_spec.bytes[w] = cost.backward.bytes;
+            backward_spec.rounds[w] = cost.backward.rounds;
           }
 
           // Price the step's three communication phases on the fabric.
@@ -304,20 +279,21 @@ DistDglEpochReport SimulateDistDglEpoch(const DistDglEpochProfile& profile,
                  max_backward = 0, max_update = 0;
           for (PartitionId w = 0; w < k; ++w) {
             const MiniBatchProfile& mb = profile.profiles[step][w];
+            const MiniBatchCost& cost = step_costs[w];
             DistDglWorkerStats& ws = acc.workers[w];
             const double sampling = sampling_done[w];
             const double feature = feature_done[w];
-            const double forward = forward_w[w];
+            const double forward = cost.forward_seconds;
             const double backward = backward_done[w];
-            const double rpc_bytes = sampling_spec.bytes[w];
-            const double fetch_bytes = feature_spec.bytes[w];
+            const double update = cost.update_seconds;
 
             ws.sampling_seconds += sampling;
             ws.feature_seconds += feature;
             ws.forward_seconds += forward;
             ws.backward_seconds += backward;
             ws.update_seconds += update;
-            ws.network_bytes += rpc_bytes + fetch_bytes + 2.0 * params;
+            ws.network_bytes +=
+                cost.sampling.bytes + cost.feature.bytes + cost.backward.bytes;
 
             if (dur_out != nullptr) {
               const size_t base =
@@ -327,15 +303,6 @@ DistDglEpochReport SimulateDistDglEpoch(const DistDglEpochProfile& profile,
               dur_out[base + 2] = forward;
               dur_out[base + 3] = backward;
               dur_out[base + 4] = update;
-              bytes_out[base + 0] = rpc_bytes;
-              bytes_out[base + 1] = fetch_bytes;
-              bytes_out[base + 3] = 2.0 * params;  // gradient all-reduce
-              // Communication share of each phase: the duration past the
-              // worker's serial pre-comm offset. (Non-negative: every
-              // completion is >= its own start offset.)
-              comm_out[base + 0] = sampling - sampling_spec.start[w];
-              comm_out[base + 1] = feature - feature_spec.start[w];
-              comm_out[base + 3] = backward - backward_spec.start[w];
             }
 
             max_sampling = std::max(max_sampling, sampling);
@@ -344,13 +311,6 @@ DistDglEpochReport SimulateDistDglEpoch(const DistDglEpochProfile& profile,
             max_backward = std::max(max_backward, backward);
             max_update = std::max(max_update, update);
             acc.remote_input_vertices += mb.remote_input_vertices;
-            if (events != nullptr) {
-              // DistDGL's feature-cache view of the batch: local inputs are
-              // hits, remote fetches are misses. Per-step cells, so the
-              // integer sums are chunk-order free.
-              cache_hits[step] += mb.local_input_vertices;
-              cache_misses[step] += mb.remote_input_vertices;
-            }
           }
           acc.sampling += max_sampling;
           acc.feature += max_feature;
@@ -426,8 +386,14 @@ DistDglEpochReport SimulateDistDglEpoch(const DistDglEpochProfile& profile,
                        static_cast<uint32_t>(k), 8);
     double t = 0;
     for (size_t step = 0; step < profile.steps; ++step) {
-      events->AddCache(static_cast<uint32_t>(step), cache_hits[step],
-                       cache_misses[step]);
+      // DistDGL's feature-cache view of the step: local inputs are hits,
+      // remote fetches are misses.
+      uint64_t hits = 0, misses = 0;
+      for (const MiniBatchProfile& mb : profile.profiles[step]) {
+        hits += mb.local_input_vertices;
+        misses += mb.remote_input_vertices;
+      }
+      events->AddCache(static_cast<uint32_t>(step), hits, misses);
       for (size_t pi = 0; pi < kStepPhases; ++pi) {
         double barrier = 0;
         for (PartitionId w = 0; w < k; ++w) {
@@ -437,11 +403,20 @@ DistDglEpochReport SimulateDistDglEpoch(const DistDglEpochProfile& profile,
                        pi]);
         }
         for (PartitionId w = 0; w < k; ++w) {
-          const size_t cell =
-              (step * static_cast<size_t>(k) + w) * kStepPhases + pi;
+          const size_t cell = step * static_cast<size_t>(k) + w;
+          const double dur = span_dur[cell * kStepPhases + pi];
+          // Communication share of a phase: the duration past the worker's
+          // serial pre-comm offset. (Non-negative: every completion is >=
+          // its own start offset.)
+          const MiniBatchCost& c = costs[cell];
+          const CommCost* const comm = pi == 0   ? &c.sampling
+                                       : pi == 1 ? &c.feature
+                                       : pi == 3 ? &c.backward
+                                                 : nullptr;
           events->AddSpan(static_cast<uint32_t>(step), static_cast<int>(w),
-                          kPhaseOrder[pi], t, span_dur[cell], span_comm[cell],
-                          span_bytes[cell]);
+                          kPhaseOrder[pi], t, dur,
+                          comm != nullptr ? dur - comm->start : 0.0,
+                          comm != nullptr ? comm->bytes : 0.0);
         }
         // The communication phases carry flow + link-sample records,
         // rebased from phase-local onto the epoch timeline (the phase

@@ -50,6 +50,33 @@ Result<DistDglEpochProfile> ProfileDistDglEpoch(
     const VertexSplit& split, const std::vector<size_t>& fanouts,
     size_t global_batch_size, uint64_t seed);
 
+/// One communication stage of a mini batch, in gnnpart::net's terms: the
+/// worker's serial pre-comm work (the flow start offset), its network
+/// volume and its RPC round trips (latency rounds).
+struct CommCost {
+  double start = 0;
+  double bytes = 0;
+  double rounds = 0;
+};
+
+/// DistDGL's cost of one worker's sampled mini batch: sampling RPCs, the
+/// remote feature fetch, the per-layer forward pass, then (training only)
+/// backward compute with the gradient all-reduce and the model update.
+struct MiniBatchCost {
+  CommCost sampling;
+  CommCost feature;
+  double forward_seconds = 0;
+  CommCost backward;
+  double update_seconds = 0;
+};
+
+/// The one home of the mini-batch cost model, shared by the epoch
+/// simulator and gnnpart::serve. `workers` is the cluster's worker count k.
+MiniBatchCost DistDglMiniBatchCost(const MiniBatchProfile& mb,
+                                   const GnnConfig& config,
+                                   const ClusterSpec& cluster,
+                                   PartitionId workers);
+
 /// Per-worker phase seconds over one epoch.
 struct DistDglWorkerStats {
   double sampling_seconds = 0;

@@ -3,7 +3,8 @@
 # byte-identical across thread counts and repeated runs (stdout and the
 # event JSONL, DESIGN.md §15's determinism contract), both partitioner
 # modes and the co-tenant fabric must work, --batch-wait 0 is a legal
-# boundary, and malformed serve flags must exit loudly with usage.
+# boundary, --nic-gbps reaches the serving timetable, and malformed serve
+# flags must exit loudly with usage.
 # Usage: cli_serve_smoke.sh <path-to-gnnpart_cli>
 set -eu
 
@@ -61,6 +62,17 @@ low="$(sed -n 's/^.*: \([0-9]*\) requests.*/\1/p' "$TMP/u.txt")"
 high="$(sed -n 's/^.*: \([0-9]*\) requests.*/\1/p' "$TMP/hi.txt")"
 if [ "$high" -le "$low" ]; then
   echo "FAIL: --arrival-rate 800 served $high <= $low requests" >&2
+  exit 1
+fi
+
+# The timetable is priced at the fabric's NIC: --nic-gbps 10 changes the
+# network share of the breakdown.
+"$CLI" serve-run "$TMP/g.bin" HDRF 4 > "$TMP/default.txt"
+"$CLI" serve-run "$TMP/g.bin" HDRF 4 --nic-gbps 10 > "$TMP/nic10.txt"
+net_default="$(sed -n 's/^breakdown s:.* network \([^ ]*\) .*/\1/p' "$TMP/default.txt")"
+net_fast="$(sed -n 's/^breakdown s:.* network \([^ ]*\) .*/\1/p' "$TMP/nic10.txt")"
+if [ -z "$net_fast" ] || [ "$net_fast" = "$net_default" ]; then
+  echo "FAIL: --nic-gbps 10 left the network time at '$net_default'" >&2
   exit 1
 fi
 

@@ -5,8 +5,8 @@
 // --threads value; the batcher honours its two dispatch triggers exactly
 // at the wait=0 and batch=1 boundaries; weighted flows conserve bytes on
 // the shared fabric and a heavier serve weight never hurts the serving
-// tail; and every serve/* validator trips by name on fabricated
-// corruption.
+// tail; the uncontended timetable is priced at the fabric's NIC; and
+// every serve/* validator trips by name on fabricated corruption.
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -236,6 +236,31 @@ TEST(ServeRunTest, HeavierServeWeightNeverHurtsTheTailUnderCotenancy) {
   EXPECT_LE(heavy->congestion_seconds, fair->congestion_seconds);
   // Preemption reshuffles bandwidth, never bytes.
   EXPECT_EQ(heavy->network_bytes, fair->network_bytes);
+}
+
+TEST(ServeRunTest, TimetableIsPricedAtTheFabricsNic) {
+  // The uncontended timetable and the co-tenant replay's barriers read the
+  // fabric's NIC bandwidth, so a 10x faster NIC shortens the serving
+  // network time and fits more training steps into the window.
+  Graph g = ServeGraph();
+  const VertexPartitioning owners = Owners(g, 4);
+  for (bool cotenant : {false, true}) {
+    serve::ServeConfig config = BaseConfig(4);
+    config.cotenant = cotenant;
+    config.network.nic_bandwidth = 1.25e8;
+    Result<serve::ServeReport> slow =
+        serve::RunServe(g, owners, config, nullptr);
+    config.network.nic_bandwidth = 1.25e9;
+    Result<serve::ServeReport> fast =
+        serve::RunServe(g, owners, config, nullptr);
+    ASSERT_TRUE(slow.ok()) << slow.status().ToString();
+    ASSERT_TRUE(fast.ok()) << fast.status().ToString();
+    if (cotenant) {
+      EXPECT_GT(fast->cotenant_steps, slow->cotenant_steps);
+    } else {
+      EXPECT_LT(fast->network_seconds, slow->network_seconds);
+    }
+  }
 }
 
 TEST(ServeRunTest, EventLogValidatesAndAttributionCrossChecks) {
