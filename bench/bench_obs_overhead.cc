@@ -115,13 +115,20 @@ void BM_EventLogFlow(benchmark::State& state) {
   log.BeginEpoch("distgnn", 1, 1, 8);
   obs::EventLog* events = &log;
   const obs::Phase phase = obs::Phase::kForward;
-  const std::vector<int> links = {0, 1};
+  // One flow record as net::SimulateFlows writes it, appended the way the
+  // simulators append each phase's records.
+  const obs::Event flow = {.kind = obs::Event::Kind::kFlow,
+                           .src = 0,
+                           .dst = 1,
+                           .t0 = 0.0,
+                           .t1 = 1.0,
+                           .t1_free = 1.0,
+                           .bytes = 64.0,
+                           .links = {0, 1}};
   uint32_t step = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(events);
-    if (events != nullptr) {
-      events->AddFlow(step++, phase, 0, 1, 0.0, 1.0, 1.0, 64.0, links);
-    }
+    if (events != nullptr) events->Append({&flow, 1}, 0.5, step++, phase);
   }
 }
 BENCHMARK(BM_EventLogFlow);

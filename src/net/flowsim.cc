@@ -320,7 +320,8 @@ void LinkUsage::MergeFrom(const LinkUsage& other) {
 
 std::vector<double> SimulateFlows(const Fabric& fabric,
                                   const std::vector<Flow>& flows,
-                                  LinkUsage* usage, PhaseLog* log) {
+                                  LinkUsage* usage,
+                                  std::vector<obs::Event>* log) {
   static const obs::Counter event_count =
       obs::GetCounter("net/flowsim/events", "events");
   static const obs::Counter round_count =
@@ -329,7 +330,13 @@ std::vector<double> SimulateFlows(const Fabric& fabric,
   const double latency = fabric.config().link_latency;
   std::vector<double> completion(flows.size(), 0.0);
   if (usage != nullptr) usage->EnsureShape(fabric);
-  if (log != nullptr) log->flows.resize(flows.size());
+  // Flow records are filled in place as their flows retire; samples
+  // follow them.
+  size_t log_base = 0;
+  if (log != nullptr) {
+    log_base = log->size();
+    log->resize(log_base + flows.size());
+  }
   size_t max_route = 0;
   for (const Flow& f : flows) {
     max_route = std::max(max_route, f.links.size());
@@ -407,8 +414,13 @@ std::vector<double> SimulateFlows(const Fabric& fabric,
         if (log != nullptr) {
           double link_rate = 0.0;
           for (size_t q : list) link_rate += e.rate[q];
-          log->samples.push_back(
-              {static_cast<int>(l), now, t_next, link_rate, list.size()});
+          obs::Event& sample = log->emplace_back();
+          sample.kind = obs::Event::Kind::kSample;
+          sample.link = static_cast<int>(l);
+          sample.t0 = now;
+          sample.t1 = t_next;
+          sample.rate = link_rate;
+          sample.flows = list.size();
         }
       }
     }
@@ -434,20 +446,24 @@ std::vector<double> SimulateFlows(const Fabric& fabric,
         // The solo rate is the min capacity over the flow's links —
         // exactly the fair share the water-filling assigns a lone flow,
         // so the closed form below matches the engine's completion
-        // bitwise whenever the flow was never throttled (flowsim.h).
+        // bitwise whenever the flow was never throttled (flowsim.h). The
+        // clamp keeps weighted-share rounding from placing it past t1.
+        const Flow& f = flows[idx];
         double solo = kInf;
-        for (int l : flows[idx].links) {
+        for (int l : f.links) {
           solo = std::min(solo, links[static_cast<size_t>(l)].capacity);
         }
-        FlowDetail& fd = log->flows[idx];
-        fd.host = flows[idx].host;
-        fd.dst = flows[idx].dst;
-        fd.start = flows[idx].start;
-        fd.bytes = flows[idx].bytes;
-        fd.finish = completion[idx];
-        fd.uncontended_finish = (flows[idx].start + flows[idx].bytes / solo) +
-                                flows[idx].latency_rounds * latency;
-        fd.links = flows[idx].links;
+        const double uncontended =
+            (f.start + f.bytes / solo) + f.latency_rounds * latency;
+        (*log)[log_base + idx] = {
+            .kind = obs::Event::Kind::kFlow,
+            .src = f.host,
+            .dst = f.dst,
+            .t0 = f.start,
+            .t1 = completion[idx],
+            .t1_free = std::min(uncontended, completion[idx]),
+            .bytes = f.bytes,
+            .links = f.links};
       }
       if (usage != nullptr) {
         for (int l : flows[idx].links) {
@@ -499,7 +515,8 @@ size_t AppendHostFlows(const Fabric& fabric, int host, double start,
 }
 
 std::vector<double> SimulatePhase(const Fabric& fabric, const PhaseSpec& spec,
-                                  LinkUsage* usage, PhaseLog* log) {
+                                  LinkUsage* usage,
+                                  std::vector<obs::Event>* log) {
   const size_t hosts = static_cast<size_t>(fabric.num_hosts());
   GNNPART_CHECK_CHEAP(spec.start.size() == hosts &&
                           spec.bytes.size() == hosts &&
@@ -546,6 +563,15 @@ double UncontendedFinish(const Fabric& fabric, double start, double bytes,
                          double rounds) {
   const NetworkConfig& config = fabric.config();
   return (start + bytes / config.nic_bandwidth) + rounds * config.link_latency;
+}
+
+std::vector<obs::EventLink> EventLinks(const Fabric& fabric) {
+  std::vector<obs::EventLink> links;
+  links.reserve(fabric.links().size());
+  for (const Link& link : fabric.links()) {
+    links.push_back({link.name, link.capacity});
+  }
+  return links;
 }
 
 double PhaseBarrierSeconds(const Fabric& fabric, const PhaseSpec& spec,

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "net/topology.h"
+#include "obs/events.h"
 
 namespace gnnpart {
 namespace net {
@@ -52,41 +53,6 @@ struct Flow {
   std::vector<int> links;
 };
 
-/// Per-flow record for the event timeline (DESIGN.md §14): everything the
-/// attribution engine needs to price congestion. `finish` is the engine's
-/// completion (bandwidth term + latency rounds); `uncontended_finish` is
-/// the α-β closed form the flow would have met alone on the fabric —
-/// (start + bytes / min-capacity-over-links) + rounds * latency, with that
-/// exact floating-point association, so an uncontended flow has
-/// finish == uncontended_finish bitwise and congestion is exactly zero.
-struct FlowDetail {
-  int host = 0;
-  int dst = -1;
-  double start = 0;
-  double bytes = 0;
-  double finish = 0;
-  double uncontended_finish = 0;
-  std::vector<int> links;
-};
-
-/// One piecewise-constant utilization interval of a link: between events
-/// `flows` active flows crossed it draining `rate` bytes/s in aggregate.
-struct LinkSample {
-  int link = 0;
-  double t_begin = 0;
-  double t_end = 0;
-  double rate = 0;  // aggregate bytes/s over the interval
-  uint64_t flows = 0;
-};
-
-/// Optional detailed log of one SimulateFlows/SimulatePhase run. Null by
-/// default — the engine takes the zero-cost fast path unless a caller
-/// asks. Times are phase-local (the caller rebases onto its timeline).
-struct PhaseLog {
-  std::vector<FlowDetail> flows;   // one per engine flow, flow order
-  std::vector<LinkSample> samples; // event order, link index order within
-};
-
 /// Aggregate accounting across SimulatePhase calls; all fields accumulate,
 /// so one LinkUsage can absorb a whole epoch (or be merged from per-chunk
 /// partials in deterministic chunk order — see MergeFrom).
@@ -111,9 +77,22 @@ struct LinkUsage {
 /// arrival order break on flow index, bottleneck ties on link index. Each
 /// call adds its event and water-fill round counts to the det:true
 /// counters `net/flowsim/events` and `net/flowsim/fill_rounds`.
+///
+/// `log`, when non-null, gets the run's event records (DESIGN.md §14) on
+/// the call-local clock, for obs::EventLog::Append to shift onto a
+/// timeline: one kFlow per flow, in flow order, then one kSample per link
+/// crossed by an active flow per event interval, in event order and link
+/// index order within. A flow's `t1` is its completion; its `t1_free` is
+/// the α-β closed form it would have met alone on the fabric,
+/// (start + bytes / min-capacity-over-links) + rounds * latency with that
+/// floating-point association, clamped to `t1`. An uncontended flow has
+/// t1 == t1_free bitwise, so its congestion is exactly zero. Flow records
+/// carry no (step, phase); the appender stamps them. A null log records
+/// nothing.
 std::vector<double> SimulateFlows(const Fabric& fabric,
                                   const std::vector<Flow>& flows,
-                                  LinkUsage* usage, PhaseLog* log = nullptr);
+                                  LinkUsage* usage,
+                                  std::vector<obs::Event>* log = nullptr);
 
 /// One BSP communication phase: per host, `bytes[h]` of egress traffic
 /// becomes eligible at `start[h]` (the host's serial pre-comm work) and is
@@ -133,7 +112,8 @@ struct PhaseSpec {
 /// full-bisection fabric this is bit-exactly the legacy closed form
 /// (start + bytes/B) + rounds*latency for every host.
 std::vector<double> SimulatePhase(const Fabric& fabric, const PhaseSpec& spec,
-                                  LinkUsage* usage, PhaseLog* log = nullptr);
+                                  LinkUsage* usage,
+                                  std::vector<obs::Event>* log = nullptr);
 
 /// Expands `bytes` of egress from `host` onto the fabric's routes and
 /// appends the resulting flows (eligible at `start`, charged `rounds`
@@ -154,6 +134,10 @@ size_t AppendHostFlows(const Fabric& fabric, int host, double start,
 /// bitwise. gnnpart::serve builds its uncontended timetable from it.
 double UncontendedFinish(const Fabric& fabric, double start, double bytes,
                          double rounds);
+
+/// The fabric's links as the event log declares them
+/// (obs::EventLog::DeclareLinks), in link index order.
+std::vector<obs::EventLink> EventLinks(const Fabric& fabric);
 
 /// Completion instant of the phase's barrier: the max over hosts of
 /// SimulatePhase's per-host completion times (0 when the fabric has no

@@ -291,37 +291,6 @@ void EventLog::AddSpan(uint32_t step, int worker, Phase phase, double t0,
   epochs_.back().events.push_back(std::move(e));
 }
 
-void EventLog::AddFlow(uint32_t step, Phase phase, int src, int dst,
-                       double t0, double t1, double t1_free, double bytes,
-                       const std::vector<int>& links) {
-  GNNPART_CHECK_CHEAP(!epochs_.empty(), "events: flow before BeginEpoch");
-  Event e;
-  e.kind = Event::Kind::kFlow;
-  e.step = step;
-  e.phase = phase;
-  e.src = src;
-  e.dst = dst;
-  e.t0 = t0;
-  e.t1 = t1;
-  e.t1_free = t1_free;
-  e.bytes = bytes;
-  e.links = links;
-  epochs_.back().events.push_back(std::move(e));
-}
-
-void EventLog::AddSample(int link, double t0, double t1, double rate,
-                         uint64_t flows) {
-  GNNPART_CHECK_CHEAP(!epochs_.empty(), "events: sample before BeginEpoch");
-  Event e;
-  e.kind = Event::Kind::kSample;
-  e.link = link;
-  e.t0 = t0;
-  e.t1 = t1;
-  e.rate = rate;
-  e.flows = flows;
-  epochs_.back().events.push_back(std::move(e));
-}
-
 void EventLog::AddCache(uint32_t step, uint64_t hits, uint64_t misses) {
   GNNPART_CHECK_CHEAP(!epochs_.empty(), "events: cache before BeginEpoch");
   Event e;
@@ -330,6 +299,34 @@ void EventLog::AddCache(uint32_t step, uint64_t hits, uint64_t misses) {
   e.hits = hits;
   e.misses = misses;
   epochs_.back().events.push_back(std::move(e));
+}
+
+void EventLog::Reserve(size_t records) {
+  GNNPART_CHECK_CHEAP(!epochs_.empty(), "events: reserve before BeginEpoch");
+  std::vector<Event>& out = epochs_.back().events;
+  out.reserve(out.size() + records);
+}
+
+void EventLog::Append(std::span<const Event> records, double t,
+                      uint32_t step, Phase phase) {
+  GNNPART_CHECK_CHEAP(!epochs_.empty(), "events: record before BeginEpoch");
+  std::vector<Event>& out = epochs_.back().events;
+  const size_t base = out.size();
+  out.insert(out.end(), records.begin(), records.end());
+  for (size_t i = base; i < out.size(); ++i) {
+    Event& e = out[i];
+    if (e.kind == Event::Kind::kFlow) {
+      e.step = step;
+      e.phase = phase;
+    }
+    // Adding +0.0 would turn a parsed -0 into 0, so an unshifted append
+    // copies the times as they are.
+    if (t == 0 || e.kind == Event::Kind::kCache) continue;
+    e.t0 += t;
+    if (e.kind == Event::Kind::kSpan) continue;
+    e.t1 += t;
+    if (e.kind == Event::Kind::kFlow) e.t1_free += t;
+  }
 }
 
 void EventLog::AddRepartition(uint64_t batch, const std::string& trigger,
@@ -543,21 +540,7 @@ Result<EventLog> ParseEvents(const std::string& content) {
           "events/orphan-record: line " + std::to_string(lineno) + ": '" + t +
           "' record outside any epoch");
     }
-    switch (e.kind) {
-      case Event::Kind::kSpan:
-        log.AddSpan(e.step, e.src, e.phase, e.t0, e.dur, e.comm, e.bytes);
-        break;
-      case Event::Kind::kFlow:
-        log.AddFlow(e.step, e.phase, e.src, e.dst, e.t0, e.t1, e.t1_free,
-                    e.bytes, e.links);
-        break;
-      case Event::Kind::kSample:
-        log.AddSample(e.link, e.t0, e.t1, e.rate, e.flows);
-        break;
-      case Event::Kind::kCache:
-        log.AddCache(e.step, e.hits, e.misses);
-        break;
-    }
+    log.Append({&e, 1}, 0.0, e.step, e.phase);
   }
   if (!saw_meta) {
     return Status::InvalidArgument("events/missing-meta: empty event log");

@@ -2,6 +2,7 @@
 #define GNNPART_OBS_EVENTS_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,8 +22,8 @@
 ///   - all records are appended by the simulators' canonical serial
 ///     replays, so the stream is byte-identical for every `--threads N`;
 ///   - all times are simulated seconds on the run's single timeline
-///     (epoch replays rebase phase-local flow times onto it) — never wall
-///     clocks.
+///     (Append shifts the flow engine's call-local records onto it) —
+///     never wall clocks.
 ///
 /// Serialized as schema-versioned JSON lines next to the run manifest:
 ///
@@ -143,17 +144,25 @@ class EventLog {
   /// (the fabric never changes within a run).
   void DeclareLinks(const std::vector<EventLink>& links);
 
-  /// Opens a new epoch; subsequent Add* calls append to it.
+  /// Opens a new epoch; subsequent Add*/Append calls append to it.
   void BeginEpoch(const std::string& sim, uint32_t steps, uint32_t workers,
                   uint32_t grain);
 
   void AddSpan(uint32_t step, int worker, Phase phase, double t0, double dur,
                double comm, double bytes);
-  void AddFlow(uint32_t step, Phase phase, int src, int dst,
-               double t0, double t1, double t1_free, double bytes,
-               const std::vector<int>& links);
-  void AddSample(int link, double t0, double t1, double rate, uint64_t flows);
   void AddCache(uint32_t step, uint64_t hits, uint64_t misses);
+
+  /// Makes room for `records` more records in the open epoch, so a replay
+  /// that knows its record count appends into memory grown once.
+  void Reserve(size_t records);
+
+  /// Appends copies of `records` to the open epoch, shifted by `t`: their
+  /// times (t0; t1 of flows and samples; t1_free of flows) gain `t`, and
+  /// flows are stamped with (step, phase). net::SimulateFlows writes its
+  /// flow and link-sample records on its call-local clock, so a simulator
+  /// appends each phase's records at the instant `t` the phase began.
+  void Append(std::span<const Event> records, double t, uint32_t step,
+              Phase phase);
 
   void AddRepartition(uint64_t batch, const std::string& trigger,
                       uint64_t moved, uint64_t replicas, double bytes);

@@ -11,24 +11,12 @@ namespace gnnpart::obs {
 namespace {
 
 // The JSON-lines plumbing lives in obs/jsonl.{h,cc}, shared with the event
-// timeline; these wrappers pin this artifact's error domain so every
-// invariant name stays exactly "manifest/...".
+// timeline; the reader wrappers below pin this artifact's error domain so
+// every invariant name stays exactly "manifest/...".
 constexpr const char* kDomain = "manifest";
 
 using jsonl::JsonObject;
 using jsonl::JsonValue;
-
-void AppendEscaped(std::string_view s, std::string* out) {
-  jsonl::AppendEscaped(s, out);
-}
-
-void AppendUintArray(const std::vector<uint64_t>& values, std::string* out) {
-  jsonl::AppendUintArray(values, out);
-}
-
-void AppendDouble(double v, std::string* out) {
-  jsonl::AppendDouble(v, out);
-}
 
 Status BadJson(size_t lineno, const std::string& what) {
   return jsonl::BadJson(kDomain, lineno, what);
@@ -121,9 +109,9 @@ void AppendMetricLine(const MetricRow& row, std::string* out) {
   out->append("{\"type\":\"");
   out->append(MetricKindName(row.kind));
   out->append("\",\"name\":");
-  AppendEscaped(row.name, out);
+  jsonl::AppendEscaped(row.name, out);
   out->append(",\"unit\":");
-  AppendEscaped(row.unit, out);
+  jsonl::AppendEscaped(row.unit, out);
   out->append(",\"det\":");
   out->append(row.deterministic ? "true" : "false");
   switch (row.kind) {
@@ -137,9 +125,9 @@ void AppendMetricLine(const MetricRow& row, std::string* out) {
       break;
     case MetricKind::kHistogram:
       out->append(",\"bounds\":");
-      AppendUintArray(row.bounds, out);
+      jsonl::AppendUintArray(row.bounds, out);
       out->append(",\"buckets\":");
-      AppendUintArray(row.buckets, out);
+      jsonl::AppendUintArray(row.buckets, out);
       out->append(",\"count\":");
       out->append(std::to_string(row.count));
       out->append(",\"sum\":");
@@ -147,7 +135,7 @@ void AppendMetricLine(const MetricRow& row, std::string* out) {
       break;
     case MetricKind::kTimer:
       out->append(",\"seconds\":");
-      AppendDouble(row.seconds, out);
+      jsonl::AppendDouble(row.seconds, out);
       out->append(",\"count\":");
       out->append(std::to_string(row.count));
       break;
@@ -164,9 +152,9 @@ void WriteManifest(const MetricsSnapshot& snap,
   out->append(std::to_string(kManifestVersion));
   for (const auto& [key, value] : meta) {
     out->push_back(',');
-    AppendEscaped(key, out);
+    jsonl::AppendEscaped(key, out);
     out->push_back(':');
-    AppendEscaped(value, out);
+    jsonl::AppendEscaped(value, out);
   }
   out->append("}\n");
   for (const MetricRow& row : snap.rows) AppendMetricLine(row, out);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "check/check.h"
@@ -201,10 +202,10 @@ Result<ServeReport> RunServe(const Graph& graph,
   }
 
   // --- One global weighted flow simulation over the whole window. The
-  // per-flow details and link samples feed only the event timeline, so
-  // without one the engine skips recording them.
+  // flow and link-sample records feed only the event timeline, so without
+  // one the engine skips recording them.
   net::LinkUsage usage;
-  net::PhaseLog log;
+  std::vector<obs::Event> log;
   const std::vector<double> finish = net::SimulateFlows(
       fabric, flows, &usage, events != nullptr ? &log : nullptr);
   usage.EnsureShape(fabric);
@@ -282,16 +283,11 @@ Result<ServeReport> RunServe(const Graph& graph,
   }
 
   // --- Event timeline: one "serve" epoch, step = batch. Serial emission
-  // in batch order; the flow records carry the engine's uncontended
-  // completions (clamped to the actual finish so weighted rounding can
-  // never place t1f past t1).
+  // in batch order; the serving flows' records, already on the run's
+  // clock, follow each batch's spans. The co-tenant's flows are not
+  // recorded; the link samples of the whole run close the epoch.
   if (events != nullptr && !batches.empty()) {
-    std::vector<obs::EventLink> elinks;
-    elinks.reserve(fabric.links().size());
-    for (const net::Link& l : fabric.links()) {
-      elinks.push_back({l.name, l.capacity});
-    }
-    events->DeclareLinks(elinks);
+    events->DeclareLinks(net::EventLinks(fabric));
     events->BeginEpoch("serve", static_cast<uint32_t>(batches.size()),
                        static_cast<uint32_t>(k), 1);
     for (size_t b = 0; b < batches.size(); ++b) {
@@ -315,19 +311,15 @@ Result<ServeReport> RunServe(const Graph& graph,
                       out.forward_compute, 0.0, 0.0);
       auto emit_flows = [&](obs::Phase phase,
                             const std::pair<size_t, size_t>& range) {
-        for (size_t i = range.first; i < range.second; ++i) {
-          const net::FlowDetail& fd = log.flows[i];
-          events->AddFlow(step, phase, fd.host, fd.dst, fd.start, fd.finish,
-                          std::min(fd.uncontended_finish, fd.finish),
-                          fd.bytes, fd.links);
-        }
+        events->Append(std::span(log).subspan(range.first,
+                                              range.second - range.first),
+                       0.0, step, phase);
       };
       emit_flows(obs::Phase::kSampling, samp_range[b]);
       emit_flows(obs::Phase::kFeature, feat_range[b]);
     }
-    for (const net::LinkSample& s : log.samples) {
-      events->AddSample(s.link, s.t_begin, s.t_end, s.rate, s.flows);
-    }
+    events->Append(std::span(log).subspan(flows.size()), 0.0, 0,
+                   obs::Phase::kSampling);
   }
   return report;
 }

@@ -14,6 +14,11 @@
 
 namespace gnnpart {
 
+/// Steps per ParallelReduce chunk of SimulateDistDglEpoch. The event log's
+/// epoch header records it, so ReconstructDistDglReport sums the step
+/// maxima in the same chunks, bit-exactly.
+constexpr size_t kStepGrain = 8;
+
 uint64_t DistDglEpochProfile::TotalRemoteInputVertices() const {
   uint64_t total = 0;
   for (const auto& step : profiles) {
@@ -199,7 +204,7 @@ DistDglEpochReport SimulateDistDglEpoch(const DistDglEpochProfile& profile,
                       "distdgl: fabric host count != worker count");
 
   // Per-(step, worker) batch costs, and the event sidecar: per-(step,
-  // worker, phase) durations and per-step flow/sample logs for the three
+  // worker, phase) durations and per-step flow/sample records for the three
   // communication phases (slots: 0 = sampling, 1 = feature, 2 = backward).
   // The parallel cost loop below fills them (each cell written exactly once
   // by its owning chunk, so the arrays are deterministic and race-free); a
@@ -210,13 +215,13 @@ DistDglEpochReport SimulateDistDglEpoch(const DistDglEpochProfile& profile,
   constexpr size_t kCommPhases = 3;
   std::vector<MiniBatchCost> costs(profile.steps * static_cast<size_t>(k));
   std::vector<double> span_dur;
-  std::vector<net::PhaseLog> phase_logs;
+  std::vector<std::vector<obs::Event>> phase_logs;
   if (events != nullptr) {
     span_dur.assign(costs.size() * kStepPhases, 0);
     phase_logs.resize(profile.steps * kCommPhases);
   }
   double* const dur_out = events != nullptr ? span_dur.data() : nullptr;
-  net::PhaseLog* const logs_out =
+  std::vector<obs::Event>* const logs_out =
       events != nullptr ? phase_logs.data() : nullptr;
 
   // The per-machine cost loop is independent across steps; step chunks are
@@ -232,7 +237,7 @@ DistDglEpochReport SimulateDistDglEpoch(const DistDglEpochProfile& profile,
   StepAcc init;
   init.workers.resize(k);
   StepAcc total = ParallelReduce<StepAcc>(
-      profile.steps, 8, std::move(init),
+      profile.steps, kStepGrain, std::move(init),
       [&](size_t chunk_begin, size_t chunk_end, size_t) {
         StepAcc acc;
         acc.workers.resize(k);
@@ -263,7 +268,7 @@ DistDglEpochReport SimulateDistDglEpoch(const DistDglEpochProfile& profile,
           }
 
           // Price the step's three communication phases on the fabric.
-          net::PhaseLog* const step_logs =
+          std::vector<obs::Event>* const step_logs =
               logs_out != nullptr ? logs_out + step * kCommPhases : nullptr;
           const std::vector<double> sampling_done = net::SimulatePhase(
               *fabric, sampling_spec, chunk_usage,
@@ -376,14 +381,13 @@ DistDglEpochReport SimulateDistDglEpoch(const DistDglEpochProfile& profile,
     static constexpr obs::Phase kPhaseOrder[kStepPhases] = {
         obs::Phase::kSampling, obs::Phase::kFeature, obs::Phase::kForward,
         obs::Phase::kBackward, obs::Phase::kUpdate};
-    std::vector<obs::EventLink> elinks;
-    elinks.reserve(fabric->links().size());
-    for (const net::Link& l : fabric->links()) {
-      elinks.push_back({l.name, l.capacity});
-    }
-    events->DeclareLinks(elinks);
+    events->DeclareLinks(net::EventLinks(*fabric));
     events->BeginEpoch("distdgl", static_cast<uint32_t>(profile.steps),
-                       static_cast<uint32_t>(k), 8);
+                       static_cast<uint32_t>(k), kStepGrain);
+    // A cache record and the spans per step, then the engine's records.
+    size_t records = profile.steps * (1 + kStepPhases * static_cast<size_t>(k));
+    for (const std::vector<obs::Event>& log : phase_logs) records += log.size();
+    events->Reserve(records);
     double t = 0;
     for (size_t step = 0; step < profile.steps; ++step) {
       // DistDGL's feature-cache view of the step: local inputs are hits,
@@ -419,22 +423,14 @@ DistDglEpochReport SimulateDistDglEpoch(const DistDglEpochProfile& profile,
                           comm != nullptr ? comm->bytes : 0.0);
         }
         // The communication phases carry flow + link-sample records,
-        // rebased from phase-local onto the epoch timeline (the phase
+        // shifted from phase-local onto the epoch timeline (the phase
         // entered at the barrier `t`, and every flow start already
         // includes the worker's serial pre-comm offset).
         const int slot = pi == 0 ? 0 : pi == 1 ? 1 : pi == 3 ? 2 : -1;
         if (slot >= 0) {
-          const net::PhaseLog& plog =
-              phase_logs[step * kCommPhases + static_cast<size_t>(slot)];
-          for (const net::FlowDetail& fd : plog.flows) {
-            events->AddFlow(static_cast<uint32_t>(step), kPhaseOrder[pi],
-                            fd.host, fd.dst, t + fd.start, t + fd.finish,
-                            t + fd.uncontended_finish, fd.bytes, fd.links);
-          }
-          for (const net::LinkSample& s : plog.samples) {
-            events->AddSample(s.link, t + s.t_begin, t + s.t_end, s.rate,
-                              s.flows);
-          }
+          events->Append(
+              phase_logs[step * kCommPhases + static_cast<size_t>(slot)], t,
+              static_cast<uint32_t>(step), kPhaseOrder[pi]);
         }
         t += barrier;
       }

@@ -60,11 +60,11 @@ DistGnnEpochReport SimulateDistGnnEpoch(const DistGnnWorkload& workload,
   const size_t sync_cells =
       static_cast<size_t>(config.num_layers) * static_cast<size_t>(k);
   std::vector<double> net_sync(sync_cells, 0);
-  // Event sidecar: per layer the forward-sync and backward-sync PhaseLogs
-  // (slots 2l and 2l+1) plus the optimizer's (last slot); the replay below
-  // rebases their phase-local times onto the BSP timeline. Nothing is
-  // allocated when no event log is attached.
-  std::vector<net::PhaseLog> phase_logs;
+  // Event sidecar: per layer the forward-sync and backward-sync phases'
+  // flow and link-sample records (slots 2l and 2l+1) plus the optimizer's
+  // (last slot); the replay below shifts their phase-local times onto the
+  // BSP timeline. Nothing is allocated when no event log is attached.
+  std::vector<std::vector<obs::Event>> phase_logs;
   if (events != nullptr) {
     phase_logs.resize(2 * static_cast<size_t>(config.num_layers) + 1);
   }
@@ -77,9 +77,9 @@ DistGnnEpochReport SimulateDistGnnEpoch(const DistGnnWorkload& workload,
                       sizeof(float);
       spec.rounds[p] = 2.0;
     }
-    net::PhaseLog* const fwd_log =
+    std::vector<obs::Event>* const fwd_log =
         events != nullptr ? &phase_logs[2 * static_cast<size_t>(l)] : nullptr;
-    net::PhaseLog* const bwd_log =
+    std::vector<obs::Event>* const bwd_log =
         events != nullptr ? &phase_logs[2 * static_cast<size_t>(l) + 1]
                           : nullptr;
     std::vector<double> done = net::SimulatePhase(*fabric, spec, usage, fwd_log);
@@ -214,31 +214,14 @@ DistGnnEpochReport SimulateDistGnnEpoch(const DistGnnWorkload& workload,
     // sync), then the optimizer as one extra pseudo-step shared by all
     // machines. step = layer index; the optimizer uses step = num_layers.
     const uint32_t layers = static_cast<uint32_t>(config.num_layers);
-    std::vector<obs::EventLink> elinks;
-    elinks.reserve(fabric->links().size());
-    for (const net::Link& link : fabric->links()) {
-      elinks.push_back({link.name, link.capacity});
-    }
-    events->DeclareLinks(elinks);
+    events->DeclareLinks(net::EventLinks(*fabric));
     events->BeginEpoch("distgnn", layers + 1, static_cast<uint32_t>(k), 1);
     double t = 0;
-    // Rebases one sync phase's flow completions and link samples from the
-    // phase-local clock onto the BSP timeline at the phase's begin `t`.
-    auto emit_phase_log = [&](const net::PhaseLog& log, uint32_t layer,
-                              obs::Phase phase) {
-      for (const net::FlowDetail& fd : log.flows) {
-        events->AddFlow(layer, phase, fd.host, fd.dst, t + fd.start,
-                        t + fd.finish, t + fd.uncontended_finish, fd.bytes,
-                        fd.links);
-      }
-      for (const net::LinkSample& s : log.samples) {
-        events->AddSample(s.link, t + s.t_begin, t + s.t_end, s.rate, s.flows);
-      }
-    };
+    // A sync phase's flow and link-sample records land at its begin `t`.
     auto emit_barrier = [&](uint32_t layer, obs::Phase phase, double scale,
                             const std::vector<double>& dur,
                             const std::vector<double>& bytes,
-                            const net::PhaseLog* log) {
+                            const std::vector<obs::Event>* log) {
       const size_t base = static_cast<size_t>(layer) * k;
       double barrier = 0;
       for (PartitionId p = 0; p < k; ++p) {
@@ -251,7 +234,7 @@ DistGnnEpochReport SimulateDistGnnEpoch(const DistGnnWorkload& workload,
                         log != nullptr ? seconds : 0,
                         bytes.empty() ? 0 : bytes[base + p]);
       }
-      if (log != nullptr) emit_phase_log(*log, layer, phase);
+      if (log != nullptr) events->Append(*log, t, layer, phase);
       t += barrier;
     };
     const std::vector<double> no_bytes;
@@ -275,7 +258,7 @@ DistGnnEpochReport SimulateDistGnnEpoch(const DistGnnWorkload& workload,
       events->AddSpan(layers, static_cast<int>(p), obs::Phase::kOptimizer, t,
                       report.optimizer_seconds, opt_net[p], 2.0 * params);
     }
-    emit_phase_log(phase_logs.back(), layers, obs::Phase::kOptimizer);
+    events->Append(phase_logs.back(), t, layers, obs::Phase::kOptimizer);
   }
   return report;
 }

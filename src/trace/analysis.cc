@@ -167,7 +167,7 @@ DistDglPhaseSeconds ReconstructDistDglReport(const obs::EpochEvents& epoch) {
   const uint32_t steps = epoch.steps;
   auto total = [&](Phase phase) {
     std::vector<double> maxima = StepMaxima(cells, steps, phase);
-    return ChunkedSum(maxima.data(), maxima.size(), kDistDglStepGrain);
+    return ChunkedSum(maxima.data(), maxima.size(), epoch.grain);
   };
   r.sampling = total(Phase::kSampling);
   r.feature = total(Phase::kFeature);

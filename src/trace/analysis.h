@@ -77,13 +77,10 @@ struct WorkerBlame {
 
 std::vector<WorkerBlame> ComputeWorkerBlame(const obs::EpochEvents& epoch);
 
-/// Chunk grain SimulateDistDglEpoch uses for its step reduction; the
-/// reconstruction must sum per-step maxima with the same chunking to
-/// reproduce the report bit-exactly.
-inline constexpr size_t kDistDglStepGrain = 8;
-
 /// DistDGL phase totals recomputed from the spans with the simulator's
-/// exact summation order. Equal (==, not approx) to the corresponding
+/// exact summation order: per-step maxima summed in chunks of the epoch
+/// header's `grain` steps, the chunking of SimulateDistDglEpoch's step
+/// reduction. Equal (==, not approx) to the corresponding
 /// DistDglEpochReport fields.
 struct DistDglPhaseSeconds {
   double sampling = 0;

@@ -94,12 +94,14 @@ void FairShareRates(const std::vector<Link>& links,
 
 std::vector<double> SimulateFlows(const Fabric& fabric,
                                   const std::vector<Flow>& flows,
-                                  LinkUsage* usage, PhaseLog* log) {
+                                  LinkUsage* usage,
+                                  std::vector<obs::Event>* log) {
   const std::vector<Link>& links = fabric.links();
   const double latency = fabric.config().link_latency;
   std::vector<double> completion(flows.size(), 0.0);
   if (usage != nullptr) usage->EnsureShape(fabric);
-  if (log != nullptr) log->flows.resize(flows.size());
+  const size_t log_base = log != nullptr ? log->size() : 0;
+  if (log != nullptr) log->resize(log_base + flows.size());
   for (const Flow& f : flows) {
     GNNPART_CHECK_CHEAP(!f.links.empty(), "net/flow: flow without links");
     GNNPART_CHECK_CHEAP(f.bytes >= 0 && f.start >= 0 && f.latency_rounds >= 0,
@@ -215,8 +217,13 @@ std::vector<double> SimulateFlows(const Fabric& fabric,
         }
         for (size_t l = 0; l < links.size(); ++l) {
           if (!link_active[l]) continue;
-          log->samples.push_back({static_cast<int>(l), now, t_next,
-                                  link_rate[l], link_flows[l]});
+          obs::Event& sample = log->emplace_back();
+          sample.kind = obs::Event::Kind::kSample;
+          sample.link = static_cast<int>(l);
+          sample.t0 = now;
+          sample.t1 = t_next;
+          sample.rate = link_rate[l];
+          sample.flows = link_flows[l];
         }
       }
     }
@@ -234,19 +241,22 @@ std::vector<double> SimulateFlows(const Fabric& fabric,
           // The solo rate is the min capacity over the flow's links —
           // exactly the fair share the water-filling assigns a lone flow,
           // so the closed form below matches the engine's completion
-          // bitwise whenever the flow was never throttled (flowsim.h).
+          // bitwise whenever the flow was never throttled (flowsim.h),
+          // and it is clamped to the completion.
           double solo = kInf;
           for (int l : flows[idx].links) {
             solo = std::min(solo, links[static_cast<size_t>(l)].capacity);
           }
-          FlowDetail& fd = log->flows[idx];
-          fd.host = flows[idx].host;
+          obs::Event& fd = (*log)[log_base + idx];
+          fd.kind = obs::Event::Kind::kFlow;
+          fd.src = flows[idx].host;
           fd.dst = flows[idx].dst;
-          fd.start = flows[idx].start;
+          fd.t0 = flows[idx].start;
           fd.bytes = flows[idx].bytes;
-          fd.finish = completion[idx];
-          fd.uncontended_finish = (flows[idx].start + flows[idx].bytes / solo) +
-                                  flows[idx].latency_rounds * latency;
+          fd.t1 = completion[idx];
+          fd.t1_free = std::min((flows[idx].start + flows[idx].bytes / solo) +
+                                    flows[idx].latency_rounds * latency,
+                                fd.t1);
           fd.links = flows[idx].links;
         }
         if (usage != nullptr) {

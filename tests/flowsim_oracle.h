@@ -16,7 +16,8 @@ namespace oracle {
 /// definition the indexed engine must reproduce.
 std::vector<double> SimulateFlows(const Fabric& fabric,
                                   const std::vector<Flow>& flows,
-                                  LinkUsage* usage, PhaseLog* log = nullptr);
+                                  LinkUsage* usage,
+                                  std::vector<obs::Event>* log = nullptr);
 
 }  // namespace oracle
 }  // namespace net

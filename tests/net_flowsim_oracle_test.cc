@@ -14,6 +14,7 @@
 #include "flowsim_oracle.h"
 #include "net/flowsim.h"
 #include "net/topology.h"
+#include "obs/events.h"
 #include "obs/metrics.h"
 
 namespace gnnpart {
@@ -83,26 +84,30 @@ void ExpectUsageEq(const net::LinkUsage& a, const net::LinkUsage& b) {
   EXPECT_EQ(a.flows, b.flows);
 }
 
-void ExpectLogEq(const net::PhaseLog& a, const net::PhaseLog& b) {
-  ASSERT_EQ(a.flows.size(), b.flows.size());
-  for (size_t i = 0; i < a.flows.size(); ++i) {
-    SCOPED_TRACE("flow " + std::to_string(i));
-    EXPECT_EQ(a.flows[i].host, b.flows[i].host);
-    EXPECT_EQ(a.flows[i].dst, b.flows[i].dst);
-    EXPECT_EQ(a.flows[i].start, b.flows[i].start);
-    EXPECT_EQ(a.flows[i].bytes, b.flows[i].bytes);
-    EXPECT_EQ(a.flows[i].finish, b.flows[i].finish);
-    EXPECT_EQ(a.flows[i].uncontended_finish, b.flows[i].uncontended_finish);
-    EXPECT_EQ(a.flows[i].links, b.flows[i].links);
-  }
-  ASSERT_EQ(a.samples.size(), b.samples.size());
-  for (size_t i = 0; i < a.samples.size(); ++i) {
-    SCOPED_TRACE("sample " + std::to_string(i));
-    EXPECT_EQ(a.samples[i].link, b.samples[i].link);
-    EXPECT_EQ(a.samples[i].t_begin, b.samples[i].t_begin);
-    EXPECT_EQ(a.samples[i].t_end, b.samples[i].t_end);
-    EXPECT_EQ(a.samples[i].rate, b.samples[i].rate);
-    EXPECT_EQ(a.samples[i].flows, b.samples[i].flows);
+// Every field of every record, bitwise: the flow records (one per flow,
+// flow order) and the link samples after them.
+void ExpectLogEq(const std::vector<obs::Event>& a,
+                 const std::vector<obs::Event>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE("record " + std::to_string(i));
+    EXPECT_EQ(a[i].kind, b[i].kind);
+    EXPECT_EQ(a[i].step, b[i].step);
+    EXPECT_EQ(a[i].src, b[i].src);
+    EXPECT_EQ(a[i].dst, b[i].dst);
+    EXPECT_EQ(a[i].link, b[i].link);
+    EXPECT_EQ(a[i].phase, b[i].phase);
+    EXPECT_EQ(a[i].t0, b[i].t0);
+    EXPECT_EQ(a[i].t1, b[i].t1);
+    EXPECT_EQ(a[i].t1_free, b[i].t1_free);
+    EXPECT_EQ(a[i].dur, b[i].dur);
+    EXPECT_EQ(a[i].comm, b[i].comm);
+    EXPECT_EQ(a[i].rate, b[i].rate);
+    EXPECT_EQ(a[i].bytes, b[i].bytes);
+    EXPECT_EQ(a[i].flows, b[i].flows);
+    EXPECT_EQ(a[i].hits, b[i].hits);
+    EXPECT_EQ(a[i].misses, b[i].misses);
+    EXPECT_EQ(a[i].links, b[i].links);
   }
 }
 
@@ -122,7 +127,7 @@ TEST(FlowSimOracleTest, IndexedEngineMatchesWholeSetScanBitwise) {
                                                            nullptr);
       EXPECT_EQ(plain, net::oracle::SimulateFlows(fabric, flows, nullptr));
 
-      net::PhaseLog log, oracle_log;
+      std::vector<obs::Event> log, oracle_log;
       const std::vector<double> logged =
           net::SimulateFlows(fabric, flows, &usage, &log);
       EXPECT_EQ(logged, net::oracle::SimulateFlows(fabric, flows,
@@ -130,6 +135,11 @@ TEST(FlowSimOracleTest, IndexedEngineMatchesWholeSetScanBitwise) {
                                                    &oracle_log));
       EXPECT_EQ(logged, plain);
       ExpectUsageEq(usage, oracle_usage);
+      ASSERT_GE(log.size(), flows.size());
+      for (size_t i = 0; i < log.size(); ++i) {
+        EXPECT_EQ(log[i].kind, i < flows.size() ? obs::Event::Kind::kFlow
+                                                : obs::Event::Kind::kSample);
+      }
       ExpectLogEq(log, oracle_log);
     }
   }
@@ -173,12 +183,12 @@ TEST(FlowSimOracleTest, SameInstantRetirementsSumInAdmissionOrder) {
   const std::vector<net::Flow> flows = {early, late, big};
 
   net::LinkUsage usage, oracle_usage;
-  net::PhaseLog log, oracle_log;
+  std::vector<obs::Event> log, oracle_log;
   const std::vector<double> finish =
       net::SimulateFlows(fabric, flows, &usage, &log);
   EXPECT_EQ(finish, net::oracle::SimulateFlows(fabric, flows, &oracle_usage,
                                                &oracle_log));
-  EXPECT_EQ(log.flows[1].finish, log.flows[2].finish);
+  EXPECT_EQ(log[1].t1, log[2].t1);
   EXPECT_EQ(usage.host_egress_bytes[0], 0x1p53);
   ExpectUsageEq(usage, oracle_usage);
   ExpectLogEq(log, oracle_log);

@@ -180,7 +180,7 @@ TEST(FlowSimTest, UnitWeightsAreBitIdenticalToUnweightedEngine) {
   }
   for (const net::Flow& f : flows) EXPECT_EQ(f.weight, 1.0);
   net::LinkUsage usage;
-  net::PhaseLog log;
+  std::vector<obs::Event> log;
   std::vector<double> done = net::SimulateFlows(fabric, flows, &usage, &log);
 
   // The same phase through the legacy entry point (which builds weight-1.0
@@ -192,20 +192,16 @@ TEST(FlowSimTest, UnitWeightsAreBitIdenticalToUnweightedEngine) {
     spec.rounds[h] = 2.0;
   }
   net::LinkUsage phase_usage;
-  net::PhaseLog phase_log;
+  std::vector<obs::Event> phase_log;
   net::SimulatePhase(fabric, spec, &phase_usage, &phase_log);
-  ASSERT_EQ(log.flows.size(), phase_log.flows.size());
-  for (size_t i = 0; i < log.flows.size(); ++i) {
-    EXPECT_EQ(log.flows[i].finish, phase_log.flows[i].finish);
-    EXPECT_EQ(log.flows[i].uncontended_finish,
-              phase_log.flows[i].uncontended_finish);
-    EXPECT_EQ(log.flows[i].bytes, phase_log.flows[i].bytes);
-  }
-  ASSERT_EQ(log.samples.size(), phase_log.samples.size());
-  for (size_t i = 0; i < log.samples.size(); ++i) {
-    EXPECT_EQ(log.samples[i].rate, phase_log.samples[i].rate);
-    EXPECT_EQ(log.samples[i].t_begin, phase_log.samples[i].t_begin);
-    EXPECT_EQ(log.samples[i].t_end, phase_log.samples[i].t_end);
+  ASSERT_EQ(log.size(), phase_log.size());
+  for (size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].kind, phase_log[i].kind);
+    EXPECT_EQ(log[i].t0, phase_log[i].t0);
+    EXPECT_EQ(log[i].t1, phase_log[i].t1);
+    EXPECT_EQ(log[i].t1_free, phase_log[i].t1_free);
+    EXPECT_EQ(log[i].bytes, phase_log[i].bytes);
+    EXPECT_EQ(log[i].rate, phase_log[i].rate);
   }
   EXPECT_EQ(usage.link_bytes, phase_usage.link_bytes);
   EXPECT_EQ(usage.link_busy_seconds, phase_usage.link_busy_seconds);

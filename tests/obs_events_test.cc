@@ -187,6 +187,25 @@ void ExpectParseError(const std::string& content, const std::string& name) {
       << parsed.status().message();
 }
 
+TEST(ObsEventsParserTest, ParsedRecordsAreAppendedUnshifted) {
+  // Shifting by +0.0 would print -0 back as 0; a parsed record's times and
+  // its (step, phase) must come back as read.
+  const std::string content =
+      std::string(kMeta) + kEpoch +
+      "{\"type\":\"span\",\"step\":1,\"worker\":0,\"phase\":\"feature\","
+      "\"t0\":-0,\"dur\":0.5,\"comm\":0,\"bytes\":8}\n"
+      "{\"type\":\"flow\",\"step\":1,\"phase\":\"feature\",\"src\":0,"
+      "\"dst\":-1,\"t0\":-0,\"t1\":0.25,\"t1f\":-0,\"bytes\":8,"
+      "\"links\":[0]}\n"
+      "{\"type\":\"sample\",\"link\":0,\"t0\":-0,\"t1\":0.25,\"rate\":32,"
+      "\"flows\":1}\n";
+  Result<obs::EventLog> parsed = obs::ParseEvents(content);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  std::string written;
+  obs::WriteEvents(*parsed, {}, &written);
+  EXPECT_EQ(written, content);
+}
+
 TEST(ObsEventsParserTest, RejectsEveryCorruptionByName) {
   ExpectParseError(std::string(kMeta) + "{\"type\":\"span\"\n",
                    "events/bad-json");

@@ -305,6 +305,25 @@ TEST_F(TraceTest, ChunkedSumMatchesParallelReduceGrouping) {
   }
 }
 
+TEST_F(TraceTest, DistDglReconstructionSumsInTheEpochHeadersGrain) {
+  // Step maxima 1, 2^-53, 2^-53, 2^-53. In chunks of 2 steps the sum is
+  // (1 + 2^-53) + (2^-53 + 2^-53) = 1 + 2^-52; in one chunk of 8 every
+  // 2^-53 rounds away and the sum is 1. The header says grain 2.
+  obs::EventLog log;
+  log.BeginEpoch("distdgl", 4, 1, 2);
+  const double maxima[] = {1.0, 0x1p-53, 0x1p-53, 0x1p-53};
+  double t = 0;
+  for (uint32_t step = 0; step < 4; ++step) {
+    log.AddSpan(step, 0, obs::Phase::kSampling, t, maxima[step], 0.0, 0.0);
+    t += maxima[step];
+  }
+  ASSERT_NE(trace::ChunkedSum(maxima, 4, 2), trace::ChunkedSum(maxima, 4, 8));
+  const trace::DistDglPhaseSeconds r =
+      trace::ReconstructDistDglReport(log.epochs().back());
+  EXPECT_EQ(r.sampling, 1.0 + 0x1p-52);
+  EXPECT_EQ(r.epoch, 1.0 + 0x1p-52);
+}
+
 // --- exporters ---
 
 // Minimal recursive-descent JSON syntax check — enough to catch broken
