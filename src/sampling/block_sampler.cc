@@ -11,7 +11,8 @@
 namespace gnnpart {
 namespace {
 
-// Matches NeighborSampler's fan-out grain (see neighbor_sampler.cc).
+// Frontier vertices per chunk and RNG stream: NeighborSampler's stream
+// length (kRngStream in neighbor_sampler.cc), so both draw the same streams.
 constexpr size_t kFrontierGrain = 256;
 
 }  // namespace
@@ -55,9 +56,11 @@ SampledBlock BlockSampler::SampleBlock(std::span<const VertexId> seeds,
   }
   block.num_seeds = block.vertices.size();
 
-  // Mirrors NeighborSampler: frontier chunks sample concurrently (per-chunk
-  // RNG streams, global-id edge pairs); the serial chunk-order merge maps to
-  // local indices and dedups via visit stamps, so block contents are
+  // Draws as NeighborSampler does (one RNG stream per 256-vertex frontier
+  // chunk, partial Fisher-Yates), but fans the chunks out on the pool,
+  // since blocks are not sampled inside ParallelSample. Chunks emit
+  // global-id edge pairs; the serial chunk-order merge maps them to local
+  // indices and dedups via visit stamps, so block contents are
   // bit-identical for every thread count.
   std::vector<VertexId> next;
   size_t revisit_hits = 0;  // sampled endpoints already in the block

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <utility>
 
 #include "check/check.h"
@@ -12,14 +13,23 @@
 namespace gnnpart {
 namespace {
 
-// Frontier vertices per parallel chunk. Coarse enough that the per-chunk
-// sampling cost (fanout RNG draws + neighbour reads per vertex) dwarfs the
-// dispatch overhead, fine enough that typical batch frontiers (hundreds to
-// tens of thousands of vertices) split across a pool.
-constexpr size_t kFrontierGrain = 256;
+// Frontier vertices per RNG stream: the draw pass seeds a fresh stream every
+// kRngStream vertices of a layer's frontier.
+constexpr size_t kRngStream = 256;
 
-// Input-vertex locality counting grain.
-constexpr size_t kInputGrain = 8192;
+// Picks the gather pass prefetches ahead: the adjacency entry kPrefetch
+// picks ahead, its visit stamp kPrefetch / 2 picks ahead.
+constexpr size_t kPrefetch = 32;
+
+// Advances a scratch stamp, zeroing the stamped array when it wraps.
+template <typename T>
+uint32_t NextStamp(uint32_t* stamp, std::vector<T>* stamped) {
+  if (++*stamp == 0) {
+    std::fill(stamped->begin(), stamped->end(), T{});
+    *stamp = 1;
+  }
+  return *stamp;
+}
 
 }  // namespace
 
@@ -31,122 +41,117 @@ MiniBatchProfile NeighborSampler::SampleBatch(
     const VertexPartitioning* parts, PartitionId owner, Rng* rng) const {
   MiniBatchProfile profile;
   profile.seeds = seeds.size();
+  const uint32_t now = NextStamp(&stamp_, &visit_stamp_);
+  const PartitionId* const assignment =
+      parts ? parts->assignment.data() : nullptr;
 
-  ++stamp_;
-  if (stamp_ == 0) {  // wrapped: reset the scratch array
-    std::fill(visit_stamp_.begin(), visit_stamp_.end(), 0);
-    stamp_ = 1;
+  // First visits are counted as they happen: `local` is branchless, so
+  // without a partitioning every vertex counts as local and is zeroed below.
+  size_t distinct_seeds = 0;
+  size_t local = 0;
+  for (VertexId v : seeds) {
+    const bool fresh = visit_stamp_[v] != now;
+    visit_stamp_[v] = now;
+    distinct_seeds += fresh;
+    local += fresh & (assignment == nullptr || assignment[v] == owner);
   }
-  const uint32_t now = stamp_;
+  profile.frontier_sizes.push_back(seeds.size());
 
-  std::vector<VertexId> frontier(seeds.begin(), seeds.end());
-  std::vector<VertexId> input;
-  for (VertexId v : frontier) {
-    if (visit_stamp_[v] != now) {
-      visit_stamp_[v] = now;
-      input.push_back(v);
-    }
-  }
-  profile.frontier_sizes.push_back(frontier.size());
-
-  // Per layer: fan out over frontier chunks in parallel (each chunk samples
-  // with its own deterministic RNG stream), then merge the per-chunk sample
-  // lists serially in chunk order. Only the merge touches the visit stamps,
-  // so first-visit order — and with it the whole batch — is identical for
-  // every thread count.
-  struct ChunkOut {
-    std::vector<VertexId> sampled;
-    size_t edges = 0;
-    size_t remote_requests = 0;
-    size_t empty_adjacency = 0;
-  };
-  std::vector<VertexId> next;
+  std::span<const VertexId> frontier = seeds;
+  size_t input = distinct_seeds;
   size_t empty_adjacency = 0;  // accumulated locally, published once below
   size_t revisit_skips = 0;    // sampled endpoints already in the batch
   for (size_t fanout : fanouts) {
-    const size_t chunks = NumChunks(frontier.size(), kFrontierGrain);
+    // Draw pass: pick pointers into the adjacency, in frontier order.
     const uint64_t layer_base = rng->Next();
-    std::vector<ChunkOut> out(chunks);
-    ParallelFor(
-        frontier.size(), kFrontierGrain,
-        [&](size_t begin, size_t end, size_t chunk) {
-          Rng chunk_rng = ChunkRng(layer_base, chunk);
-          ChunkOut& o = out[chunk];
-          std::vector<VertexId> reservoir;
-          for (size_t i = begin; i < end; ++i) {
-            VertexId v = frontier[i];
-            if (parts && parts->assignment[v] != owner) {
-              ++o.remote_requests;
-            }
-            auto nbrs = graph_.Neighbors(v);
-            if (nbrs.empty()) {
-              ++o.empty_adjacency;
-              continue;
-            }
-            size_t take = std::min(fanout, nbrs.size());
-            o.edges += take;
-            if (take == nbrs.size()) {
-              o.sampled.insert(o.sampled.end(), nbrs.begin(), nbrs.end());
-            } else {
-              // Uniform sample without replacement (partial Fisher-Yates
-              // over a copy; neighbourhoods at these fanouts are small).
-              reservoir.assign(nbrs.begin(), nbrs.end());
-              for (size_t j = 0; j < take; ++j) {
-                size_t s = j + chunk_rng.NextBounded(reservoir.size() - j);
-                std::swap(reservoir[j], reservoir[s]);
-              }
-              o.sampled.insert(o.sampled.end(), reservoir.begin(),
-                               reservoir.begin() + static_cast<int64_t>(take));
-            }
-          }
-        });
-    next.clear();
+    picks_.clear();
     size_t hop_edge_count = 0;
-    size_t hop_sampled = 0;
-    for (const ChunkOut& o : out) {
-      hop_edge_count += o.edges;
-      hop_sampled += o.sampled.size();
-      empty_adjacency += o.empty_adjacency;
-      profile.remote_sampling_requests += o.remote_requests;
-      for (VertexId u : o.sampled) {
-        if (visit_stamp_[u] != now) {
-          visit_stamp_[u] = now;
-          input.push_back(u);
-          next.push_back(u);
+    for (size_t begin = 0; begin < frontier.size(); begin += kRngStream) {
+      Rng chunk_rng = ChunkRng(layer_base, begin / kRngStream);
+      const size_t end = std::min(frontier.size(), begin + kRngStream);
+      for (size_t i = begin; i < end; ++i) {
+        const VertexId v = frontier[i];
+        if (assignment && assignment[v] != owner) {
+          ++profile.remote_sampling_requests;
+        }
+        const std::span<const VertexId> nbrs = graph_.Neighbors(v);
+        const size_t d = nbrs.size();
+        if (d == 0) {
+          ++empty_adjacency;
+          continue;
+        }
+        const size_t take = std::min(fanout, d);
+        hop_edge_count += take;
+        if (take == d) {
+          for (const VertexId& u : nbrs) picks_.push_back(&u);
+          continue;
+        }
+        // Uniform sample without replacement: a partial Fisher-Yates over
+        // positions 0..d-1, where slot s holds position s until a swap
+        // stamps it with this vertex's stamp.
+        if (slots_.size() < d) slots_.resize(d);
+        const uint32_t vs = NextStamp(&slot_stamp_, &slots_);
+        for (size_t j = 0; j < take; ++j) {
+          const size_t s = j + chunk_rng.NextBounded(d - j);
+          const uint32_t at_s = slots_[s].stamp == vs
+                                    ? slots_[s].pos
+                                    : static_cast<uint32_t>(s);
+          const uint32_t at_j = slots_[j].stamp == vs
+                                    ? slots_[j].pos
+                                    : static_cast<uint32_t>(j);
+          slots_[s] = {vs, at_j};
+          picks_.push_back(&nbrs[at_s]);
         }
       }
     }
-    profile.computation_edges += hop_edge_count;
-    profile.frontier_sizes.push_back(next.size());
+
+    // Gather pass: read each pick, keep it if this is its first visit.
+    // The next-frontier buffer only grows, so no pick can overrun it.
+    const size_t n = picks_.size();
+    if (next_.size() < n) next_.resize(n);
+    size_t fresh_count = 0;
+    size_t repeats = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (i + kPrefetch < n) __builtin_prefetch(picks_[i + kPrefetch]);
+      if (i + kPrefetch / 2 < n) {
+        __builtin_prefetch(&visit_stamp_[*picks_[i + kPrefetch / 2]], 1);
+      }
+      const VertexId u = *picks_[i];
+      const bool seen = visit_stamp_[u] == now;
+      visit_stamp_[u] = now;
+      next_[fresh_count] = u;
+      fresh_count += !seen;
+      repeats += seen;
+      local += !seen & (assignment == nullptr || assignment[u] == owner);
+    }
+    profile.computation_edges += n;
+    profile.frontier_sizes.push_back(fresh_count);
     profile.hop_edges.push_back(hop_edge_count);
-    revisit_skips += hop_sampled - next.size();
-    frontier.swap(next);
+    input += n - repeats;
+    revisit_skips += repeats;
+    frontier_.swap(next_);
+    frontier = {frontier_.data(), fresh_count};
   }
 
-  profile.input_vertices = input.size();
+  profile.input_vertices = input;
   if (parts) {
-    profile.local_input_vertices = ParallelReduce<size_t>(
-        input.size(), kInputGrain, 0,
-        [&](size_t begin, size_t end, size_t) {
-          size_t local = 0;
-          for (size_t i = begin; i < end; ++i) {
-            if (parts->assignment[input[i]] == owner) ++local;
-          }
-          return local;
-        },
-        [](size_t acc, size_t part) { return acc + part; });
-    profile.remote_input_vertices =
-        input.size() - profile.local_input_vertices;
+    profile.local_input_vertices = local;
+    profile.remote_input_vertices = input - local;
   }
-  GNNPART_CHECK_CHEAP(parts == nullptr ||
-                          profile.local_input_vertices +
-                                  profile.remote_input_vertices ==
-                              profile.input_vertices,
-                      "mini-batch locality counts do not sum to the input "
-                      "set");
   GNNPART_CHECK_CHEAP(profile.frontier_sizes.size() ==
                           profile.hop_edges.size() + 1,
                       "mini-batch hop vectors out of shape");
+  GNNPART_CHECK_CHEAP(
+      profile.input_vertices ==
+          std::accumulate(profile.frontier_sizes.begin() + 1,
+                          profile.frontier_sizes.end(), distinct_seeds),
+      "mini-batch input set is not the distinct seeds plus each hop's new "
+      "vertices");
+  GNNPART_CHECK_CHEAP(
+      profile.computation_edges ==
+          std::accumulate(profile.hop_edges.begin(), profile.hop_edges.end(),
+                          size_t{0}),
+      "mini-batch computation edges are not the sum of its hop edges");
 
   // Per-batch telemetry: handles are function-local statics so repeated
   // batches pay one thread-local shard write per counter, no registry

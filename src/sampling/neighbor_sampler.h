@@ -48,11 +48,18 @@ struct MiniBatchProfile {
 /// locality quantities (remote vertices, remote sampling requests) are
 /// measured, not modeled.
 ///
-/// Each layer's fan-out runs on the default thread pool (frontier chunks
-/// sample concurrently with per-chunk RNG streams; see common/parallel.h),
-/// and the result is bit-identical for every thread count. Concurrent
-/// SampleBatch calls on the *same* sampler remain unsupported (shared
-/// visit-stamp scratch) — use one sampler per worker.
+/// SampleBatch is serial within a batch; batches run concurrently through
+/// ParallelSample, one sampler per chunk. Each layer makes two passes. The
+/// draw pass walks the frontier in 256-vertex chunks, each with its own RNG
+/// stream (ChunkRng(layer seed, chunk index)), so 256 is the boundary of
+/// every stream and the draws do not depend on the thread count. It runs a
+/// partial Fisher-Yates on neighbour *positions* through a stamped position
+/// map and appends a pointer per pick, copying no neighbourhood. The gather
+/// pass then reads the picks in order, prefetching ahead, and dedupes them
+/// branchlessly against the visit stamps into the next frontier, so
+/// first-visit order is pick order. Concurrent SampleBatch calls on the
+/// *same* sampler are unsupported (shared scratch) — use one sampler per
+/// worker.
 class NeighborSampler {
  public:
   explicit NeighborSampler(const Graph& graph);
@@ -67,11 +74,25 @@ class NeighborSampler {
                                PartitionId owner, Rng* rng) const;
 
  private:
+  /// One slot of the Fisher-Yates position map: it holds `pos` if stamped
+  /// with the current vertex's stamp, else its own index.
+  struct Slot {
+    uint32_t stamp = 0;
+    uint32_t pos = 0;
+  };
+
   const Graph& graph_;
-  // Scratch visited stamps (mutable so SampleBatch stays const; only the
-  // serial merge phase touches them, never the parallel chunk workers).
+  // Scratch reused across calls (mutable so SampleBatch stays const): visit
+  // stamps over all vertices, the frontier and next-frontier buffers, one
+  // layer's picks, and the position map, grown to the largest degree
+  // sampled without replacement.
   mutable std::vector<uint32_t> visit_stamp_;
   mutable uint32_t stamp_ = 0;
+  mutable std::vector<VertexId> frontier_;
+  mutable std::vector<VertexId> next_;
+  mutable std::vector<const VertexId*> picks_;
+  mutable std::vector<Slot> slots_;
+  mutable uint32_t slot_stamp_ = 0;
 };
 
 /// ParallelFor(n, 1, ...) over batch-sampling chunks, each handed a sampler
