@@ -11,6 +11,8 @@
 #     times (time/load, time/partition, time/metrics) as det:false rows and
 #     the reader's io/edges_parsed as a det row;
 #   * `info` records time/load and time/info;
+#   * `explain <events file>` records time/load (read plus validation) and
+#     time/explain;
 #   * `check` records time/check and `dyn-run` records time/dyn plus its
 #     stream, prefix, partition and simulate rows;
 #   * `generate … --metrics-out` records time/generate and time/write;
@@ -81,6 +83,15 @@ grep -q '"name":"time/metrics".*"det":false' "$TMP/h.jsonl"
 "$CLI" --metrics-out "$TMP/i.jsonl" info "$TMP/g.txt" > /dev/null 2> /dev/null
 grep -q '"name":"time/load".*"det":false' "$TMP/i.jsonl"
 grep -q '"name":"time/info".*"det":false' "$TMP/i.jsonl"
+
+# explain from a saved event log: loading (with validation) and the
+# attribution tables are one timer each.
+"$CLI" simulate "$TMP/g.txt" HDRF 4 --events-out "$TMP/ev.jsonl" \
+    > /dev/null 2> /dev/null
+"$CLI" --metrics-out "$TMP/e.jsonl" explain "$TMP/ev.jsonl" \
+    > /dev/null 2> /dev/null
+grep -q '"name":"time/load".*"det":false' "$TMP/e.jsonl"
+grep -q '"name":"time/explain".*"det":false' "$TMP/e.jsonl"
 
 # check: its validators (and the partitioner runs they verify) are one
 # timer; dyn-run times the dynamic driver.

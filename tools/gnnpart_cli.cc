@@ -715,9 +715,11 @@ int CmdCheck(const std::vector<std::string>& args) {
 /// Shared tail of the two `explain` entry points: the overlap replay of
 /// every training epoch, re-derived serially (pure on the log, so a replay
 /// checks it too) and recorded in the manifest; attribution, the optional
-/// --baseline diff, the tables.
+/// --baseline diff, the tables. Timed as `time/explain` in the
+/// --metrics-out manifest.
 int FinishExplain(const obs::EventLog& log,
                   const std::vector<std::string>& args) {
+  obs::ScopedTimer timer("time/explain");
   for (const obs::EpochEvents& ep : log.epochs()) {
     if (ep.sim == "serve") continue;
     const net::OverlapReport overlap = net::ComputeOverlap(ep);
@@ -744,14 +746,22 @@ int FinishExplain(const obs::EventLog& log,
   return 0;
 }
 
+/// Reads and validates a saved event log, timed as `time/load` in the
+/// --metrics-out manifest.
+Result<obs::EventLog> LoadEventLog(const std::string& path) {
+  obs::ScopedTimer timer("time/load");
+  Result<obs::EventLog> log = obs::LoadEventsFile(path);
+  if (log.ok()) GNNPART_RETURN_NOT_OK(check::ValidateEventLog(*log));
+  return log;
+}
+
 /// `explain <events.jsonl>`: attribution straight from a saved event log,
 /// no simulation. The file's %.17g doubles parse back bit-equal, so the
 /// report reproduces the in-process tables of the run that wrote it.
 int ExplainFromFile(const std::string& path,
                     const std::vector<std::string>& args) {
-  Result<obs::EventLog> log = obs::LoadEventsFile(path);
+  Result<obs::EventLog> log = LoadEventLog(path);
   if (!log.ok()) return Fail(log.status());
-  if (Status st = check::ValidateEventLog(*log); !st.ok()) return Fail(st);
   return FinishExplain(*log, args);
 }
 
