@@ -45,8 +45,8 @@ MiniBatchProfile NeighborSampler::SampleBatch(
   const PartitionId* const assignment =
       parts ? parts->assignment.data() : nullptr;
 
-  // First visits are counted as they happen: `local` is branchless, so
-  // without a partitioning every vertex counts as local and is zeroed below.
+  // Locality is counted at first visit, branchlessly; without a
+  // partitioning `local` counts every input vertex and is not published.
   size_t distinct_seeds = 0;
   size_t local = 0;
   for (VertexId v : seeds) {

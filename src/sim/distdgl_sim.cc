@@ -91,10 +91,10 @@ Result<DistDglEpochProfile> ProfileDistDglEpoch(
   // index in closed form (the serial cursor advanced by local_batch per
   // step) and every cell forks its own RNG stream off the post-shuffle
   // state. Steps are therefore simulated concurrently. Everything inside a
-  // chunk — the per-machine loop and SampleBatch itself — runs serially on
-  // the chunk's thread (nested ParallelFor inside a chunk is inline-serial
-  // by design), so with fewer steps than threads the pool is underused;
-  // that regime is small by construction (steps ~ |train| / batch).
+  // chunk — the per-machine loop and SampleBatch itself, which is serial —
+  // runs on the chunk's thread, so with fewer steps than threads the pool
+  // is underused; that regime is small by construction (steps ~ |train| /
+  // batch).
   ParallelSample(graph, epoch.steps, "sim/distdgl",
                  [&](const NeighborSampler& sampler, size_t begin, size_t end) {
     std::vector<VertexId> seeds;
