@@ -17,8 +17,8 @@ namespace {
 // kRngStream vertices of a layer's frontier.
 constexpr size_t kRngStream = 256;
 
-// Picks the gather pass prefetches ahead: the adjacency entry kPrefetch
-// picks ahead, its visit stamp kPrefetch / 2 picks ahead.
+// Picks the gather pass prefetches ahead: each pick's adjacency entry is a
+// dependent load that misses L2 on the study's graphs.
 constexpr size_t kPrefetch = 32;
 
 // Advances a scratch stamp, zeroing the stamped array when it wraps.
@@ -113,9 +113,6 @@ MiniBatchProfile NeighborSampler::SampleBatch(
     size_t repeats = 0;
     for (size_t i = 0; i < n; ++i) {
       if (i + kPrefetch < n) __builtin_prefetch(picks_[i + kPrefetch]);
-      if (i + kPrefetch / 2 < n) {
-        __builtin_prefetch(&visit_stamp_[*picks_[i + kPrefetch / 2]], 1);
-      }
       const VertexId u = *picks_[i];
       const bool seen = visit_stamp_[u] == now;
       visit_stamp_[u] = now;
