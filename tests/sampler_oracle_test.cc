@@ -5,9 +5,7 @@
 // sampler/neighbor/* counters and leave the caller's RNG in the same state.
 // A ParallelSample case (ctest label tsan) runs the kernel on a 4-thread
 // pool with samplers reused off the free list.
-#include <algorithm>
 #include <cstdint>
-#include <iterator>
 #include <optional>
 #include <span>
 #include <string>
@@ -173,7 +171,8 @@ std::vector<std::vector<VertexId>> Batches(const Graph& graph) {
 }
 
 VertexPartitioning Partitioning(const Graph& graph, PartitionId k) {
-  VertexSplit split = VertexSplit::MakeRandom(graph.num_vertices(), 0.1, 0.1, 1);
+  const VertexSplit split =
+      VertexSplit::MakeRandom(graph.num_vertices(), 0.1, 0.1, 1);
   Result<VertexPartitioning> parts =
       MakeVertexPartitioner(VertexPartitionerId::kLdg)
           ->Partition(graph, split, k, 11);
@@ -190,11 +189,13 @@ TEST(SamplerOracleTest, SampleBatchMatchesOracle) {
     const NeighborSampler kernel(gc.graph);
     std::vector<std::optional<VertexPartitioning>> partitionings{
         std::nullopt};
-    for (PartitionId k : kKs) partitionings.push_back(Partitioning(gc.graph, k));
+    for (PartitionId k : kKs) {
+      partitionings.push_back(Partitioning(gc.graph, k));
+    }
+    const std::vector<std::vector<VertexId>> all = Batches(gc.graph);
     for (const auto& parts : partitionings) {
       const PartitionId k = parts ? parts->k : 1;
       for (const std::vector<size_t>& fanouts : Fanouts(gc.graph)) {
-        const std::vector<std::vector<VertexId>> all = Batches(gc.graph);
         for (size_t b = 0; b < all.size(); ++b) {
           const PartitionId owner = static_cast<PartitionId>(b % k);
           const uint64_t seed = 1000 * b + fanouts.size();
