@@ -3,73 +3,19 @@
 // the Metis-like and KaHIP-like parameter sets must give equal assignments
 // and equal work counters on power-law, road, fragmented and tiny graphs.
 #include <cstdint>
-#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
-#include "gen/datasets.h"
-#include "gen/generators.h"
 #include "multilevel_oracle.h"
-#include "obs/metrics.h"
 #include "partition/vertex/multilevel.h"
 #include "partition/vertex/registry.h"
+#include "vertex_oracle_fixture.h"
 
 namespace gnnpart {
 namespace {
-
-struct GraphCase {
-  std::string name;
-  Graph graph;
-};
-
-/// Three disconnected pieces (a power-law block, a ring and a star) plus
-/// isolated vertices between and after them.
-Graph FragmentedGraph() {
-  constexpr size_t kN = 700;
-  GraphBuilder builder(kN, /*directed=*/false);
-  Rng rng(5);
-  for (int i = 0; i < 1500; ++i) {  // dense block on [0, 300)
-    const VertexId a = static_cast<VertexId>(rng.NextBounded(300));
-    const VertexId b = static_cast<VertexId>(rng.NextBounded(1 + a % 60));
-    builder.AddEdge(a, b);
-  }
-  for (VertexId v = 350; v < 550; ++v) {  // ring on [350, 550)
-    builder.AddEdge(v, v + 1 == 550 ? 350 : v + 1);
-  }
-  for (VertexId v = 601; v < 680; ++v) builder.AddEdge(600, v);  // star
-  Result<Graph> g = builder.Build("fragmented");
-  EXPECT_TRUE(g.ok()) << g.status();
-  return std::move(g).value();
-}
-
-/// Below every coarsening threshold (16*k >= 32 > n): the engine goes
-/// straight to initial partitioning of the input graph.
-Graph TinyGraph() {
-  Result<Graph> g = GenerateErdosRenyi(30, 70, /*directed=*/false, 11);
-  EXPECT_TRUE(g.ok()) << g.status();
-  return std::move(g).value();
-}
-
-std::vector<GraphCase> Graphs() {
-  std::vector<GraphCase> cases;
-  Result<Graph> orkut = MakeDataset(DatasetId::kOrkut, 0.05, 3);
-  EXPECT_TRUE(orkut.ok()) << orkut.status();
-  cases.push_back({"OR", std::move(orkut).value()});
-  RoadParams road;
-  road.width = 40;
-  road.height = 30;
-  road.directed = false;
-  Result<Graph> lattice = GenerateRoadNetwork(road, 7);
-  EXPECT_TRUE(lattice.ok()) << lattice.status();
-  cases.push_back({"road", std::move(lattice).value()});
-  cases.push_back({"fragmented", FragmentedGraph()});
-  cases.push_back({"tiny", TinyGraph()});
-  return cases;
-}
 
 /// The parameter sets of MetisLikePartitioner and KahipLikePartitioner
 /// (metis_like.h); SameParamsAsThePartitioners pins them.
@@ -91,45 +37,24 @@ MultilevelParams KahipParams() {
   return p;
 }
 
-uint64_t CounterValue(const std::string& name) {
-  for (const obs::MetricRow& row : obs::Snapshot().rows) {
-    if (row.name == name) return row.value;
-  }
-  return 0;
-}
-
-constexpr const char* kCounters[] = {
+const std::vector<std::string> kCounters = {
     "partition/vertex/multilevel/coarsen_levels",
     "partition/vertex/multilevel/refine_moves",
     "partition/vertex/multilevel/refine_passes",
 };
 
-/// Runs `engine` and returns its assignment plus the counter increments.
-template <typename Engine>
-std::pair<std::vector<PartitionId>, std::vector<uint64_t>> RunCounted(
-    Engine engine) {
-  std::vector<uint64_t> before;
-  for (const char* name : kCounters) before.push_back(CounterValue(name));
-  Result<VertexPartitioning> parts = engine();
-  EXPECT_TRUE(parts.ok()) << parts.status();
-  std::vector<uint64_t> delta;
-  for (size_t i = 0; i < std::size(kCounters); ++i) {
-    delta.push_back(CounterValue(kCounters[i]) - before[i]);
-  }
-  return {parts.ok() ? parts->assignment : std::vector<PartitionId>{},
-          delta};
-}
-
 void ExpectEnginesAgree(const MultilevelParams& params,
                         const std::string& label) {
-  for (const GraphCase& gc : Graphs()) {
-    for (PartitionId k : {2u, 4u, 32u}) {
+  for (const GraphCase& gc : OracleGraphs()) {
+    // k = 7 leaves the partition weights uneven; k = 64 is kMaxPartitions.
+    for (PartitionId k : {2u, 4u, 7u, 32u, 64u}) {
       for (uint64_t seed : {1u, 42u, 977u}) {
         SCOPED_TRACE(label + " " + gc.name + " k=" + std::to_string(k) +
                      " seed=" + std::to_string(seed));
-        auto [flat, flat_counts] = RunCounted(
-            [&] { return MultilevelPartition(gc.graph, k, seed, params); });
-        auto [ref, ref_counts] = RunCounted([&] {
+        auto [flat, flat_counts] = RunCounted(kCounters, [&] {
+          return MultilevelPartition(gc.graph, k, seed, params);
+        });
+        auto [ref, ref_counts] = RunCounted(kCounters, [&] {
           return oracle::MultilevelPartition(gc.graph, k, seed, params);
         });
         EXPECT_EQ(flat, ref);

@@ -20,3 +20,13 @@ endforeach()
 foreach(_t IN LISTS net_test_TESTS)
   set_tests_properties("${_t}" PROPERTIES LABELS "net;tsan")
 endforeach()
+
+# Every engine-vs-oracle diff also carries `oracle`, so `ctest -L oracle`
+# runs them all; the single-label ones get it at discovery time.
+foreach(_t IN LISTS partition_hep_oracle_test_TESTS
+        partition_hdrf_oracle_test_TESTS sampler_oracle_test_TESTS)
+  set_tests_properties("${_t}" PROPERTIES LABELS "tsan;oracle")
+endforeach()
+foreach(_t IN LISTS net_flowsim_oracle_test_TESTS)
+  set_tests_properties("${_t}" PROPERTIES LABELS "net;oracle")
+endforeach()
