@@ -37,6 +37,11 @@ class Graph {
             neighbors_.data() + offsets_[v + 1]};
   }
 
+  /// The CSR arrays behind Neighbors(): v's neighbourhood is
+  /// neighbors()[offsets()[v] .. offsets()[v + 1]).
+  std::span<const uint64_t> offsets() const { return offsets_; }
+  std::span<const VertexId> neighbors() const { return neighbors_; }
+
   /// Symmetrized degree of v.
   size_t Degree(VertexId v) const { return offsets_[v + 1] - offsets_[v]; }
 

@@ -1,51 +1,48 @@
 #include "partition/vertex/multilevel.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
+#include <span>
 #include <vector>
 
+#include "check/check.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
 
 namespace gnnpart {
 namespace {
 
-// Weighted graph used at the coarse levels, in CSR form: the neighbours of
-// v are nbr[off[v] .. off[v+1]) with edge weights w at the same positions;
-// each undirected edge is stored on both endpoints.
+// One level's weighted graph in CSR form: the neighbours of v are
+// nbr[off[v] .. off[v+1]) with edge weights w at the same positions; each
+// undirected edge is stored on both endpoints. Level 0 views the input
+// Graph's arrays and leaves `vw` and `w` empty: every input vertex and edge
+// weighs 1.
 struct WeightedGraph {
-  std::vector<uint64_t> vweight;
-  std::vector<uint64_t> off{0};
-  std::vector<uint32_t> nbr;
-  std::vector<uint64_t> w;
+  std::span<const uint64_t> off;
+  std::span<const uint32_t> nbr;
+  std::span<const uint64_t> vw;
+  std::span<const uint64_t> w;
 
-  size_t n() const { return vweight.size(); }
+  size_t n() const { return off.size() - 1; }
+  uint64_t vweight(uint32_t v) const { return vw.empty() ? 1 : vw[v]; }
+  uint64_t weight(uint64_t e) const { return w.empty() ? 1 : w[e]; }
   uint64_t total_vweight() const {
-    return std::accumulate(vweight.begin(), vweight.end(), uint64_t{0});
+    return vw.empty() ? n()
+                      : std::accumulate(vw.begin(), vw.end(), uint64_t{0});
   }
 };
 
-WeightedGraph FromGraph(const Graph& graph) {
-  WeightedGraph wg;
-  const size_t n = graph.num_vertices();
-  wg.vweight.assign(n, 1);
-  wg.off.resize(n + 1);
-  for (VertexId v = 0; v < n; ++v) {
-    wg.off[v + 1] = wg.off[v] + graph.Degree(v);
-  }
-  wg.nbr.reserve(wg.off[n]);
-  for (VertexId v = 0; v < n; ++v) {
-    auto nbrs = graph.Neighbors(v);
-    wg.nbr.insert(wg.nbr.end(), nbrs.begin(), nbrs.end());
-  }
-  wg.w.assign(wg.off[n], 1);
-  return wg;
-}
-
+// A coarse level: the arrays its WeightedGraph views.
 struct CoarseLevel {
-  WeightedGraph graph;
+  std::vector<uint64_t> vweight;
+  std::vector<uint64_t> off;
+  std::vector<uint32_t> nbr;
+  std::vector<uint64_t> w;
   // Maps fine vertex -> coarse vertex of the *next* (coarser) level.
   std::vector<uint32_t> fine_to_coarse;
+
+  WeightedGraph graph() const { return {off, nbr, vweight, w}; }
 };
 
 // Size-constrained label-propagation clustering (the coarsening scheme
@@ -60,7 +57,8 @@ std::vector<uint32_t> LpCluster(const WeightedGraph& g, Rng* rng,
   const size_t n = g.n();
   std::vector<uint32_t> label(n);
   std::iota(label.begin(), label.end(), 0);
-  std::vector<uint64_t> cluster_weight(g.vweight);
+  std::vector<uint64_t> cluster_weight(n);
+  for (uint32_t v = 0; v < n; ++v) cluster_weight[v] = g.vweight(v);
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   // conn[l] = v's edge weight into cluster l; every edge weight is >= 1, so
@@ -81,7 +79,7 @@ std::vector<uint32_t> LpCluster(const WeightedGraph& g, Rng* rng,
         }
         const uint32_t lbl = label[u];
         if (conn[lbl] == 0) touched.push_back(lbl);
-        conn[lbl] += g.w[e];
+        conn[lbl] += g.weight(e);
       }
       uint32_t own = label[v];
       uint32_t best = own;
@@ -93,7 +91,7 @@ std::vector<uint32_t> LpCluster(const WeightedGraph& g, Rng* rng,
         const uint64_t w = conn[lbl];
         conn[lbl] = 0;
         if (lbl == own) continue;
-        if (cluster_weight[lbl] + g.vweight[v] > max_cluster_weight) continue;
+        if (cluster_weight[lbl] + g.vweight(v) > max_cluster_weight) continue;
         const bool tie_better =
             w == best_w && best != own &&
             (cluster_weight[lbl] < cluster_weight[best] ||
@@ -104,8 +102,8 @@ std::vector<uint32_t> LpCluster(const WeightedGraph& g, Rng* rng,
         }
       }
       if (best != own) {
-        cluster_weight[own] -= g.vweight[v];
-        cluster_weight[best] += g.vweight[v];
+        cluster_weight[own] -= g.vweight(v);
+        cluster_weight[best] += g.vweight(v);
         label[v] = best;
         ++moves;
       }
@@ -130,9 +128,8 @@ CoarseLevel Contract(const WeightedGraph& g,
     level.fine_to_coarse[v] = dense[label[v]];
   }
   const std::vector<uint32_t>& f2c = level.fine_to_coarse;
-  WeightedGraph& cg = level.graph;
-  cg.vweight.assign(next, 0);
-  for (uint32_t v = 0; v < n; ++v) cg.vweight[f2c[v]] += g.vweight[v];
+  level.vweight.assign(next, 0);
+  for (uint32_t v = 0; v < n; ++v) level.vweight[f2c[v]] += g.vweight(v);
 
   // Counting sort: members[first[cv] .. first[cv+1]) are the fine vertices
   // of coarse vertex cv, ascending.
@@ -147,7 +144,7 @@ CoarseLevel Contract(const WeightedGraph& g,
 
   // Each coarse row: sum parallel edges in a dense accumulator, drop the
   // internal ones, then emit the touched ids sorted.
-  cg.off.assign(next + 1, 0);
+  level.off.assign(next + 1, 0);
   std::vector<uint64_t> acc(next, 0);
   std::vector<uint32_t> touched;
   for (uint32_t cv = 0; cv < next; ++cv) {
@@ -158,16 +155,16 @@ CoarseLevel Contract(const WeightedGraph& g,
         const uint32_t cu = f2c[g.nbr[e]];
         if (cu == cv) continue;  // internal edge disappears
         if (acc[cu] == 0) touched.push_back(cu);
-        acc[cu] += g.w[e];
+        acc[cu] += g.weight(e);
       }
     }
     std::sort(touched.begin(), touched.end());
     for (uint32_t cu : touched) {
-      cg.nbr.push_back(cu);
-      cg.w.push_back(acc[cu]);
+      level.nbr.push_back(cu);
+      level.w.push_back(acc[cu]);
       acc[cu] = 0;
     }
-    cg.off[cv + 1] = cg.nbr.size();
+    level.off[cv + 1] = level.nbr.size();
   }
   return level;
 }
@@ -178,7 +175,7 @@ uint64_t CutWeight(const WeightedGraph& g,
   for (uint32_t v = 0; v < g.n(); ++v) {
     for (uint64_t e = g.off[v]; e < g.off[v + 1]; ++e) {
       const uint32_t u = g.nbr[e];
-      if (u > v && part[u] != part[v]) cut += g.w[e];
+      if (u > v && part[u] != part[v]) cut += g.weight(e);
     }
   }
   return cut;
@@ -211,7 +208,7 @@ std::vector<PartitionId> GrowInitial(const WeightedGraph& g, PartitionId k,
       uint32_t v = queue[head++];
       if (part[v] != kInvalidPartition) continue;
       part[v] = p;
-      weight += g.vweight[v];
+      weight += g.vweight(v);
       for (uint64_t e = g.off[v]; e < g.off[v + 1]; ++e) {
         if (part[g.nbr[e]] == kInvalidPartition) queue.push_back(g.nbr[e]);
       }
@@ -223,71 +220,150 @@ std::vector<PartitionId> GrowInitial(const WeightedGraph& g, PartitionId k,
   return part;
 }
 
+// Refinement state of one Refine call. rows[v*k + p] is v's edge weight
+// into partition p and degree[v] its weighted degree; both are built once
+// per call and kept current by Move, so evaluating a vertex reads its k-wide
+// row instead of its neighbourhood. Every value fits in 32 bits:
+// MultilevelPartition rejects inputs with 2^32 or more adjacency entries,
+// and a coarse edge weight counts distinct input entries.
+class Refiner {
+ public:
+  Refiner(const WeightedGraph& g, PartitionId k, double imbalance,
+          std::vector<PartitionId>* part)
+      : g_(g), k_(k), part_(*part), pweight_(k, 0) {
+    const double mean =
+        static_cast<double>(g.total_vweight()) / static_cast<double>(k);
+    max_weight_ = static_cast<uint64_t>(imbalance * mean) + 1;
+    capacity_ = imbalance * mean;
+    for (uint32_t v = 0; v < g.n(); ++v) pweight_[part_[v]] += g.vweight(v);
+    rows_ = CountRows();
+    degree_.resize(g.n());
+    for (uint32_t v = 0; v < g.n(); ++v) {
+      const uint32_t* r = row(v);
+      degree_[v] = std::accumulate(r, r + k, uint32_t{0});
+    }
+  }
+
+  size_t RefinePass(Rng* rng);
+  void RebalancePass(Rng* rng);
+
+  // Recounts every row from the adjacency: the incremental rows must match.
+  void CheckRows() const {
+    GNNPART_CHECK_PARANOID(CountRows() == rows_,
+                           "multilevel: a partition-connectivity row drifted "
+                           "from the adjacency");
+  }
+
+  // Adjacency entries read: row builds, mover updates and tie scans.
+  uint64_t scanned() const { return scanned_; }
+
+ private:
+  uint32_t* row(uint32_t v) { return rows_.data() + size_t{v} * k_; }
+  const uint32_t* row(uint32_t v) const {
+    return rows_.data() + size_t{v} * k_;
+  }
+
+  std::vector<uint32_t> CountRows() const {
+    std::vector<uint32_t> rows(g_.n() * size_t{k_}, 0);
+    for (uint32_t v = 0; v < g_.n(); ++v) {
+      uint32_t* r = rows.data() + size_t{v} * k_;
+      for (uint64_t e = g_.off[v]; e < g_.off[v + 1]; ++e) {
+        r[part_[g_.nbr[e]]] += static_cast<uint32_t>(g_.weight(e));
+      }
+    }
+    return rows;
+  }
+
+  // Moves v to partition `to`, shifting its edge weight from its old
+  // partition to `to` in every neighbour's row.
+  void Move(uint32_t v, PartitionId to) {
+    const PartitionId from = part_[v];
+    part_[v] = to;
+    pweight_[from] -= g_.vweight(v);
+    pweight_[to] += g_.vweight(v);
+    for (uint64_t e = g_.off[v]; e < g_.off[v + 1]; ++e) {
+      uint32_t* r = row(g_.nbr[e]);
+      const auto w = static_cast<uint32_t>(g_.weight(e));
+      r[from] -= w;
+      r[to] += w;
+    }
+    scanned_ += g_.off[v + 1] - g_.off[v];
+  }
+
+  // The partition in `ties` (a bit per partition) that holds v's first
+  // neighbour among them.
+  PartitionId FirstSeen(uint32_t v, uint64_t ties) {
+    for (uint64_t e = g_.off[v];; ++e) {
+      const PartitionId p = part_[g_.nbr[e]];
+      if ((ties >> p) & 1) {
+        scanned_ += e - g_.off[v] + 1;
+        return p;
+      }
+    }
+  }
+
+  const WeightedGraph& g_;
+  const PartitionId k_;
+  std::vector<PartitionId>& part_;
+  std::vector<uint64_t> pweight_;
+  uint64_t max_weight_;
+  double capacity_;
+  std::vector<uint32_t> rows_;
+  std::vector<uint32_t> degree_;
+  uint64_t scanned_ = g_.nbr.size();  // the row build
+};
+
 // One size-constrained label-propagation refinement pass (the social-graph
 // refiner of KaHIP/Spinner): a vertex moves to the partition maximizing
 // normalized connectivity plus a load penalty, under a hard weight cap.
 // Strict positive-gain FM converges instantly to poor local optima on
 // power-law graphs; the soft load term lets the refiner traverse plateaus.
-// Returns the number of moves made.
-size_t RefinePass(const WeightedGraph& g, PartitionId k, double imbalance,
-                  std::vector<PartitionId>* part,
-                  std::vector<uint64_t>* pweight, Rng* rng) {
-  const size_t n = g.n();
-  const double mean =
-      static_cast<double>(g.total_vweight()) / static_cast<double>(k);
-  const uint64_t max_weight = static_cast<uint64_t>(imbalance * mean) + 1;
-  const double capacity = imbalance * mean;
+// Score ties go to the partition of v's first neighbour among the tied
+// ones. Returns the number of moves made.
+size_t Refiner::RefinePass(Rng* rng) {
+  const size_t n = g_.n();
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   rng->Shuffle(&order);
   size_t moves = 0;
-  std::vector<uint64_t> conn(k, 0);
-  // Partitions in first-seen order (score ties go to the first seen). The
-  // slot past the last one absorbs the unconditional store of a repeat.
-  std::vector<PartitionId> touched(static_cast<size_t>(k) + 1);
   for (uint32_t v : order) {
-    const PartitionId own = (*part)[v];
-    size_t nt = 0;
-    // Integer weighted degree: exact, and equal to the double sum of the
-    // weights while below 2^53.
-    uint64_t total = 0;
-    for (uint64_t e = g.off[v]; e < g.off[v + 1]; ++e) {
-      const PartitionId pu = (*part)[g.nbr[e]];
-      touched[nt] = pu;
-      nt += conn[pu] == 0;
-      conn[pu] += g.w[e];
-      total += g.w[e];
+    const PartitionId own = part_[v];
+    const uint32_t* conn = row(v);
+    if (conn[own] == degree_[v]) continue;  // not a boundary vertex
+    const double total_w = static_cast<double>(degree_[v]);
+    auto score = [&](PartitionId p) {
+      double locality = static_cast<double>(conn[p]) / total_w;
+      double penalty = 1.0 - static_cast<double>(pweight_[p]) / capacity_;
+      if (penalty < 0) penalty = 0;
+      return locality + penalty;
+    };
+    // Candidates: partitions v has an edge into and that can take v, as a
+    // bit per partition (k <= 64), built without a branch per partition.
+    const uint64_t vw = g_.vweight(v);
+    uint64_t candidates = 0;
+    for (PartitionId p = 0; p < k_; ++p) {
+      candidates |=
+          uint64_t((conn[p] != 0) & (pweight_[p] + vw <= max_weight_)) << p;
     }
-    const bool boundary = nt > 1 || (nt == 1 && touched[0] != own);
-    if (boundary) {
-      const double total_w = static_cast<double>(total);
-      auto score = [&](PartitionId p) {
-        double locality = static_cast<double>(conn[p]) / total_w;
-        double penalty =
-            1.0 - static_cast<double>((*pweight)[p]) / capacity;
-        if (penalty < 0) penalty = 0;
-        return locality + penalty;
-      };
-      PartitionId best = own;
-      double best_score = score(own);
-      for (size_t i = 0; i < nt; ++i) {
-        const PartitionId p = touched[i];
-        if (p == own) continue;
-        if ((*pweight)[p] + g.vweight[v] > max_weight) continue;
-        double s = score(p);
-        if (s > best_score) {
-          best_score = s;
-          best = p;
-        }
-      }
-      if (best != own) {
-        (*part)[v] = best;
-        (*pweight)[own] -= g.vweight[v];
-        (*pweight)[best] += g.vweight[v];
-        ++moves;
+    candidates &= ~(uint64_t{1} << own);
+    PartitionId best = own;
+    double best_score = score(own);
+    uint64_t ties = 0;  // candidates scoring best_score once best != own
+    for (; candidates != 0; candidates &= candidates - 1) {
+      const auto p = static_cast<PartitionId>(std::countr_zero(candidates));
+      const double s = score(p);
+      if (s > best_score) {
+        best_score = s;
+        best = p;
+        ties = uint64_t{1} << p;
+      } else if (s == best_score && best != own) {
+        ties |= uint64_t{1} << p;
       }
     }
-    for (size_t i = 0; i < nt; ++i) conn[touched[i]] = 0;
+    if (best == own) continue;
+    if (std::popcount(ties) > 1) best = FirstSeen(v, ties);
+    Move(v, best);
+    ++moves;
   }
   return moves;
 }
@@ -295,76 +371,55 @@ size_t RefinePass(const WeightedGraph& g, PartitionId k, double imbalance,
 // Forces the balance constraint: moves vertices (accepting cut damage if
 // unavoidable) out of overweight partitions into the lightest ones,
 // preferring moves that keep the most neighbour connectivity.
-void RebalancePass(const WeightedGraph& g, PartitionId k, double imbalance,
-                   std::vector<PartitionId>* part,
-                   std::vector<uint64_t>* pweight, Rng* rng) {
-  const double mean =
-      static_cast<double>(g.total_vweight()) / static_cast<double>(k);
-  const uint64_t max_weight = static_cast<uint64_t>(imbalance * mean) + 1;
-  const size_t n = g.n();
+void Refiner::RebalancePass(Rng* rng) {
+  const size_t n = g_.n();
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0);
-  std::vector<uint64_t> conn(k, 0);
-  std::vector<PartitionId> touched;
   for (int round = 0; round < 6; ++round) {
     bool any_over = false;
-    for (PartitionId p = 0; p < k; ++p) {
-      if ((*pweight)[p] > max_weight) any_over = true;
+    for (PartitionId p = 0; p < k_; ++p) {
+      if (pweight_[p] > max_weight_) any_over = true;
     }
     if (!any_over) return;
     rng->Shuffle(&order);
     for (uint32_t v : order) {
-      PartitionId own = (*part)[v];
-      if ((*pweight)[own] <= max_weight) continue;
-      touched.clear();
-      for (uint64_t e = g.off[v]; e < g.off[v + 1]; ++e) {
-        PartitionId pu = (*part)[g.nbr[e]];
-        if (conn[pu] == 0) touched.push_back(pu);
-        conn[pu] += g.w[e];
-      }
+      PartitionId own = part_[v];
+      if (pweight_[own] <= max_weight_) continue;
+      const uint32_t* conn = row(v);
       // Target: lightest partition that can take v; among the near-lightest
       // prefer connectivity.
       PartitionId best = kInvalidPartition;
-      for (PartitionId p = 0; p < k; ++p) {
+      for (PartitionId p = 0; p < k_; ++p) {
         if (p == own) continue;
-        if ((*pweight)[p] + g.vweight[v] > max_weight) continue;
+        if (pweight_[p] + g_.vweight(v) > max_weight_) continue;
         if (best == kInvalidPartition || conn[p] > conn[best] ||
-            (conn[p] == conn[best] && (*pweight)[p] < (*pweight)[best])) {
+            (conn[p] == conn[best] && pweight_[p] < pweight_[best])) {
           best = p;
         }
       }
-      if (best != kInvalidPartition) {
-        (*part)[v] = best;
-        (*pweight)[own] -= g.vweight[v];
-        (*pweight)[best] += g.vweight[v];
-      }
-      for (PartitionId p : touched) conn[p] = 0;
+      if (best != kInvalidPartition) Move(v, best);
     }
   }
 }
 
 void Refine(const WeightedGraph& g, PartitionId k, int passes,
             double imbalance, std::vector<PartitionId>* part, Rng* rng) {
-  std::vector<uint64_t> pweight(k, 0);
-  for (uint32_t v = 0; v < g.n(); ++v) {
-    pweight[(*part)[v]] += g.vweight[v];
-  }
-  RebalancePass(g, k, imbalance, part, &pweight, rng);
+  Refiner refiner(g, k, imbalance, part);
+  refiner.RebalancePass(rng);
   uint64_t total_moves = 0;
   uint64_t total_passes = 0;
-  uint64_t scanned = 0;
   for (int pass = 0; pass < passes; ++pass) {
-    size_t moves = RefinePass(g, k, imbalance, part, &pweight, rng);
-    scanned += g.nbr.size();  // a pass reads every adjacency entry once
-    RebalancePass(g, k, imbalance, part, &pweight, rng);
+    size_t moves = refiner.RefinePass(rng);
+    refiner.RebalancePass(rng);
     total_moves += moves;
     ++total_passes;
     if (moves == 0) break;
   }
+  if constexpr (check::ParanoidEnabled()) refiner.CheckRows();
   obs::Count("partition/vertex/multilevel/refine_moves", total_moves, "moves");
   obs::Count("partition/vertex/multilevel/refine_passes", total_passes,
              "passes");
-  obs::Count("partition/vertex/multilevel/refine_scanned", scanned,
+  obs::Count("partition/vertex/multilevel/refine_scanned", refiner.scanned(),
              "entries");
 }
 
@@ -376,28 +431,28 @@ std::vector<PartitionId> RunCycle(const WeightedGraph& base, PartitionId k,
   const size_t stop_at = std::max<size_t>(params.coarsen_target, 16UL * k);
 
   std::vector<CoarseLevel> levels;
-  const WeightedGraph* top = &base;
+  WeightedGraph top = base;
   std::vector<PartitionId> projected_current;
   if (current) projected_current = *current;
 
-  while (top->n() > stop_at) {
+  while (top.n() > stop_at) {
     // Cluster cap: small enough that the balance constraint stays feasible
     // at the coarsest level, large enough to coarsen quickly.
     const uint64_t cap = std::max<uint64_t>(
-        1, top->total_vweight() / (static_cast<uint64_t>(k) * 8));
+        1, top.total_vweight() / (static_cast<uint64_t>(k) * 8));
     auto label =
-        LpCluster(*top, rng, cap, current ? &projected_current : nullptr);
-    CoarseLevel level = Contract(*top, label);
-    if (level.graph.n() >= top->n() * 95 / 100) break;  // stalled
+        LpCluster(top, rng, cap, current ? &projected_current : nullptr);
+    CoarseLevel level = Contract(top, label);
+    if (level.vweight.size() >= top.n() * 95 / 100) break;  // stalled
     if (current) {
-      std::vector<PartitionId> coarse_part(level.graph.n());
+      std::vector<PartitionId> coarse_part(level.vweight.size());
       for (uint32_t v = 0; v < level.fine_to_coarse.size(); ++v) {
         coarse_part[level.fine_to_coarse[v]] = projected_current[v];
       }
       projected_current = std::move(coarse_part);
     }
     levels.push_back(std::move(level));
-    top = &levels.back().graph;
+    top = levels.back().graph();
   }
   obs::Count("partition/vertex/multilevel/coarsen_levels", levels.size(),
              "levels");
@@ -407,13 +462,13 @@ std::vector<PartitionId> RunCycle(const WeightedGraph& base, PartitionId k,
   std::vector<PartitionId> part;
   if (current) {
     part = projected_current;
-    Refine(*top, k, 4 * params.refine_passes, params.imbalance, &part, rng);
+    Refine(top, k, 4 * params.refine_passes, params.imbalance, &part, rng);
   } else {
     uint64_t best_cut = UINT64_MAX;
     for (int attempt = 0; attempt < params.initial_tries; ++attempt) {
-      std::vector<PartitionId> cand = GrowInitial(*top, k, rng);
-      Refine(*top, k, 4 * params.refine_passes, params.imbalance, &cand, rng);
-      uint64_t cut = CutWeight(*top, cand);
+      std::vector<PartitionId> cand = GrowInitial(top, k, rng);
+      Refine(top, k, 4 * params.refine_passes, params.imbalance, &cand, rng);
+      uint64_t cut = CutWeight(top, cand);
       if (cut < best_cut) {
         best_cut = cut;
         part = std::move(cand);
@@ -424,8 +479,7 @@ std::vector<PartitionId> RunCycle(const WeightedGraph& base, PartitionId k,
   // Uncoarsen with refinement at every level.
   for (size_t li = levels.size(); li-- > 0;) {
     const auto& level = levels[li];
-    const WeightedGraph& fine =
-        (li == 0) ? base : levels[li - 1].graph;
+    const WeightedGraph fine = (li == 0) ? base : levels[li - 1].graph();
     std::vector<PartitionId> fine_part(fine.n());
     for (uint32_t v = 0; v < fine.n(); ++v) {
       fine_part[v] = part[level.fine_to_coarse[v]];
@@ -447,8 +501,13 @@ Result<VertexPartitioning> MultilevelPartition(const Graph& graph,
   if (graph.num_vertices() == 0) {
     return Status::InvalidArgument("multilevel: empty graph");
   }
+  // Every row entry and coarse weight then fits in 32 bits (Refiner).
+  if (graph.neighbors().size() >= (uint64_t{1} << 32)) {
+    return Status::InvalidArgument(
+        "multilevel: 2^32 or more adjacency entries");
+  }
   Rng rng(seed);
-  WeightedGraph base = FromGraph(graph);
+  const WeightedGraph base{graph.offsets(), graph.neighbors(), {}, {}};
   obs::Count("partition/vertex/multilevel/vertices_assigned",
              graph.num_vertices(), "vertices");
   obs::Count("partition/vertex/multilevel/v_cycles",

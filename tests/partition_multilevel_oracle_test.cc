@@ -89,25 +89,35 @@ TEST(MultilevelOracleTest, SameParamsAsThePartitioners) {
   }
 }
 
-TEST(MultilevelOracleTest, RefineScannedCountsEveryAdjacencyEntryPerPass) {
-  // Below the coarsening threshold every refinement runs on the input
-  // graph, so each pass reads all 2|E| adjacency entries.
+TEST(MultilevelOracleTest, RefineScannedCountsBuildsMovesAndTieScans) {
+  // Below the coarsening threshold the engine runs one Refine call per
+  // initial try (8 for MetisParams), all on the input graph's 126 adjacency
+  // entries. The counter is the sum of
+  //   * the row builds, one per call: 8 * 126 = 1,008 entries;
+  //   * the mover updates: the 405 moves (all by RefinePass, as
+  //     refine_moves pins; the rebalancer moves nothing here) read their
+  //     movers' neighbourhoods, 1,799 entries;
+  //   * the tie scans, which read a mover's neighbours up to the first one
+  //     in a tied partition: 61 entries.
+  // The last two were read off an instrumented run of this engine. The old
+  // meaning, every entry once per pass, would read 115 * 126 = 14,490.
   const Graph graph = TinyGraph();
   uint64_t entries = 0;
   for (VertexId v = 0; v < graph.num_vertices(); ++v) {
     entries += graph.Degree(v);
   }
-  const uint64_t passes =
-      CounterValue("partition/vertex/multilevel/refine_passes");
-  const uint64_t scanned =
-      CounterValue("partition/vertex/multilevel/refine_scanned");
-  ASSERT_TRUE(MultilevelPartition(graph, 4, 3, MetisParams()).ok());
-  const uint64_t ran =
-      CounterValue("partition/vertex/multilevel/refine_passes") - passes;
-  EXPECT_GT(ran, 0u);
-  EXPECT_EQ(CounterValue("partition/vertex/multilevel/refine_scanned") -
-                scanned,
-            ran * entries);
+  ASSERT_EQ(entries, 126u);
+  const std::vector<std::string> counters = {
+      "partition/vertex/multilevel/refine_passes",
+      "partition/vertex/multilevel/refine_moves",
+      "partition/vertex/multilevel/refine_scanned"};
+  const auto [parts, delta] = RunCounted(counters, [&] {
+    return MultilevelPartition(graph, 4, 3, MetisParams());
+  });
+  EXPECT_EQ(delta[0], 115u);
+  EXPECT_EQ(delta[1], 405u);
+  EXPECT_EQ(delta[2], 8 * entries + 1799 + 61);
+  EXPECT_LT(delta[2], delta[0] * entries);
 }
 
 }  // namespace
