@@ -226,91 +226,79 @@ std::vector<PartitionId> GrowInitial(const WeightedGraph& g, PartitionId k,
 // row instead of its neighbourhood. Every value fits in 32 bits:
 // MultilevelPartition rejects inputs with 2^32 or more adjacency entries,
 // and a coarse edge weight counts distinct input entries.
-class Refiner {
- public:
-  Refiner(const WeightedGraph& g, PartitionId k, double imbalance,
-          std::vector<PartitionId>* part)
-      : g_(g), k_(k), part_(*part), pweight_(k, 0) {
-    const double mean =
-        static_cast<double>(g.total_vweight()) / static_cast<double>(k);
-    max_weight_ = static_cast<uint64_t>(imbalance * mean) + 1;
-    capacity_ = imbalance * mean;
-    for (uint32_t v = 0; v < g.n(); ++v) pweight_[part_[v]] += g.vweight(v);
-    rows_ = CountRows();
-    degree_.resize(g.n());
+struct Refiner {
+  Refiner(const WeightedGraph& graph, PartitionId parts, double imbalance,
+          std::vector<PartitionId>* assignment)
+      : g(graph),
+        k(parts),
+        part(*assignment),
+        capacity(imbalance * (static_cast<double>(g.total_vweight()) /
+                              static_cast<double>(k))),
+        max_weight(static_cast<uint64_t>(capacity) + 1),
+        pweight(k, 0),
+        rows(CountRows()),
+        degree(g.n()),
+        scanned(g.nbr.size()) {
     for (uint32_t v = 0; v < g.n(); ++v) {
-      const uint32_t* r = row(v);
-      degree_[v] = std::accumulate(r, r + k, uint32_t{0});
+      pweight[part[v]] += g.vweight(v);
+      degree[v] = std::accumulate(row(v), row(v) + k, uint32_t{0});
+    }
+  }
+
+  uint32_t* row(uint32_t v) { return rows.data() + size_t{v} * k; }
+
+  std::vector<uint32_t> CountRows() const {
+    std::vector<uint32_t> counted(g.n() * size_t{k}, 0);
+    for (uint32_t v = 0; v < g.n(); ++v) {
+      for (uint64_t e = g.off[v]; e < g.off[v + 1]; ++e) {
+        counted[size_t{v} * k + part[g.nbr[e]]] +=
+            static_cast<uint32_t>(g.weight(e));
+      }
+    }
+    return counted;
+  }
+
+  // Moves v to partition `to`, shifting its edge weight from its old
+  // partition to `to` in every neighbour's row.
+  void Move(uint32_t v, PartitionId to) {
+    const PartitionId from = part[v];
+    part[v] = to;
+    pweight[from] -= g.vweight(v);
+    pweight[to] += g.vweight(v);
+    for (uint64_t e = g.off[v]; e < g.off[v + 1]; ++e) {
+      uint32_t* r = row(g.nbr[e]);
+      const auto w = static_cast<uint32_t>(g.weight(e));
+      r[from] -= w;
+      r[to] += w;
+    }
+    scanned += g.off[v + 1] - g.off[v];
+  }
+
+  // The partition in `ties` (a bit per partition) that holds v's first
+  // neighbour among them.
+  PartitionId FirstSeen(uint32_t v, uint64_t ties) {
+    for (uint64_t e = g.off[v];; ++e) {
+      const PartitionId p = part[g.nbr[e]];
+      if ((ties >> p) & 1) {
+        scanned += e - g.off[v] + 1;
+        return p;
+      }
     }
   }
 
   size_t RefinePass(Rng* rng);
   void RebalancePass(Rng* rng);
 
-  // Recounts every row from the adjacency: the incremental rows must match.
-  void CheckRows() const {
-    GNNPART_CHECK_PARANOID(CountRows() == rows_,
-                           "multilevel: a partition-connectivity row drifted "
-                           "from the adjacency");
-  }
-
+  const WeightedGraph& g;
+  const PartitionId k;
+  std::vector<PartitionId>& part;
+  const double capacity;
+  const uint64_t max_weight;
+  std::vector<uint64_t> pweight;
+  std::vector<uint32_t> rows;
+  std::vector<uint32_t> degree;
   // Adjacency entries read: row builds, mover updates and tie scans.
-  uint64_t scanned() const { return scanned_; }
-
- private:
-  uint32_t* row(uint32_t v) { return rows_.data() + size_t{v} * k_; }
-  const uint32_t* row(uint32_t v) const {
-    return rows_.data() + size_t{v} * k_;
-  }
-
-  std::vector<uint32_t> CountRows() const {
-    std::vector<uint32_t> rows(g_.n() * size_t{k_}, 0);
-    for (uint32_t v = 0; v < g_.n(); ++v) {
-      uint32_t* r = rows.data() + size_t{v} * k_;
-      for (uint64_t e = g_.off[v]; e < g_.off[v + 1]; ++e) {
-        r[part_[g_.nbr[e]]] += static_cast<uint32_t>(g_.weight(e));
-      }
-    }
-    return rows;
-  }
-
-  // Moves v to partition `to`, shifting its edge weight from its old
-  // partition to `to` in every neighbour's row.
-  void Move(uint32_t v, PartitionId to) {
-    const PartitionId from = part_[v];
-    part_[v] = to;
-    pweight_[from] -= g_.vweight(v);
-    pweight_[to] += g_.vweight(v);
-    for (uint64_t e = g_.off[v]; e < g_.off[v + 1]; ++e) {
-      uint32_t* r = row(g_.nbr[e]);
-      const auto w = static_cast<uint32_t>(g_.weight(e));
-      r[from] -= w;
-      r[to] += w;
-    }
-    scanned_ += g_.off[v + 1] - g_.off[v];
-  }
-
-  // The partition in `ties` (a bit per partition) that holds v's first
-  // neighbour among them.
-  PartitionId FirstSeen(uint32_t v, uint64_t ties) {
-    for (uint64_t e = g_.off[v];; ++e) {
-      const PartitionId p = part_[g_.nbr[e]];
-      if ((ties >> p) & 1) {
-        scanned_ += e - g_.off[v] + 1;
-        return p;
-      }
-    }
-  }
-
-  const WeightedGraph& g_;
-  const PartitionId k_;
-  std::vector<PartitionId>& part_;
-  std::vector<uint64_t> pweight_;
-  uint64_t max_weight_;
-  double capacity_;
-  std::vector<uint32_t> rows_;
-  std::vector<uint32_t> degree_;
-  uint64_t scanned_ = g_.nbr.size();  // the row build
+  uint64_t scanned;
 };
 
 // One size-constrained label-propagation refinement pass (the social-graph
@@ -321,29 +309,29 @@ class Refiner {
 // Score ties go to the partition of v's first neighbour among the tied
 // ones. Returns the number of moves made.
 size_t Refiner::RefinePass(Rng* rng) {
-  const size_t n = g_.n();
+  const size_t n = g.n();
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   rng->Shuffle(&order);
   size_t moves = 0;
   for (uint32_t v : order) {
-    const PartitionId own = part_[v];
+    const PartitionId own = part[v];
     const uint32_t* conn = row(v);
-    if (conn[own] == degree_[v]) continue;  // not a boundary vertex
-    const double total_w = static_cast<double>(degree_[v]);
+    if (conn[own] == degree[v]) continue;  // not a boundary vertex
+    const double total_w = static_cast<double>(degree[v]);
     auto score = [&](PartitionId p) {
       double locality = static_cast<double>(conn[p]) / total_w;
-      double penalty = 1.0 - static_cast<double>(pweight_[p]) / capacity_;
+      double penalty = 1.0 - static_cast<double>(pweight[p]) / capacity;
       if (penalty < 0) penalty = 0;
       return locality + penalty;
     };
     // Candidates: partitions v has an edge into and that can take v, as a
     // bit per partition (k <= 64), built without a branch per partition.
-    const uint64_t vw = g_.vweight(v);
+    const uint64_t vw = g.vweight(v);
     uint64_t candidates = 0;
-    for (PartitionId p = 0; p < k_; ++p) {
+    for (PartitionId p = 0; p < k; ++p) {
       candidates |=
-          uint64_t((conn[p] != 0) & (pweight_[p] + vw <= max_weight_)) << p;
+          uint64_t((conn[p] != 0) & (pweight[p] + vw <= max_weight)) << p;
     }
     candidates &= ~(uint64_t{1} << own);
     PartitionId best = own;
@@ -372,28 +360,28 @@ size_t Refiner::RefinePass(Rng* rng) {
 // unavoidable) out of overweight partitions into the lightest ones,
 // preferring moves that keep the most neighbour connectivity.
 void Refiner::RebalancePass(Rng* rng) {
-  const size_t n = g_.n();
+  const size_t n = g.n();
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   for (int round = 0; round < 6; ++round) {
     bool any_over = false;
-    for (PartitionId p = 0; p < k_; ++p) {
-      if (pweight_[p] > max_weight_) any_over = true;
+    for (PartitionId p = 0; p < k; ++p) {
+      if (pweight[p] > max_weight) any_over = true;
     }
     if (!any_over) return;
     rng->Shuffle(&order);
     for (uint32_t v : order) {
-      PartitionId own = part_[v];
-      if (pweight_[own] <= max_weight_) continue;
+      PartitionId own = part[v];
+      if (pweight[own] <= max_weight) continue;
       const uint32_t* conn = row(v);
       // Target: lightest partition that can take v; among the near-lightest
       // prefer connectivity.
       PartitionId best = kInvalidPartition;
-      for (PartitionId p = 0; p < k_; ++p) {
+      for (PartitionId p = 0; p < k; ++p) {
         if (p == own) continue;
-        if (pweight_[p] + g_.vweight(v) > max_weight_) continue;
+        if (pweight[p] + g.vweight(v) > max_weight) continue;
         if (best == kInvalidPartition || conn[p] > conn[best] ||
-            (conn[p] == conn[best] && pweight_[p] < pweight_[best])) {
+            (conn[p] == conn[best] && pweight[p] < pweight[best])) {
           best = p;
         }
       }
@@ -415,11 +403,13 @@ void Refine(const WeightedGraph& g, PartitionId k, int passes,
     ++total_passes;
     if (moves == 0) break;
   }
-  if constexpr (check::ParanoidEnabled()) refiner.CheckRows();
+  GNNPART_CHECK_PARANOID(refiner.CountRows() == refiner.rows,
+                         "multilevel: a partition-connectivity row drifted "
+                         "from the adjacency");
   obs::Count("partition/vertex/multilevel/refine_moves", total_moves, "moves");
   obs::Count("partition/vertex/multilevel/refine_passes", total_passes,
              "passes");
-  obs::Count("partition/vertex/multilevel/refine_scanned", refiner.scanned(),
+  obs::Count("partition/vertex/multilevel/refine_scanned", refiner.scanned,
              "entries");
 }
 
