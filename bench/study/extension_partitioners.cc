@@ -4,8 +4,9 @@
 // between DBH and HDRF, Grid between Random and DBH (its RF is bounded by
 // r+c-1, not by structure), Fennel in LDG's band and ReLDG between LDG and
 // the in-memory partitioners — this bench verifies all four placements.
+// Every run goes through the Study memo, so each one has a digest row and
+// the k=16 runs shared with Figs. 2 and 12 are computed once.
 #include "bench/study/tables.h"
-#include "common/timer.h"
 
 namespace gnnpart::bench {
 
@@ -19,18 +20,14 @@ void ExtensionPartitioners(Study& study) {
   TablePrinter et({"Graph", "Random", "Grid", "DBH", "Greedy", "HDRF",
                    "HEP100"});
   for (DatasetId id : AllDatasets()) {
-    const DatasetBundle& bundle =
-        *bench::Unwrap(study.Dataset(id), "dataset");
     std::vector<std::string> row{DatasetCode(id)};
     for (EdgePartitionerId pid :
          {EdgePartitionerId::kRandom, EdgePartitionerId::kGrid,
           EdgePartitionerId::kDbh, EdgePartitionerId::kGreedy,
           EdgePartitionerId::kHdrf, EdgePartitionerId::kHep100}) {
-      auto parts = MakeEdgePartitioner(pid)->Partition(bundle.graph, k,
-                                                       ctx.seed);
-      row.push_back(bench::F(
-          ComputeEdgePartitionMetrics(bundle.graph, *parts)
-              .replication_factor));
+      const EdgeRun& run =
+          *bench::Unwrap(study.Edge(id, pid, k), "partition");
+      row.push_back(bench::F(run.metrics.replication_factor));
     }
     et.AddRow(row);
   }
@@ -40,19 +37,14 @@ void ExtensionPartitioners(Study& study) {
   TablePrinter vt({"Graph", "Random", "LDG", "Fennel", "ReLDG", "Spinner",
                    "Metis"});
   for (DatasetId id : AllDatasets()) {
-    const DatasetBundle& bundle =
-        *bench::Unwrap(study.Dataset(id), "dataset");
     std::vector<std::string> row{DatasetCode(id)};
     for (VertexPartitionerId pid :
          {VertexPartitionerId::kRandom, VertexPartitionerId::kLdg,
           VertexPartitionerId::kFennel, VertexPartitionerId::kReldg,
           VertexPartitionerId::kSpinner, VertexPartitionerId::kMetis}) {
-      auto parts = MakeVertexPartitioner(pid)->Partition(
-          bundle.graph, bundle.split, k, ctx.seed);
-      row.push_back(bench::F(
-          ComputeVertexPartitionMetrics(bundle.graph, *parts, bundle.split)
-              .edge_cut_ratio,
-          3));
+      const VertexRun& run =
+          *bench::Unwrap(study.Vertex(id, pid, k), "partition");
+      row.push_back(bench::F(run.metrics.edge_cut_ratio, 3));
     }
     vt.AddRow(row);
   }
