@@ -17,6 +17,7 @@
 #include "obs/metrics.h"
 #include "partition/vertex/fennel.h"
 #include "partition/vertex/reldg.h"
+#include "partition/vertex/streaming.h"
 
 namespace gnnpart {
 namespace dyn {
@@ -97,31 +98,18 @@ void PlaceArrivingVertices(const Graph& full, const EdgeStream& stream,
     }
   }
   *arrived_count += newcomers.size();
-  const double capacity = slack * static_cast<double>(*arrived_count) /
-                          static_cast<double>(k);
-  std::vector<uint32_t> neighbor_count(k, 0);
+  const LdgObjective objective{slack * static_cast<double>(*arrived_count) /
+                               static_cast<double>(k)};
+  // Count only materialized neighbors; a newcomer later in this batch
+  // contributes its placeholder assignment, which is deterministic.
+  const auto materialized = [arrived](VertexId u) {
+    return (*arrived)[u] != 0;
+  };
+  std::vector<uint32_t> count(k, 0);
+  uint64_t score_evals = 0;  // not published: dyn counts no placement work
   for (VertexId w : newcomers) {
-    std::fill(neighbor_count.begin(), neighbor_count.end(), 0);
-    for (VertexId u : full.Neighbors(w)) {
-      // Count only materialized neighbors; a newcomer later in this batch
-      // contributes its placeholder assignment, which is deterministic.
-      if ((*arrived)[u]) ++neighbor_count[(*assignment)[u]];
-    }
-    PartitionId best = 0;
-    double best_score = -1.0;
-    uint64_t best_load = ~0ULL;
-    for (PartitionId p = 0; p < k; ++p) {
-      double penalty = 1.0 - static_cast<double>((*load)[p]) / capacity;
-      if (penalty < 0) penalty = 0;
-      double score =
-          (1.0 + static_cast<double>(neighbor_count[p])) * penalty;
-      if (score > best_score ||
-          (score == best_score && (*load)[p] < best_load)) {
-        best_score = score;
-        best = p;
-        best_load = (*load)[p];
-      }
-    }
+    CountNeighbourParts(full, w, *assignment, materialized, &count);
+    const PartitionId best = PlaceBest(objective, count, *load, &score_evals);
     (*assignment)[w] = best;
     ++(*load)[best];
   }

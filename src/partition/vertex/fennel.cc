@@ -1,64 +1,35 @@
 #include "partition/vertex/fennel.h"
 
 #include <cmath>
-#include <numeric>
-#include <vector>
 
-#include "common/rng.h"
 #include "obs/metrics.h"
+#include "partition/vertex/streaming.h"
 
 namespace gnnpart {
+namespace {
+
+FennelObjective Objective(const Graph& graph, PartitionId k, double gamma,
+                          double load_slack) {
+  const double n = static_cast<double>(graph.num_vertices());
+  const double m = static_cast<double>(graph.num_edges());
+  // Fennel's alpha: m * k^(gamma-1) / n^gamma.
+  const double alpha = m * std::pow(static_cast<double>(k), gamma - 1.0) /
+                       std::pow(n, gamma);
+  return {alpha * gamma, gamma, load_slack * n / static_cast<double>(k)};
+}
+
+}  // namespace
 
 Result<VertexPartitioning> FennelPartitioner::Partition(
     const Graph& graph, const VertexSplit& split, PartitionId k,
     uint64_t seed) const {
   GNNPART_RETURN_NOT_OK(CheckArgs(graph, split, k));
-  const size_t n = graph.num_vertices();
-  const double m = static_cast<double>(graph.num_edges());
-  VertexPartitioning result;
-  result.k = k;
-  result.assignment.assign(n, kInvalidPartition);
-
-  // Fennel's alpha: m * k^(gamma-1) / n^gamma.
-  const double alpha = m * std::pow(static_cast<double>(k), gamma_ - 1.0) /
-                       std::pow(static_cast<double>(n), gamma_);
-  const double capacity =
-      load_slack_ * static_cast<double>(n) / static_cast<double>(k);
-
-  std::vector<uint64_t> load(k, 0);
-  std::vector<uint32_t> neighbor_count(k, 0);
-  std::vector<VertexId> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  Rng rng(seed);
-  rng.Shuffle(&order);
-
   uint64_t score_evals = 0;  // accumulated locally, published once below
-  for (VertexId v : order) {
-    std::fill(neighbor_count.begin(), neighbor_count.end(), 0);
-    for (VertexId u : graph.Neighbors(v)) {
-      PartitionId pu = result.assignment[u];
-      if (pu != kInvalidPartition) ++neighbor_count[pu];
-    }
-    PartitionId best = 0;
-    double best_score = -1e300;
-    for (PartitionId p = 0; p < k; ++p) {
-      if (static_cast<double>(load[p]) >= capacity) continue;
-      ++score_evals;
-      double penalty =
-          alpha * gamma_ *
-          std::pow(static_cast<double>(load[p]), gamma_ - 1.0);
-      double score = static_cast<double>(neighbor_count[p]) - penalty;
-      if (score > best_score ||
-          (score == best_score && load[p] < load[best])) {
-        best_score = score;
-        best = p;
-      }
-    }
-    result.assignment[v] = best;
-    ++load[best];
-  }
-  obs::Count("partition/vertex/" + name() + "/vertices_assigned", n,
-             "vertices");
+  VertexPartitioning result =
+      StreamVertices(graph, k, seed, /*passes=*/1,
+                     Objective(graph, k, gamma_, load_slack_), &score_evals);
+  obs::Count("partition/vertex/" + name() + "/vertices_assigned",
+             graph.num_vertices(), "vertices");
   obs::Count("partition/vertex/" + name() + "/score_evals", score_evals,
              "evals");
   return result;
@@ -69,82 +40,9 @@ Result<VertexPartitioning> FennelPartitioner::Repartition(
     const std::vector<PartitionId>& prior, double stay_bonus, int max_passes,
     uint64_t* last_pass_moves) const {
   GNNPART_RETURN_NOT_OK(CheckArgs(graph, split, k));
-  const size_t n = graph.num_vertices();
-  if (prior.size() != n) {
-    return Status::InvalidArgument("Fennel repartition: prior size mismatch");
-  }
-  for (PartitionId p : prior) {
-    if (p >= k) {
-      return Status::InvalidArgument(
-          "Fennel repartition: prior assignment out of range");
-    }
-  }
-  const double m = static_cast<double>(graph.num_edges());
-  VertexPartitioning result;
-  result.k = k;
-  result.assignment = prior;
-
-  const double alpha = m * std::pow(static_cast<double>(k), gamma_ - 1.0) /
-                       std::pow(static_cast<double>(n), gamma_);
-  const double capacity =
-      load_slack_ * static_cast<double>(n) / static_cast<double>(k);
-
-  std::vector<uint64_t> load(k, 0);
-  for (PartitionId p : prior) ++load[p];
-  std::vector<uint32_t> neighbor_count(k, 0);
-  // One fixed restream order for every pass — the same construction as
-  // Partition's order, but deliberately NOT re-shuffled between passes so
-  // that a zero-move pass is a true fixed point of the whole call.
-  std::vector<VertexId> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  Rng rng(seed);
-  rng.Shuffle(&order);
-
-  uint64_t moves = 0;
-  uint64_t pass_moves = 0;
-  int passes_run = 0;
-  for (int pass = 0; pass < max_passes; ++pass) {
-    ++passes_run;
-    pass_moves = 0;
-    for (VertexId v : order) {
-      const PartitionId cur = result.assignment[v];
-      --load[cur];  // score every candidate with v removed
-      std::fill(neighbor_count.begin(), neighbor_count.end(), 0);
-      for (VertexId u : graph.Neighbors(v)) {
-        PartitionId pu = result.assignment[u];
-        if (pu != kInvalidPartition) ++neighbor_count[pu];
-      }
-      PartitionId best = cur;
-      double best_score =
-          static_cast<double>(neighbor_count[cur]) + stay_bonus -
-          alpha * gamma_ *
-              std::pow(static_cast<double>(load[cur]), gamma_ - 1.0);
-      for (PartitionId p = 0; p < k; ++p) {
-        if (p == cur) continue;
-        if (static_cast<double>(load[p]) >= capacity) continue;
-        double penalty =
-            alpha * gamma_ *
-            std::pow(static_cast<double>(load[p]), gamma_ - 1.0);
-        double score = static_cast<double>(neighbor_count[p]) - penalty;
-        // Strictly better only: ties never move, so fixed points are stable.
-        if (score > best_score) {
-          best_score = score;
-          best = p;
-        }
-      }
-      result.assignment[v] = best;
-      ++load[best];
-      if (best != cur) ++pass_moves;
-    }
-    moves += pass_moves;
-    if (pass_moves == 0) break;
-  }
-  if (last_pass_moves != nullptr) *last_pass_moves = pass_moves;
-  obs::Count("partition/vertex/" + name() + "/repartition_moves", moves,
-             "moves");
-  obs::Count("partition/vertex/" + name() + "/repartition_passes",
-             static_cast<uint64_t>(passes_run), "passes");
-  return result;
+  return RestreamVertices(graph, k, seed, prior, stay_bonus, max_passes,
+                          Objective(graph, k, gamma_, load_slack_), name(),
+                          last_pass_moves);
 }
 
 }  // namespace gnnpart

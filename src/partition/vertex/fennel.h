@@ -25,13 +25,9 @@ class FennelPartitioner : public VertexPartitioner {
   /// ReFennel restreaming: re-runs the Fennel objective seeded with a
   /// complete `prior` assignment, adding `stay_bonus` (neighbor-score
   /// units) to the vertex's current partition as a migration-penalty term.
-  /// A vertex moves only on a *strictly* better score, the stream order is
-  /// fixed once from `seed` (not re-shuffled per pass), and passes stop
-  /// early when one completes with zero moves — together these make any
-  /// fixed point idempotent: re-running from a converged assignment returns
-  /// it unchanged with `*last_pass_moves == 0`. The current partition is
-  /// always a candidate even at capacity (a full prior may legally saturate
-  /// every partition).
+  /// The restream contract is RestreamVertices' (streaming.h): the current
+  /// partition stays a candidate even at capacity, since a full prior may
+  /// legally saturate every partition.
   Result<VertexPartitioning> Repartition(
       const Graph& graph, const VertexSplit& split, PartitionId k,
       uint64_t seed, const std::vector<PartitionId>& prior, double stay_bonus,

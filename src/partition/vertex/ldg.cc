@@ -1,10 +1,7 @@
 #include "partition/vertex/ldg.h"
 
-#include <numeric>
-#include <vector>
-
-#include "common/rng.h"
 #include "obs/metrics.h"
+#include "partition/vertex/streaming.h"
 
 namespace gnnpart {
 
@@ -14,45 +11,11 @@ Result<VertexPartitioning> LdgPartitioner::Partition(const Graph& graph,
                                                      uint64_t seed) const {
   GNNPART_RETURN_NOT_OK(CheckArgs(graph, split, k));
   const size_t n = graph.num_vertices();
-  VertexPartitioning result;
-  result.k = k;
-  result.assignment.assign(n, kInvalidPartition);
-
-  const double capacity =
-      slack_ * static_cast<double>(n) / static_cast<double>(k);
-  std::vector<uint64_t> load(k, 0);
-  std::vector<uint32_t> neighbor_count(k, 0);
-
-  std::vector<VertexId> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  Rng rng(seed);
-  rng.Shuffle(&order);
-
+  const LdgObjective objective{slack_ * static_cast<double>(n) /
+                               static_cast<double>(k)};
   uint64_t score_evals = 0;  // accumulated locally, published once below
-  for (VertexId v : order) {
-    std::fill(neighbor_count.begin(), neighbor_count.end(), 0);
-    for (VertexId u : graph.Neighbors(v)) {
-      PartitionId pu = result.assignment[u];
-      if (pu != kInvalidPartition) ++neighbor_count[pu];
-    }
-    PartitionId best = 0;
-    double best_score = -1.0;
-    uint64_t best_load = ~0ULL;
-    score_evals += k;
-    for (PartitionId p = 0; p < k; ++p) {
-      double penalty = 1.0 - static_cast<double>(load[p]) / capacity;
-      if (penalty < 0) penalty = 0;
-      double score = (1.0 + static_cast<double>(neighbor_count[p])) * penalty;
-      if (score > best_score ||
-          (score == best_score && load[p] < best_load)) {
-        best_score = score;
-        best = p;
-        best_load = load[p];
-      }
-    }
-    result.assignment[v] = best;
-    ++load[best];
-  }
+  VertexPartitioning result =
+      StreamVertices(graph, k, seed, /*passes=*/1, objective, &score_evals);
   obs::Count("partition/vertex/" + name() + "/vertices_assigned", n,
              "vertices");
   obs::Count("partition/vertex/" + name() + "/score_evals", score_evals,

@@ -1,61 +1,30 @@
 #include "partition/vertex/reldg.h"
 
-#include <numeric>
-#include <vector>
+#include <algorithm>
 
-#include "common/rng.h"
 #include "obs/metrics.h"
+#include "partition/vertex/streaming.h"
 
 namespace gnnpart {
+namespace {
+
+LdgObjective Objective(const Graph& graph, PartitionId k, double slack) {
+  return {slack * static_cast<double>(graph.num_vertices()) /
+          static_cast<double>(k)};
+}
+
+}  // namespace
 
 Result<VertexPartitioning> ReldgPartitioner::Partition(
     const Graph& graph, const VertexSplit& split, PartitionId k,
     uint64_t seed) const {
   GNNPART_RETURN_NOT_OK(CheckArgs(graph, split, k));
   const size_t n = graph.num_vertices();
-  VertexPartitioning result;
-  result.k = k;
-  result.assignment.assign(n, kInvalidPartition);
-
-  const double capacity =
-      slack_ * static_cast<double>(n) / static_cast<double>(k);
-  std::vector<uint64_t> load(k, 0);
-  std::vector<uint32_t> neighbor_count(k, 0);
-  std::vector<VertexId> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  Rng rng(seed);
-
-  uint64_t placements = 0;  // accumulated locally, published once below
-  for (int pass = 0; pass < passes_; ++pass) {
-    rng.Shuffle(&order);
-    for (VertexId v : order) {
-      PartitionId old = result.assignment[v];
-      if (old != kInvalidPartition) --load[old];  // re-place this vertex
-      std::fill(neighbor_count.begin(), neighbor_count.end(), 0);
-      for (VertexId u : graph.Neighbors(v)) {
-        PartitionId pu = result.assignment[u];
-        if (pu != kInvalidPartition) ++neighbor_count[pu];
-      }
-      PartitionId best = 0;
-      double best_score = -1.0;
-      uint64_t best_load = ~0ULL;
-      for (PartitionId p = 0; p < k; ++p) {
-        double penalty = 1.0 - static_cast<double>(load[p]) / capacity;
-        if (penalty < 0) penalty = 0;
-        double score =
-            (1.0 + static_cast<double>(neighbor_count[p])) * penalty;
-        if (score > best_score ||
-            (score == best_score && load[p] < best_load)) {
-          best_score = score;
-          best = p;
-          best_load = load[p];
-        }
-      }
-      result.assignment[v] = best;
-      ++load[best];
-      ++placements;
-    }
-  }
+  uint64_t score_evals = 0;  // ReLDG publishes placements instead
+  VertexPartitioning result = StreamVertices(
+      graph, k, seed, passes_, Objective(graph, k, slack_), &score_evals);
+  const uint64_t placements =
+      static_cast<uint64_t>(std::max(passes_, 0)) * n;
   obs::Count("partition/vertex/" + name() + "/vertices_assigned", n,
              "vertices");
   obs::Count("partition/vertex/" + name() + "/placements", placements,
@@ -70,78 +39,9 @@ Result<VertexPartitioning> ReldgPartitioner::Repartition(
     const std::vector<PartitionId>& prior, double stay_bonus, int max_passes,
     uint64_t* last_pass_moves) const {
   GNNPART_RETURN_NOT_OK(CheckArgs(graph, split, k));
-  const size_t n = graph.num_vertices();
-  if (prior.size() != n) {
-    return Status::InvalidArgument("ReLDG repartition: prior size mismatch");
-  }
-  for (PartitionId p : prior) {
-    if (p >= k) {
-      return Status::InvalidArgument(
-          "ReLDG repartition: prior assignment out of range");
-    }
-  }
-  VertexPartitioning result;
-  result.k = k;
-  result.assignment = prior;
-
-  const double capacity =
-      slack_ * static_cast<double>(n) / static_cast<double>(k);
-  std::vector<uint64_t> load(k, 0);
-  for (PartitionId p : prior) ++load[p];
-  std::vector<uint32_t> neighbor_count(k, 0);
-  // Unlike Partition, the order is shuffled once and reused by every pass:
-  // re-shuffling would make "zero moves" a property of one ordering rather
-  // than of the assignment, breaking repartition idempotence.
-  std::vector<VertexId> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  Rng rng(seed);
-  rng.Shuffle(&order);
-
-  uint64_t moves = 0;
-  uint64_t pass_moves = 0;
-  int passes_run = 0;
-  for (int pass = 0; pass < max_passes; ++pass) {
-    ++passes_run;
-    pass_moves = 0;
-    for (VertexId v : order) {
-      const PartitionId cur = result.assignment[v];
-      --load[cur];  // re-place this vertex
-      std::fill(neighbor_count.begin(), neighbor_count.end(), 0);
-      for (VertexId u : graph.Neighbors(v)) {
-        PartitionId pu = result.assignment[u];
-        if (pu != kInvalidPartition) ++neighbor_count[pu];
-      }
-      PartitionId best = cur;
-      double cur_penalty = 1.0 - static_cast<double>(load[cur]) / capacity;
-      if (cur_penalty < 0) cur_penalty = 0;
-      double best_score =
-          (1.0 + static_cast<double>(neighbor_count[cur]) + stay_bonus) *
-          cur_penalty;
-      for (PartitionId p = 0; p < k; ++p) {
-        if (p == cur) continue;
-        double penalty = 1.0 - static_cast<double>(load[p]) / capacity;
-        if (penalty < 0) penalty = 0;
-        double score =
-            (1.0 + static_cast<double>(neighbor_count[p])) * penalty;
-        // Strictly better only: ties never move, so fixed points are stable.
-        if (score > best_score) {
-          best_score = score;
-          best = p;
-        }
-      }
-      result.assignment[v] = best;
-      ++load[best];
-      if (best != cur) ++pass_moves;
-    }
-    moves += pass_moves;
-    if (pass_moves == 0) break;
-  }
-  if (last_pass_moves != nullptr) *last_pass_moves = pass_moves;
-  obs::Count("partition/vertex/" + name() + "/repartition_moves", moves,
-             "moves");
-  obs::Count("partition/vertex/" + name() + "/repartition_passes",
-             static_cast<uint64_t>(passes_run), "passes");
-  return result;
+  return RestreamVertices(graph, k, seed, prior, stay_bonus, max_passes,
+                          Objective(graph, k, slack_), name(),
+                          last_pass_moves);
 }
 
 }  // namespace gnnpart

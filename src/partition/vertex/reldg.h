@@ -25,11 +25,8 @@ class ReldgPartitioner : public VertexPartitioner {
   /// Warm restreaming: re-runs the LDG objective seeded with a complete
   /// `prior` assignment. `stay_bonus` is added to the vertex's current
   /// partition's neighbor count inside the multiplicative LDG score (so the
-  /// penalty term still discourages staying on an overloaded partition). A
-  /// vertex moves only on a strictly better score, the stream order is fixed
-  /// once from `seed` for all passes, and passes stop early on a zero-move
-  /// pass — a converged assignment is returned unchanged with
-  /// `*last_pass_moves == 0`.
+  /// penalty term still discourages staying on an overloaded partition).
+  /// The restream contract is RestreamVertices' (streaming.h).
   Result<VertexPartitioning> Repartition(
       const Graph& graph, const VertexSplit& split, PartitionId k,
       uint64_t seed, const std::vector<PartitionId>& prior, double stay_bonus,
