@@ -162,4 +162,35 @@ for flag in --metrics-out --trace-out --topology --events-out; do
   }
 done
 
+# A numeric flag value that fails its parse exits 2 with one exact line per
+# kind: positive or non-negative, integer or number, with its upper bound
+# unless the flag has none.
+expect_flag_error() {
+  want="$1"
+  shift
+  set +e
+  "$CLI" "$@" > /dev/null 2> "$TMP/err.txt"
+  rc=$?
+  set -e
+  if [ "$rc" -ne 2 ] || ! grep -qxF "$want" "$TMP/err.txt"; then
+    echo "FAIL: $* exited $rc, want 2 and: $want" >&2
+    exit 1
+  fi
+}
+expect_flag_error \
+  "error: invalid --rack-size value '0' (expected a positive integer <= 64)" \
+  simulate "$TMP/HW.bin" HDRF 4 --rack-size 0
+expect_flag_error \
+  "error: invalid --seed value 'x' (expected a positive integer)" \
+  simulate "$TMP/HW.bin" HDRF 4 --seed x
+expect_flag_error \
+  "error: invalid --growth-batches value '-1' (expected a non-negative integer <= 4096)" \
+  dyn-run "$TMP/HW.bin" vLDG 4 --growth-batches -1
+expect_flag_error \
+  "error: invalid --arrival-rate value '0' (expected a positive number <= 1e+09)" \
+  serve-run "$TMP/HW.bin" vLDG 4 --arrival-rate 0
+expect_flag_error \
+  "error: invalid --rf-threshold value '-0' (expected a non-negative number <= 10000)" \
+  dyn-run "$TMP/HW.bin" vLDG 4 --rf-threshold -0
+
 echo OK

@@ -213,28 +213,44 @@ bool HasFlag(const std::vector<std::string>& args, const std::string& flag) {
   return false;
 }
 
-/// Validated `--flag N` lookup: absent -> `fallback`; present with a
-/// missing, non-numeric, non-positive or > `max` value -> loud exit (no
-/// silent atol-style zero defaults).
-long FlagValue(const std::vector<std::string>& args, const std::string& flag,
-               long fallback, long max = std::numeric_limits<long>::max()) {
+/// The value after the first `flag` in `args`, or nullptr when the flag is
+/// absent. A trailing flag with no value is a loud exit 2.
+const std::string* FindFlagValue(const std::vector<std::string>& args,
+                                 const std::string& flag) {
   for (size_t i = 0; i < args.size(); ++i) {
     if (args[i] != flag) continue;
     if (i + 1 >= args.size()) {
       std::cerr << "error: " << flag << " requires a value\n";
       std::exit(2);
     }
-    const long v = ParsePositiveInt(args[i + 1].c_str(), max);
-    if (v < 1) {
-      std::cerr << "error: invalid " << flag << " value '" << args[i + 1]
-                << "' (expected a positive integer";
-      if (max != std::numeric_limits<long>::max()) std::cerr << " <= " << max;
-      std::cerr << ")\n";
-      std::exit(2);
-    }
-    return v;
+    return &args[i + 1];
   }
-  return fallback;
+  return nullptr;
+}
+
+/// Exit 2 for a flag value that failed its parse: names the flag, the value
+/// and what was `expected`, with `max` unless it is the type's own maximum.
+template <typename T>
+[[noreturn]] void InvalidFlagValue(const std::string& flag,
+                                   const std::string& value,
+                                   const char* expected, T max) {
+  std::cerr << "error: invalid " << flag << " value '" << value
+            << "' (expected a " << expected;
+  if (max != std::numeric_limits<T>::max()) std::cerr << " <= " << max;
+  std::cerr << ")\n";
+  std::exit(2);
+}
+
+/// Validated `--flag N` lookup: absent -> `fallback`; present with a
+/// missing, non-numeric, non-positive or > `max` value -> loud exit (no
+/// silent atol-style zero defaults).
+long FlagValue(const std::vector<std::string>& args, const std::string& flag,
+               long fallback, long max = std::numeric_limits<long>::max()) {
+  const std::string* value = FindFlagValue(args, flag);
+  if (value == nullptr) return fallback;
+  const long v = ParsePositiveInt(value->c_str(), max);
+  if (v < 1) InvalidFlagValue(flag, *value, "positive integer", max);
+  return v;
 }
 
 /// Validated `--flag N` lookup for flags where 0 means "off": like
@@ -242,23 +258,11 @@ long FlagValue(const std::vector<std::string>& args, const std::string& flag,
 long NonNegativeFlagValue(const std::vector<std::string>& args,
                           const std::string& flag, long fallback,
                           long max = std::numeric_limits<long>::max()) {
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (args[i] != flag) continue;
-    if (i + 1 >= args.size()) {
-      std::cerr << "error: " << flag << " requires a value\n";
-      std::exit(2);
-    }
-    const long v = ParseNonNegativeInt(args[i + 1].c_str(), max);
-    if (v < 0) {
-      std::cerr << "error: invalid " << flag << " value '" << args[i + 1]
-                << "' (expected a non-negative integer";
-      if (max != std::numeric_limits<long>::max()) std::cerr << " <= " << max;
-      std::cerr << ")\n";
-      std::exit(2);
-    }
-    return v;
-  }
-  return fallback;
+  const std::string* value = FindFlagValue(args, flag);
+  if (value == nullptr) return fallback;
+  const long v = ParseNonNegativeInt(value->c_str(), max);
+  if (v < 0) InvalidFlagValue(flag, *value, "non-negative integer", max);
+  return v;
 }
 
 /// Validated `--flag X` lookup for fractional flags (--rf-threshold,
@@ -269,23 +273,11 @@ long NonNegativeFlagValue(const std::vector<std::string>& args,
 double DoubleFlagValue(const std::vector<std::string>& args,
                        const std::string& flag, double fallback,
                        double max = std::numeric_limits<double>::max()) {
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (args[i] != flag) continue;
-    if (i + 1 >= args.size()) {
-      std::cerr << "error: " << flag << " requires a value\n";
-      std::exit(2);
-    }
-    const double v = ParsePositiveDouble(args[i + 1].c_str(), max);
-    if (v < 0) {
-      std::cerr << "error: invalid " << flag << " value '" << args[i + 1]
-                << "' (expected a positive number";
-      if (max != std::numeric_limits<double>::max()) std::cerr << " <= " << max;
-      std::cerr << ")\n";
-      std::exit(2);
-    }
-    return v;
-  }
-  return fallback;
+  const std::string* value = FindFlagValue(args, flag);
+  if (value == nullptr) return fallback;
+  const double v = ParsePositiveDouble(value->c_str(), max);
+  if (v < 0) InvalidFlagValue(flag, *value, "positive number", max);
+  return v;
 }
 
 /// DoubleFlagValue, but a literal zero is accepted — for flags where 0
@@ -294,44 +286,24 @@ double DoubleFlagValue(const std::vector<std::string>& args,
 double NonNegativeDoubleFlagValue(
     const std::vector<std::string>& args, const std::string& flag,
     double fallback, double max = std::numeric_limits<double>::max()) {
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (args[i] != flag) continue;
-    if (i + 1 >= args.size()) {
-      std::cerr << "error: " << flag << " requires a value\n";
-      std::exit(2);
-    }
-    const char* s = args[i + 1].c_str();
-    errno = 0;
-    char* end = nullptr;
-    const double z = std::strtod(s, &end);
-    if (errno == 0 && end != s && *end == '\0' && z == 0 &&
-        !std::signbit(z)) {
-      return 0.0;
-    }
-    const double v = ParsePositiveDouble(s, max);
-    if (v < 0) {
-      std::cerr << "error: invalid " << flag << " value '" << args[i + 1]
-                << "' (expected a non-negative number";
-      if (max != std::numeric_limits<double>::max()) std::cerr << " <= " << max;
-      std::cerr << ")\n";
-      std::exit(2);
-    }
-    return v;
+  const std::string* value = FindFlagValue(args, flag);
+  if (value == nullptr) return fallback;
+  const char* s = value->c_str();
+  errno = 0;
+  char* end = nullptr;
+  const double z = std::strtod(s, &end);
+  if (errno == 0 && end != s && *end == '\0' && z == 0 && !std::signbit(z)) {
+    return 0.0;
   }
-  return fallback;
+  const double v = ParsePositiveDouble(s, max);
+  if (v < 0) InvalidFlagValue(flag, *value, "non-negative number", max);
+  return v;
 }
 
 std::string StringFlagValue(const std::vector<std::string>& args,
                             const std::string& flag) {
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (args[i] != flag) continue;
-    if (i + 1 >= args.size()) {
-      std::cerr << "error: " << flag << " requires a value\n";
-      std::exit(2);
-    }
-    return args[i + 1];
-  }
-  return "";
+  const std::string* value = FindFlagValue(args, flag);
+  return value == nullptr ? "" : *value;
 }
 
 /// Validated positional partition count.
