@@ -72,19 +72,18 @@ PartitionId PlaceBest(const Objective& objective,
                       const std::vector<uint64_t>& load, uint64_t* evals) {
   const PartitionId k = static_cast<PartitionId>(load.size());
   PartitionId best = 0;
-  bool found = false;
+  uint64_t open = 0;  // also "found": no open partition scored yet while 0
   double best_score = 0;
   for (PartitionId p = 0; p < k; ++p) {
     if (!objective.Open(load[p])) continue;
-    ++*evals;
     const double score = objective.Score(count[p], 0.0, load[p]);
-    if (!found || score > best_score ||
+    if (open++ == 0 || score > best_score ||
         (score == best_score && load[p] < load[best])) {
-      found = true;
       best = p;
       best_score = score;
     }
   }
+  *evals += open;
   return best;
 }
 
