@@ -3,8 +3,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <map>
 #include <iostream>
 #include <string>
 
@@ -28,8 +26,8 @@ inline std::string& TraceOutBase() {
 }
 
 /// Manifest path given via `--metrics-out FILE` or GNNPART_METRICS_OUT;
-/// empty when metrics export is off. The manifest (BENCH_<name>.json in CI)
-/// is written by an atexit hook registered in DefaultContext.
+/// empty when metrics export is off. The manifest is written by an atexit
+/// hook registered in DefaultContext.
 inline std::string& MetricsOutPath() {
   static std::string path;
   return path;
@@ -190,27 +188,6 @@ T Unwrap(Result<T> result, const std::string& what) {
     std::exit(1);
   }
   return std::move(result).value();
-}
-
-/// Prints the table to stdout and, when GNNPART_CSV_DIR is set, also dumps
-/// it as <dir>/<id>.csv so the reproduced figures can be re-plotted.
-/// Repeated ids (tables emitted in loops, e.g. one per partition count)
-/// get a running suffix instead of overwriting each other.
-inline void Emit(const TablePrinter& table, const std::string& id) {
-  table.Print(std::cout);
-  const char* dir = std::getenv("GNNPART_CSV_DIR");
-  if (!dir) return;
-  static std::map<std::string, int> seen;
-  int n = seen[id]++;
-  std::string path = std::string(dir) + "/" + id +
-                     (n == 0 ? "" : "_" + std::to_string(n)) + ".csv";
-  std::ofstream out(path);
-  if (out) {
-    table.WriteCsv(out);
-    std::cout << "(csv: " << path << ")\n";
-  } else {
-    std::cerr << "warning: cannot write " << path << "\n";
-  }
 }
 
 /// Mean DistDGL speedup vs Random over the grid entries matching `pred`.

@@ -50,7 +50,7 @@ void AblationCluster(Study& study) {
          bench::F(random.epoch_seconds / epoch("HEP100").epoch_seconds),
          bench::F(100.0 * net_share, 1) + "%"});
   }
-  bench::Emit(table, "ablation_cluster_1");
+  table.Print(std::cout);
   std::cout << "\nReading: the paper's DistGNN speedups (up to 10.4x) are "
                "only reachable in the communication-bound rows; the default "
                "ClusterSpec models 1 GbE.\n";

@@ -39,9 +39,13 @@ void AblationCommunities(Study& study) {
         VertexSplit::MakeRandom(graph.num_vertices(), 0.1, 0.1, ctx.seed);
 
     auto run = [&](VertexPartitionerId pid) {
+      auto partitioner = MakeVertexPartitioner(pid);
       auto parts = bench::Unwrap(
-          MakeVertexPartitioner(pid)->Partition(graph, split, k, ctx.seed),
-          "partition");
+          partitioner->Partition(graph, split, k, ctx.seed), "partition");
+      RecordAssignmentDigest("study/ablation/communities/" +
+                                 bench::F(mixing, 1) + "/" +
+                                 partitioner->name(),
+                             parts.assignment);
       auto profile = bench::Unwrap(
           ProfileDistDglEpoch(graph, parts, split, config.fanouts,
                               ctx.global_batch_size, ctx.seed),
@@ -60,7 +64,7 @@ void AblationCommunities(Study& study) {
                            1),
                   bench::F(t_r / t_m)});
   }
-  bench::Emit(table, "ablation_communities_1");
+  table.Print(std::cout);
   std::cout << "\nReading: at mixing 0 (no communities) Metis's cut sits "
                "near Random's and the speedup vanishes; the real graphs'\n"
                "community structure is what gives the paper's partitioners "

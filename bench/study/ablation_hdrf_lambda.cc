@@ -26,7 +26,7 @@ void AblationHdrfLambda(Study& study) {
     table.AddRow({bench::F(lambda, 1), bench::F(m.replication_factor),
                   bench::F(m.edge_balance, 3), bench::F(seconds, 3)});
   }
-  bench::Emit(table, "ablation_hdrf_lambda_1");
+  table.Print(std::cout);
 }
 
 }  // namespace gnnpart::bench

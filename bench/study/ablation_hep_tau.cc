@@ -26,7 +26,7 @@ void AblationHepTau(Study& study) {
     table.AddRow({bench::F(tau, 1), bench::F(m.replication_factor),
                   bench::F(m.vertex_balance), bench::F(seconds, 3)});
   }
-  bench::Emit(table, "ablation_hep_tau_1");
+  table.Print(std::cout);
 }
 
 }  // namespace gnnpart::bench

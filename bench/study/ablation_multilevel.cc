@@ -35,7 +35,7 @@ void AblationMultilevel(Study& study) {
                   std::to_string(cfg.tries), bench::F(m.edge_cut_ratio, 4),
                   bench::F(m.vertex_balance), bench::F(seconds, 3)});
   }
-  bench::Emit(table, "ablation_multilevel_1");
+  table.Print(std::cout);
 }
 
 }  // namespace gnnpart::bench

@@ -22,7 +22,7 @@ void Datasets(Study& study) {
                   bench::F(s.mean_degree, 1), std::to_string(s.max_degree),
                   bench::F(s.skew), bench::F(s.top1pct_degree_share)});
   }
-  bench::Emit(table, "datasets_1");
+  table.Print(std::cout);
 }
 
 }  // namespace gnnpart::bench

@@ -31,7 +31,7 @@ void ExtensionPartitioners(Study& study) {
     }
     et.AddRow(row);
   }
-  bench::Emit(et, "extension_partitioners_1");
+  et.Print(std::cout);
 
   std::cout << "\nVertex partitioners: edge-cut ratio (k=16)\n";
   TablePrinter vt({"Graph", "Random", "LDG", "Fennel", "ReLDG", "Spinner",
@@ -48,7 +48,7 @@ void ExtensionPartitioners(Study& study) {
     }
     vt.AddRow(row);
   }
-  bench::Emit(vt, "extension_partitioners_2");
+  vt.Print(std::cout);
 }
 
 }  // namespace gnnpart::bench

@@ -22,7 +22,7 @@ void Fig02Replication(Study& study) {
       }
       table.AddRow(row);
     }
-    bench::Emit(table, "fig02_replication_1");
+    table.Print(std::cout);
   }
 }
 

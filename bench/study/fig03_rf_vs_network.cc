@@ -36,7 +36,7 @@ void Fig03RfVsNetwork(Study& study) {
                       bench::F(r.total_network_bytes / 1e9, 3)});
       }
     }
-    bench::Emit(table, "fig03_rf_vs_network_1");
+    table.Print(std::cout);
     std::cout << "Linear fit RF -> network: R^2 = "
               << bench::F(RSquaredLinear(rf_all, net_all), 4)
               << " (paper: >= 0.98)\n";

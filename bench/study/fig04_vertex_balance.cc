@@ -23,7 +23,7 @@ void Fig04VertexBalance(Study& study) {
       }
       table.AddRow(row);
     }
-    bench::Emit(table, "fig04_vertex_balance_1");
+    table.Print(std::cout);
   }
 }
 

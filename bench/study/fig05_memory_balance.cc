@@ -33,7 +33,7 @@ void Fig05MemoryBalance(Study& study) {
                     bench::F(m.vertex_balance), bench::F(r.memory_balance)});
     }
   }
-  bench::Emit(table, "fig05_memory_balance_1");
+  table.Print(std::cout);
   std::cout << "Correlation(vertex balance, memory balance) = "
             << bench::F(PearsonCorrelation(vb_all, mb_all), 4)
             << " (paper: perfect correlation)\n";

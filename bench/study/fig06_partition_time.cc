@@ -23,7 +23,7 @@ void Fig06PartitionTime(Study& study) {
       }
       table.AddRow(row);
     }
-    bench::Emit(table, "fig06_partition_time_1");
+    table.Print(std::cout);
   }
 }
 

@@ -26,7 +26,7 @@ void Fig07SpeedupDist(Study& study) {
                       bench::F(s.mean)});
       }
     }
-    bench::Emit(table, "fig07_speedup_dist_1");
+    table.Print(std::cout);
   }
 }
 

@@ -25,7 +25,7 @@ void Fig08RfVsSpeedup(Study& study) {
                     bench::F(speedup),
                     "(" + bench::F(m.vertex_balance) + ")"});
     }
-    bench::Emit(table, "fig08_rf_vs_speedup_1");
+    table.Print(std::cout);
   }
 }
 

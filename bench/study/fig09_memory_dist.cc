@@ -40,7 +40,7 @@ void Fig09MemoryDist(Study& study) {
                       bench::F(s.mean, 1), std::to_string(oom) + "/27"});
       }
     }
-    bench::Emit(table, "fig09_memory_dist_1");
+    table.Print(std::cout);
   }
 }
 

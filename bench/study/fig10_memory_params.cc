@@ -48,7 +48,7 @@ void Fig10MemoryParams(Study& study) {
     }
     ft.AddRow(row);
   }
-  bench::Emit(ft, "fig10_memory_params_1");
+  ft.Print(std::cout);
 
   std::cout << "\n(b) by hidden dimension\n";
   TablePrinter ht({"Partitioner", "hidden=16", "hidden=64", "hidden=512"});
@@ -65,7 +65,7 @@ void Fig10MemoryParams(Study& study) {
     }
     ht.AddRow(row);
   }
-  bench::Emit(ht, "fig10_memory_params_2");
+  ht.Print(std::cout);
 
   std::cout << "\n(c) by number of layers (hidden=512, feature=16: the "
                "regime where layers matter most)\n";
@@ -84,7 +84,7 @@ void Fig10MemoryParams(Study& study) {
     }
     lt.AddRow(row);
   }
-  bench::Emit(lt, "fig10_memory_params_3");
+  lt.Print(std::cout);
 }
 
 }  // namespace gnnpart::bench

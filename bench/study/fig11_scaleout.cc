@@ -50,7 +50,7 @@ void Fig11Scaleout(Study& study) {
       }
       table.AddRow(row);
     }
-    bench::Emit(table, "fig11_scaleout_1");
+    table.Print(std::cout);
   };
   print_section("(a) mean speedup vs Random", speedups, 2);
   print_section("(b) memory in % of Random (lower is better)", mem_pct, 1);

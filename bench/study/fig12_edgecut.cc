@@ -24,7 +24,7 @@ void Fig12Edgecut(Study& study) {
       }
       table.AddRow(row);
     }
-    bench::Emit(table, "fig12_edgecut_1");
+    table.Print(std::cout);
   }
 }
 

@@ -22,7 +22,7 @@ void Fig13TrainBalance(Study& study) {
     }
     table.AddRow(row);
   }
-  bench::Emit(table, "fig13_train_balance_1");
+  table.Print(std::cout);
 }
 
 }  // namespace gnnpart::bench

@@ -24,7 +24,7 @@ void Fig14InputBalance(Study& study) {
       }
       table.AddRow(row);
     }
-    bench::Emit(table, "fig14_input_balance_1");
+    table.Print(std::cout);
   }
 }
 

@@ -23,7 +23,7 @@ void Fig15PartitionTime(Study& study) {
       }
       table.AddRow(row);
     }
-    bench::Emit(table, "fig15_partition_time_1");
+    table.Print(std::cout);
   }
 }
 

@@ -27,7 +27,7 @@ void Fig16SpeedupDist(Study& study) {
                       bench::F(s.mean)});
       }
     }
-    bench::Emit(table, "fig16_speedup_dist_1");
+    table.Print(std::cout);
   }
 }
 

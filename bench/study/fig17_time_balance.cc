@@ -39,7 +39,7 @@ void Fig17TimeBalance(Study& study) {
       }
       table.AddRow(row);
     }
-    bench::Emit(table, "fig17_time_balance_1");
+    table.Print(std::cout);
   }
 }
 

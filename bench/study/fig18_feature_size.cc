@@ -37,7 +37,7 @@ void Fig18FeatureSize(Study& study) {
                     bench::F(Mean(acc[name][64])),
                     bench::F(Mean(acc[name][512]))});
     }
-    bench::Emit(table, "fig18_feature_size_1");
+    table.Print(std::cout);
   }
 }
 

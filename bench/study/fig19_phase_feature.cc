@@ -43,7 +43,7 @@ void Fig19PhaseFeature(Study& study) {
                                      r));
       }
     }
-    bench::Emit(table, "fig19_phase_feature_1");
+    table.Print(std::cout);
   }
 }
 

@@ -38,7 +38,7 @@ void Fig20HiddenDim(Study& study) {
                     bench::F(Mean(acc[name][64])),
                     bench::F(Mean(acc[name][512]))});
     }
-    bench::Emit(table, "fig20_hidden_dim_1");
+    table.Print(std::cout);
   }
 }
 

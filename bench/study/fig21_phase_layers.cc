@@ -41,7 +41,7 @@ void Fig21PhaseLayers(Study& study) {
                                    r));
     }
   }
-  bench::Emit(table, "fig21_phase_layers_1");
+  table.Print(std::cout);
 }
 
 }  // namespace gnnpart::bench

@@ -40,7 +40,7 @@ void Fig22PhaseHidden(Study& study) {
                                    r));
     }
   }
-  bench::Emit(table, "fig22_phase_hidden_1");
+  table.Print(std::cout);
 }
 
 }  // namespace gnnpart::bench

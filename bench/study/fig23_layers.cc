@@ -37,7 +37,7 @@ void Fig23Layers(Study& study) {
                     bench::F(Mean(acc[name][3])),
                     bench::F(Mean(acc[name][4]))});
     }
-    bench::Emit(table, "fig23_layers_1");
+    table.Print(std::cout);
   }
 }
 

@@ -60,7 +60,7 @@ void Fig24Scaleout(Study& study) {
             }
             table.AddRow(row);
           }
-          bench::Emit(table, "fig24_scaleout_1");
+          table.Print(std::cout);
         };
     print_section("(a) mean speedup vs Random", speed, 2);
     print_section("(b) remote vertices in % of Random", remote, 1);

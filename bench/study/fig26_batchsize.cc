@@ -73,11 +73,11 @@ void Fig26Batchsize(Study& study) {
       remote.AddRow(rrow);
     }
     std::cout << "\n(a) speedup vs Random\n";
-    bench::Emit(speed, "fig26_batchsize_1");
+    speed.Print(std::cout);
     std::cout << "\n(b) network traffic in % of Random\n";
-    bench::Emit(net, "fig26_batchsize_2");
+    net.Print(std::cout);
     std::cout << "\n(c) remote vertices in % of Random\n";
-    bench::Emit(remote, "fig26_batchsize_3");
+    remote.Print(std::cout);
   }
 }
 

@@ -107,7 +107,7 @@ void FigDyn(Study& study) {
                   bench::F(row.report.total_cost_seconds * 1e3, 1),
                   bench::F(row.report.final_quality, 4)});
   }
-  bench::Emit(table, "fig_dyn");
+  table.Print(std::cout);
 }
 
 }  // namespace gnnpart::bench

@@ -138,7 +138,7 @@ void FigOverlap(Study& study) {
                                  : 0,
                              2)});
     }
-    bench::Emit(table, "fig_overlap");
+    table.Print(std::cout);
   }
 }
 

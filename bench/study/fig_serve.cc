@@ -159,7 +159,7 @@ void FigServe(Study& study) {
                   bench::F(row.report.congestion_seconds * 1e3, 2),
                   bench::F(row.report.network_bytes / 1e6, 2)});
   }
-  bench::Emit(table, "fig_serve");
+  table.Print(std::cout);
 }
 
 }  // namespace gnnpart::bench

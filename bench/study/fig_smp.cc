@@ -85,7 +85,7 @@ void FigSmp(Study& study) {
                     bench::F(metrics.edge_balance, 3)});
     }
   }
-  bench::Emit(table, "fig_smp");
+  table.Print(std::cout);
   std::cout
       << "\nSplit factor 1 is the unmodified sequential partitioner\n"
          "(bit-identical output, see tests/split_merge_test.cc). CP is the\n"

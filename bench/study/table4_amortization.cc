@@ -47,7 +47,7 @@ void Table4Amortization(Study& study) {
     }
     table.AddRow(row);
   }
-  bench::Emit(table, "table4_amortization_1");
+  table.Print(std::cout);
   std::cout << "\nNote: absolute values depend on the simulator's time "
                "constants and this host's partitioning speed; the paper's "
                "qualitative claim is amortization within a few epochs.\n";

@@ -45,7 +45,7 @@ void Table5Amortization(Study& study) {
     }
     table.AddRow(row);
   }
-  bench::Emit(table, "table5_amortization_1");
+  table.Print(std::cout);
   std::cout << "\nNote: absolute values depend on the simulator's time "
                "constants and this host's partitioning speed; the paper's "
                "qualitative claim is the ordering LDG/ByteGNN << Metis << "

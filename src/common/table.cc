@@ -45,29 +45,4 @@ void TablePrinter::Print(std::ostream& os) const {
   for (const auto& row : rows_) print_row(row);
 }
 
-void TablePrinter::WriteCsv(std::ostream& os) const {
-  CsvWriter csv(os);
-  csv.WriteRow(header_);
-  for (const auto& row : rows_) csv.WriteRow(row);
-}
-
-void CsvWriter::WriteRow(const std::vector<std::string>& cells) {
-  for (size_t i = 0; i < cells.size(); ++i) {
-    if (i > 0) os_ << ",";
-    os_ << Escape(cells[i]);
-  }
-  os_ << "\n";
-}
-
-std::string CsvWriter::Escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (char ch : cell) {
-    if (ch == '"') out += "\"\"";
-    else out += ch;
-  }
-  out += "\"";
-  return out;
-}
-
 }  // namespace gnnpart

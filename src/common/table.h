@@ -22,27 +22,11 @@ class TablePrinter {
   /// Renders the table with a header separator.
   void Print(std::ostream& os) const;
 
-  /// Writes the table as CSV (header row first).
-  void WriteCsv(std::ostream& os) const;
-
   size_t row_count() const { return rows_.size(); }
 
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
-};
-
-/// Minimal CSV writer (RFC-4180-ish quoting) so experiment output can be
-/// post-processed into plots.
-class CsvWriter {
- public:
-  explicit CsvWriter(std::ostream& os) : os_(os) {}
-
-  void WriteRow(const std::vector<std::string>& cells);
-
- private:
-  static std::string Escape(const std::string& cell);
-  std::ostream& os_;
 };
 
 }  // namespace gnnpart

@@ -18,7 +18,10 @@
 #   * `generate … --metrics-out` records time/generate and time/write;
 #   * `gnnpart_cli metrics` pretty-prints (and strictly re-parses) it;
 #   * tools/bench_compare.py exits 0 on identical manifests and non-zero
-#     on an injected 2x regression.
+#     on an injected 2x regression;
+#   * a manifest holding a subset of another's rows passes as the baseline
+#     side (CI's table-isolation compare), fails on one changed det value,
+#     and fails with MISSING when the sides are the other way round.
 # Usage: cli_metrics_smoke.sh <path-to-gnnpart_cli> <path-to-bench_compare.py>
 set -eu
 
@@ -141,5 +144,24 @@ if python3 "$COMPARE" "$TMP/m1.jsonl" "$TMP/regressed.jsonl" --det-only > /dev/n
   echo "FAIL: injected regression not flagged" >&2
   exit 1
 fi
+
+# bench_compare with a subset manifest on the baseline side: its rows must
+# each be present and equal in the current one; extra rows there are notes.
+grep -E '"type":"meta"|"name":"partition/' "$TMP/m1.jsonl" > "$TMP/subset.jsonl"
+python3 "$COMPARE" "$TMP/subset.jsonl" "$TMP/m1.jsonl" --det-only > /dev/null
+sed 's/"name":"partition\/edge\/HDRF\/edges_assigned","unit":"edges","det":true,"value":\([0-9]*\)/&1/' \
+    "$TMP/subset.jsonl" > "$TMP/subset_edit.jsonl"
+if python3 "$COMPARE" "$TMP/subset_edit.jsonl" "$TMP/m1.jsonl" --det-only \
+    > "$TMP/subset_edit.txt"; then
+  echo "FAIL: changed det value in the subset not flagged" >&2
+  exit 1
+fi
+grep -q 'VALUE *partition/edge/HDRF/edges_assigned' "$TMP/subset_edit.txt"
+if python3 "$COMPARE" "$TMP/m1.jsonl" "$TMP/subset.jsonl" --det-only \
+    > "$TMP/reverse.txt"; then
+  echo "FAIL: rows missing from the subset not flagged" >&2
+  exit 1
+fi
+grep -q '^  MISSING ' "$TMP/reverse.txt"
 
 echo OK

@@ -259,12 +259,5 @@ TEST(TableTest, FmtPrecision) {
   EXPECT_EQ(TablePrinter::Fmt(2.0, 0), "2");
 }
 
-TEST(CsvTest, EscapesSpecialCharacters) {
-  std::ostringstream os;
-  CsvWriter csv(os);
-  csv.WriteRow({"plain", "with,comma", "with\"quote"});
-  EXPECT_EQ(os.str(), "plain,\"with,comma\",\"with\"\"quote\"\n");
-}
-
 }  // namespace
 }  // namespace gnnpart
