@@ -49,19 +49,6 @@ Status CheckPartitionIds(const std::vector<PartitionId>& assignment,
   return Status::Ok();
 }
 
-// Serial recomputation of the replica masks (the obvious loop).
-std::vector<uint64_t> SerialReplicaMasks(const Graph& graph,
-                                         const EdgePartitioning& parts) {
-  std::vector<uint64_t> masks(graph.num_vertices(), 0);
-  const auto& edges = graph.edges();
-  for (EdgeId e = 0; e < edges.size(); ++e) {
-    uint64_t bit = 1ULL << parts.assignment[e];
-    masks[edges[e].src] |= bit;
-    masks[edges[e].dst] |= bit;
-  }
-  return masks;
-}
-
 Status CompareCounts(const std::vector<uint64_t>& expected,
                      const std::vector<uint64_t>& reported,
                      const std::string& invariant) {
@@ -213,7 +200,7 @@ Status ValidateReplicaMasks(const Graph& graph, const EdgePartitioning& parts,
                          " vertices, graph has " +
                          std::to_string(graph.num_vertices()));
   }
-  std::vector<uint64_t> expected = SerialReplicaMasks(graph, parts);
+  std::vector<uint64_t> expected = ComputeReplicaMasks(graph, parts);
   for (size_t v = 0; v < masks.size(); ++v) {
     if (masks[v] != expected[v]) {
       return Violation("partition/replica-mask",
@@ -234,7 +221,7 @@ Status CheckEdgeMetrics(const Graph& graph, const EdgePartitioning& parts,
                                       reported.edges_per_partition,
                                       "metrics/edges-per-partition"));
 
-  std::vector<uint64_t> masks = SerialReplicaMasks(graph, parts);
+  std::vector<uint64_t> masks = ComputeReplicaMasks(graph, parts);
   uint64_t covered = 0;
   uint64_t extra_replicas = 0;
   std::vector<uint64_t> vertex_counts(parts.k, 0);
@@ -325,59 +312,6 @@ Status CheckVertexMetrics(const Graph& graph, const VertexPartitioning& parts,
   GNNPART_RETURN_NOT_OK(CompareExact(MaxOverMean(ToDoubles(train_counts)),
                                      reported.train_vertex_balance,
                                      "metrics/train-balance"));
-  return Status::Ok();
-}
-
-Status ValidateBlock(const Graph& graph, const SampledBlock& block,
-                     const std::vector<size_t>& fanouts) {
-  if (block.num_seeds > block.vertices.size()) {
-    return Violation("block/seed-count",
-                     std::to_string(block.num_seeds) + " seeds but only " +
-                         std::to_string(block.vertices.size()) +
-                         " block vertices");
-  }
-  for (VertexId v : block.vertices) {
-    if (v >= graph.num_vertices()) {
-      return Violation("block/vertex-range",
-                       "block vertex " + std::to_string(v) + " >= |V|=" +
-                           std::to_string(graph.num_vertices()));
-    }
-  }
-  std::vector<VertexId> sorted(block.vertices);
-  std::sort(sorted.begin(), sorted.end());
-  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
-    return Violation("block/vertex-duplicate",
-                     "block vertex list contains duplicates");
-  }
-  size_t max_fanout = 0;
-  for (size_t f : fanouts) max_fanout = std::max(max_fanout, f);
-  std::vector<size_t> out_degree(block.vertices.size(), 0);
-  for (const Edge& e : block.local_edges) {
-    if (e.src >= block.vertices.size() || e.dst >= block.vertices.size()) {
-      return Violation("block/edge-index-range",
-                       "local edge (" + std::to_string(e.src) + ", " +
-                           std::to_string(e.dst) + ") indexes past " +
-                           std::to_string(block.vertices.size()) +
-                           " block vertices (frontier containment)");
-    }
-    if (!graph.HasEdge(block.vertices[e.src], block.vertices[e.dst])) {
-      return Violation("block/phantom-edge",
-                       "sampled edge (" +
-                           std::to_string(block.vertices[e.src]) + ", " +
-                           std::to_string(block.vertices[e.dst]) +
-                           ") does not exist in the graph");
-    }
-    ++out_degree[e.src];
-  }
-  for (size_t i = 0; i < out_degree.size(); ++i) {
-    if (out_degree[i] > max_fanout) {
-      return Violation("block/fanout-exceeded",
-                       "block vertex " + std::to_string(i) + " sampled " +
-                           std::to_string(out_degree[i]) +
-                           " out-edges, max fan-out is " +
-                           std::to_string(max_fanout));
-    }
-  }
   return Status::Ok();
 }
 

@@ -16,7 +16,6 @@
 #include "obs/events.h"
 #include "partition/partitioning.h"
 #include "partition/split_merge.h"
-#include "sampling/block_sampler.h"
 #include "serve/batcher.h"
 #include "serve/serve.h"
 #include "serve/workload.h"
@@ -33,7 +32,9 @@ namespace check {
 ///
 /// Validators are independent re-derivations: they recompute the checked
 /// property from the raw structure with a deliberately simple serial
-/// implementation instead of trusting the code under test. They are O(n)
+/// implementation instead of trusting the code under test. The replica
+/// masks are the exception: ValidateReplicaMasks and CheckEdgeMetrics take
+/// them from ComputeReplicaMasks, whose loop is already the simple one. They are O(n)
 /// to O(E log d) and meant for module boundaries, the `gnnpart_cli check`
 /// subcommand and test fixtures — not for inner loops (use the
 /// GNNPART_CHECK_* macros from check/check.h there).
@@ -55,13 +56,23 @@ Status ValidateVertexPartitioning(const Graph& graph,
                                   const VertexPartitioning& parts);
 
 /// Replica masks consistent with the assignment: masks[v] has exactly the
-/// bits of the partitions owning an edge incident to v.
+/// bits of the partitions owning an edge incident to v. The expected masks
+/// come from ComputeReplicaMasks, so this proves that the caller's vector
+/// matches the assignment; it does not re-derive the mask loop itself.
+/// That loop is fenced independently by the hand-computed masks of
+/// ReplicaMaskTest.MasksMatchAssignments, the per-edge containment check
+/// of partition_property_test, and
+/// PartitionedAggregateTest.SyncVolumeMatchesMetrics, whose per-partition
+/// partial sums must equal total_replicas for every partitioner.
 Status ValidateReplicaMasks(const Graph& graph, const EdgePartitioning& parts,
                             const std::vector<uint64_t>& masks);
 
-/// Recomputes every EdgePartitionMetrics field serially from scratch and
-/// compares bit-exactly (==, not approximately) with `reported` — the
-/// metrics fold must agree with the obvious per-field recomputation.
+/// Recomputes every EdgePartitionMetrics field serially from the
+/// ComputeReplicaMasks masks and compares bit-exactly (==, not
+/// approximately) with `reported`. This proves the metrics fold of the
+/// masks (edge, vertex and synced counts, replicas, RF, balances) against
+/// its own per-field fold; the masks themselves are fenced by the tests
+/// named at ValidateReplicaMasks.
 Status CheckEdgeMetrics(const Graph& graph, const EdgePartitioning& parts,
                         const EdgePartitionMetrics& reported);
 
@@ -69,12 +80,6 @@ Status CheckEdgeMetrics(const Graph& graph, const EdgePartitioning& parts,
 Status CheckVertexMetrics(const Graph& graph, const VertexPartitioning& parts,
                           const VertexSplit& split,
                           const VertexPartitionMetrics& reported);
-
-/// Sampled-block sanity: seeds first and unique vertices, local edge
-/// indices in range, every sampled edge present in the graph, and no source
-/// vertex exceeding the largest fan-out.
-Status ValidateBlock(const Graph& graph, const SampledBlock& block,
-                     const std::vector<size_t>& fanouts);
 
 /// Epoch-profile shape and accounting: profiles[steps][workers], local +
 /// remote input vertices summing to the input set, computation edges equal

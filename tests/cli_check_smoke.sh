@@ -161,6 +161,18 @@ for flag in --metrics-out --trace-out --topology --events-out; do
     exit 1
   }
 done
+# Here the positional scan takes --seed as --trace-out's value, so only the
+# flag lookup itself sees that --seed is last and has no value.
+set +e
+"$CLI" simulate "$TMP/HW.bin" HDRF 4 --trace-out --seed > /dev/null \
+    2> "$TMP/err.txt"
+rc=$?
+set -e
+if [ "$rc" -ne 2 ] || ! grep -qxF 'error: --seed requires a value' \
+    "$TMP/err.txt"; then
+  echo "FAIL: trailing --seed after --trace-out exited $rc, want 2" >&2
+  exit 1
+fi
 
 # A numeric flag value that fails its parse exits 2 with one exact line per
 # kind: positive or non-negative, integer or number, with its upper bound

@@ -84,19 +84,6 @@ TEST(DataParallelTrainerTest, LossDecreasesAndLearns) {
   EXPECT_GT(acc, 0.5);  // chance = 0.25
 }
 
-TEST(DataParallelTrainerTest, AdamWorksToo) {
-  Fixture f = TrainFixture();
-  DataParallelTrainer::Options options = BaseOptions();
-  options.optimizer = std::make_shared<AdamOptimizer>(0.01f);
-  auto trainer = DataParallelTrainer::Create(
-      f.graph, f.task.features, f.task.labels, f.split, f.parts, options);
-  ASSERT_TRUE(trainer.ok()) << trainer.status();
-  for (int epoch = 0; epoch < 10; ++epoch) {
-    ASSERT_TRUE(trainer->RunEpoch().ok());
-  }
-  EXPECT_GT(trainer->Evaluate(f.split.test_vertices()), 0.5);
-}
-
 TEST(DataParallelTrainerTest, PartitionerChoiceChangesTrafficNotLearning) {
   // The study's implicit premise, verified with real training: Metis
   // fetches fewer remote features than Random, yet both learn the task.

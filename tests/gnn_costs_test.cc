@@ -165,6 +165,37 @@ TEST(ReferenceNetTest, RejectsMismatchedInputs) {
   EXPECT_FALSE(net.TrainStep(*g, features, wrong_labels, split, 0.1f).ok());
 }
 
+TEST(ReferenceNetTest, ApplyGradientsStepsAndClearsGrads) {
+  // Plain SGD on every parameter of every layer: p -= lr * g, then g = 0.
+  ReferenceNet net(BaseConfig(GnnArchitecture::kGat), 1);
+  auto params = net.ParamsAndGrads();
+  ASSERT_FALSE(params.empty());
+  std::vector<Matrix> expected;
+  for (auto [param, grad] : params) {
+    for (size_t i = 0; i < grad->data().size(); ++i) {
+      grad->data()[i] = 0.5f * static_cast<float>(static_cast<int>(i % 3) - 1);
+    }
+    expected.push_back(*param);
+    for (size_t i = 0; i < param->data().size(); ++i) {
+      expected.back().data()[i] -= 0.1f * grad->data()[i];
+    }
+  }
+  params[0].first->data()[0] = 1.0f;
+  params[0].second->data()[0] = 0.5f;
+  params[0].first->data()[1] = 2.0f;
+  params[0].second->data()[1] = -1.0f;
+  expected[0].data()[0] = 0.95f;
+  expected[0].data()[1] = 2.1f;
+  net.ApplyGradients(0.1f);
+  for (size_t j = 0; j < params.size(); ++j) {
+    auto [param, grad] = params[j];
+    for (size_t i = 0; i < param->data().size(); ++i) {
+      EXPECT_FLOAT_EQ(param->data()[i], expected[j].data()[i]);
+      EXPECT_EQ(grad->data()[i], 0.0f);
+    }
+  }
+}
+
 TEST(SyntheticTaskTest, LabelsWithinRangeAndFeaturesMatch) {
   RmatParams p;
   p.num_vertices = 200;

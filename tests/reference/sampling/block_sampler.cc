@@ -1,6 +1,7 @@
 #include "sampling/block_sampler.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "check/check.h"
@@ -140,4 +141,67 @@ SampledBlock BlockSampler::SampleBlock(std::span<const VertexId> seeds,
   return block;
 }
 
+namespace check {
+namespace {
+
+Status Violation(const std::string& invariant, const std::string& detail) {
+  return Status::FailedPrecondition(invariant + ": " + detail);
+}
+
+}  // namespace
+
+Status ValidateBlock(const Graph& graph, const SampledBlock& block,
+                     const std::vector<size_t>& fanouts) {
+  if (block.num_seeds > block.vertices.size()) {
+    return Violation("block/seed-count",
+                     std::to_string(block.num_seeds) + " seeds but only " +
+                         std::to_string(block.vertices.size()) +
+                         " block vertices");
+  }
+  for (VertexId v : block.vertices) {
+    if (v >= graph.num_vertices()) {
+      return Violation("block/vertex-range",
+                       "block vertex " + std::to_string(v) + " >= |V|=" +
+                           std::to_string(graph.num_vertices()));
+    }
+  }
+  std::vector<VertexId> sorted(block.vertices);
+  std::sort(sorted.begin(), sorted.end());
+  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+    return Violation("block/vertex-duplicate",
+                     "block vertex list contains duplicates");
+  }
+  size_t max_fanout = 0;
+  for (size_t f : fanouts) max_fanout = std::max(max_fanout, f);
+  std::vector<size_t> out_degree(block.vertices.size(), 0);
+  for (const Edge& e : block.local_edges) {
+    if (e.src >= block.vertices.size() || e.dst >= block.vertices.size()) {
+      return Violation("block/edge-index-range",
+                       "local edge (" + std::to_string(e.src) + ", " +
+                           std::to_string(e.dst) + ") indexes past " +
+                           std::to_string(block.vertices.size()) +
+                           " block vertices (frontier containment)");
+    }
+    if (!graph.HasEdge(block.vertices[e.src], block.vertices[e.dst])) {
+      return Violation("block/phantom-edge",
+                       "sampled edge (" +
+                           std::to_string(block.vertices[e.src]) + ", " +
+                           std::to_string(block.vertices[e.dst]) +
+                           ") does not exist in the graph");
+    }
+    ++out_degree[e.src];
+  }
+  for (size_t i = 0; i < out_degree.size(); ++i) {
+    if (out_degree[i] > max_fanout) {
+      return Violation("block/fanout-exceeded",
+                       "block vertex " + std::to_string(i) + " sampled " +
+                           std::to_string(out_degree[i]) +
+                           " out-edges, max fan-out is " +
+                           std::to_string(max_fanout));
+    }
+  }
+  return Status::Ok();
+}
+
+}  // namespace check
 }  // namespace gnnpart

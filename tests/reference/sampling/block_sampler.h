@@ -43,6 +43,16 @@ class BlockSampler {
   mutable uint32_t stamp_ = 0;
 };
 
+namespace check {
+
+/// Sampled-block sanity: seeds first and unique vertices, local edge
+/// indices in range, every sampled edge present in the graph, and no source
+/// vertex exceeding the largest fan-out. Failures are named like the
+/// pipeline's validators in check/validators.h ("block/...").
+Status ValidateBlock(const Graph& graph, const SampledBlock& block,
+                     const std::vector<size_t>& fanouts);
+
+}  // namespace check
 }  // namespace gnnpart
 
 #endif  // GNNPART_SAMPLING_BLOCK_SAMPLER_H_

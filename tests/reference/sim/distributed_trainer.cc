@@ -107,16 +107,11 @@ Result<double> DataParallelTrainer::RunEpoch() {
     }
     // Synchronous all-reduce: gradients from all k workers are averaged
     // and applied once.
-    auto params = net_->ParamsAndGrads();
-    for (auto [param, grad] : params) {
+    for (auto [param, grad] : net_->ParamsAndGrads()) {
       (void)param;
       grad->Scale(1.0f / static_cast<float>(k));
     }
-    if (options_.optimizer) {
-      options_.optimizer->Step(params);
-    } else {
-      net_->ApplyGradients(options_.learning_rate);
-    }
+    net_->ApplyGradients(options_.learning_rate);
   }
   return loss_count > 0 ? loss_sum / static_cast<double>(loss_count) : 0.0;
 }

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "gnn/optimizer.h"
 #include "gnn/reference_net.h"
 #include "graph/graph.h"
 #include "graph/split.h"
@@ -23,7 +22,7 @@ namespace gnnpart {
 /// replica; per step every worker samples a mini-batch of training vertices
 /// from its own partition, extracts the multi-hop block subgraph, runs
 /// forward/backward on it, and the gradients are averaged across workers
-/// (all-reduce) before the optimizer step. Because the replicas stay
+/// (all-reduce) before the plain-SGD step. Because the replicas stay
 /// bit-identical under synchronous all-reduce, the implementation keeps a
 /// single parameter set and accumulates every worker's gradients into it —
 /// numerically the same algorithm, executed sequentially.
@@ -37,8 +36,6 @@ class DataParallelTrainer {
     size_t global_batch_size = 256;
     float learning_rate = 0.05f;
     uint64_t seed = 42;
-    /// nullptr = plain SGD.
-    std::shared_ptr<Optimizer> optimizer;
   };
 
   /// The graph, features, labels and split must outlive the trainer.

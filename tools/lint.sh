@@ -35,4 +35,4 @@ if [ "$stale" -eq 1 ]; then
   "$CXX" -std=c++20 -O2 -I tools tools/analyze/*.cc -o "$BIN"
 fi
 
-exec "$BIN" --readme README.md "$@" src bench tools
+exec "$BIN" --readme README.md "$@" src bench tools tests/reference
