@@ -62,8 +62,9 @@ Status ValidateVertexPartitioning(const Graph& graph,
 /// That loop is fenced independently by the hand-computed masks of
 /// ReplicaMaskTest.MasksMatchAssignments, the per-edge containment check
 /// of partition_property_test, and
-/// PartitionedAggregateTest.SyncVolumeMatchesMetrics, whose per-partition
-/// partial sums must equal total_replicas for every partitioner.
+/// PartitionedAggregateTest.SyncVolumeMatchesMetrics, whose aggregate adds
+/// every edge into its partition's partial rows and must sync exactly
+/// total_replicas partials for every partitioner.
 Status ValidateReplicaMasks(const Graph& graph, const EdgePartitioning& parts,
                             const std::vector<uint64_t>& masks);
 
