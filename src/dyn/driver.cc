@@ -107,12 +107,14 @@ void PlaceArrivingVertices(const Graph& full, const EdgeStream& stream,
   };
   std::vector<uint32_t> count(k, 0);
   uint64_t score_evals = 0;  // not published: dyn counts no placement work
+  Loads loads(objective, std::move(*load));
   for (VertexId w : newcomers) {
     CountNeighbourParts(full, w, *assignment, materialized, &count);
-    const PartitionId best = PlaceBest(objective, count, *load, &score_evals);
+    const PartitionId best = PlaceBest(objective, count, loads, &score_evals);
     (*assignment)[w] = best;
-    ++(*load)[best];
+    loads.Add(best);
   }
+  *load = std::move(loads.load);
 }
 
 std::vector<uint64_t> ArrivedVertexLoads(

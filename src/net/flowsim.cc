@@ -45,10 +45,11 @@ struct Engine {
   std::vector<double> remaining;  //   remaining / rate, cached in `finish`
   std::vector<double> rate;
   std::vector<double> finish;
-  std::vector<double> fill;  // the last water-fill's rate
-  std::vector<char> assigned;
+  std::vector<uint64_t> fixed;  // == `call` once this water-fill set the rate
   std::vector<size_t> free_slots;
   size_t num_active = 0;
+  uint64_t call = 0;  // water-fills run so far; stamps `fixed`
+  std::vector<size_t> gather;  // a round's unfixed bottleneck flows
   // Per link.
   std::vector<std::vector<size_t>> crossing;  // active slots, admission order
   std::vector<double> cap;
@@ -90,14 +91,14 @@ struct Engine {
       free_slots.pop_back();
     } else {
       q = flow.size();
-      for (auto* v : {&weight, &anchor_t, &remaining, &rate, &finish, &fill}) {
+      for (auto* v : {&weight, &anchor_t, &remaining, &rate, &finish}) {
         v->resize(q + 1);
       }
       flow.resize(q + 1);
       seq.resize(q + 1);
       path.resize((q + 1) * stride);
       path_len.resize(q + 1);
-      assigned.resize(q + 1);
+      fixed.resize(q + 1, 0);
     }
     flow[q] = idx;
     seq[q] = s;
@@ -114,15 +115,17 @@ struct Engine {
     dirty[c] = 1;
     ++num_active;
     for (int l : Path(q)) {
-      crossing[static_cast<size_t>(l)].push_back(q);
+      std::vector<size_t>& list = crossing[static_cast<size_t>(l)];
+      list.push_back(q);
+      gather.resize(std::max(gather.size(), list.size()));  // any list fits
       wsum_base[static_cast<size_t>(l)] += f.weight;
     }
   }
 
-  /// Water-fills component `c`, re-anchors the members whose rate changed
-  /// at `now`, and caches the round count and the earliest finish.
+  /// Water-fills component `c`, re-anchoring each member whose rate
+  /// changed at `now` as the walk fixes it, and caches the round count and
+  /// the earliest finish.
   void Recompute(size_t c, const std::vector<Link>& links, double now);
-  uint64_t FairShare(size_t c, const std::vector<Link>& links);
   /// Moves the members of `c` whose projection is due by `now` to
   /// `*retired`, in admission order, and compacts the lists they leave.
   void Retire(size_t c, double now, std::vector<size_t>* retired);
@@ -182,23 +185,30 @@ Engine::Engine(const std::vector<Link>& links, const std::vector<Flow>& flows,
 }
 
 /// Weighted max-min fair-share allocation (progressive water-filling) over
-/// component `c`'s members into `fill`: a link's per-weight-unit share is
-/// capacity / (sum of crossing flow weights), and a flow crossing the
-/// bottleneck receives `share * weight`. Deterministic: the bottleneck link
-/// is the strict minimum of capacity/weight-sum with ties broken on the
-/// lowest link index, and flows are fixed in ascending admission order.
-/// Returns the number of water-fill rounds.
+/// component `c`'s members: a link's per-weight-unit share is capacity /
+/// (sum of crossing flow weights), and a flow crossing the bottleneck
+/// receives `share * weight`. Deterministic: the bottleneck link is the
+/// strict minimum of capacity/weight-sum with ties broken on the lowest
+/// link index, and flows are fixed in ascending admission order.
 ///
 /// Each round walks only the bottleneck's crossing list; since a link's
-/// list empties (nflows hits 0) the round it is the bottleneck, every list
-/// is walked at most once per call. Lists are in admission order, so the
-/// flows crossing the bottleneck are fixed, and each weight sum is
-/// accumulated, in the order a scan of the whole active set would use.
-/// The whole-fabric bottleneck sequence restricted to one component is the
-/// sequence that component picks alone, so every `cap`/`wsum` operation
-/// and every rate is bitwise that scan's (the reference engine in
-/// tests/flowsim_oracle.cc), and the whole-fabric round count is the sum
-/// of the components' counts.
+/// list empties the round it is the bottleneck, every list is walked at
+/// most once per call. Lists are in admission order, so the flows crossing
+/// the bottleneck are fixed, and each weight sum is accumulated, in the
+/// order a scan of the whole active set would use. The whole-fabric
+/// bottleneck sequence restricted to one component is the sequence that
+/// component picks alone, so every `cap`/`wsum` operation and every rate is
+/// bitwise that scan's (the reference engine in tests/flowsim_oracle.cc),
+/// and the whole-fabric round count is the sum of the components' counts.
+///
+/// One walk does the whole recompute (DESIGN.md §10). A round first gathers
+/// the bottleneck's unfixed flows and stamps them with the call number, so
+/// no per-call reset of the members is needed. Each gathered flow is then
+/// re-anchored the moment its rate is fixed: the re-anchor reads and writes
+/// only the flow's own anchor, which the water-fill never reads. The
+/// bottleneck's own `cap`, `wsum` and `nflows` are left alone inside the
+/// round, and `nflows` is zeroed once after it: every flow crossing it is
+/// fixed in that round, and an emptied link is never read again.
 ///
 /// Bit-exactness with the historical unweighted engine: with every weight
 /// at 1.0 each weight sum is a sum of exact 1.0s — the same double the
@@ -207,7 +217,7 @@ Engine::Engine(const std::vector<Link>& links, const std::vector<Flow>& flows,
 /// arithmetic. The integer `nflows` count stays alongside the weight sums
 /// as the crossing-flows guard so an emptied link is skipped exactly, not
 /// via a residue-prone `wsum > 0` comparison.
-uint64_t Engine::FairShare(size_t c, const std::vector<Link>& links) {
+void Engine::Recompute(size_t c, const std::vector<Link>& links, double now) {
   const std::span<const int> comp = CompLinks(c);
   for (int i : comp) {
     const size_t l = static_cast<size_t>(i);
@@ -215,9 +225,10 @@ uint64_t Engine::FairShare(size_t c, const std::vector<Link>& links) {
     nflows[l] = static_cast<int>(crossing[l].size());
     wsum[l] = wsum_base[l];
   }
-  for (size_t q : members[c]) assigned[q] = 0;
+  ++call;
   size_t left = members[c].size();
   uint64_t rounds = 0;
+  double t_finish = kInf;
   while (left > 0) {
     ++rounds;
     int bottleneck = -1;
@@ -233,36 +244,36 @@ uint64_t Engine::FairShare(size_t c, const std::vector<Link>& links) {
     }
     GNNPART_CHECK_CHEAP(bottleneck >= 0 && fair > 0,
                         "net/fair-share: no capacity left for active flows");
+    size_t n = 0;
     for (size_t q : crossing[static_cast<size_t>(bottleneck)]) {
-      if (assigned[q]) continue;
-      fill[q] = fair * weight[q];
-      assigned[q] = 1;
-      --left;
+      gather[n] = q;
+      n += fixed[q] != call;
+      fixed[q] = call;
+    }
+    left -= n;
+    for (size_t i = 0; i < n; ++i) {
+      const size_t q = gather[i];
+      const double r = fair * weight[q];
       for (int l : Path(q)) {
-        cap[static_cast<size_t>(l)] -= fair * weight[q];
+        if (l == bottleneck) continue;
+        cap[static_cast<size_t>(l)] -= r;
         --nflows[static_cast<size_t>(l)];
         wsum[static_cast<size_t>(l)] -= weight[q];
       }
-    }
-  }
-  return rounds;
-}
-
-void Engine::Recompute(size_t c, const std::vector<Link>& links, double now) {
-  comp_rounds[c] = FairShare(c, links);
-  double t_finish = kInf;
-  for (size_t q : members[c]) {
-    if (rate[q] != fill[q]) {
-      if (rate[q] > 0) {
-        remaining[q] -= rate[q] * (now - anchor_t[q]);
-        if (remaining[q] < 0) remaining[q] = 0;
+      if (rate[q] != r) {
+        if (rate[q] > 0) {
+          remaining[q] -= rate[q] * (now - anchor_t[q]);
+          if (remaining[q] < 0) remaining[q] = 0;
+        }
+        anchor_t[q] = now;
+        rate[q] = r;
+        finish[q] = Project(q);
       }
-      anchor_t[q] = now;
-      rate[q] = fill[q];
-      finish[q] = Project(q);
+      t_finish = std::min(t_finish, finish[q]);
     }
-    t_finish = std::min(t_finish, finish[q]);
+    nflows[static_cast<size_t>(bottleneck)] = 0;
   }
+  comp_rounds[c] = rounds;
   comp_finish[c] = t_finish;
   dirty[c] = 0;
 }
@@ -326,6 +337,8 @@ std::vector<double> SimulateFlows(const Fabric& fabric,
       obs::GetCounter("net/flowsim/events", "events");
   static const obs::Counter round_count =
       obs::GetCounter("net/flowsim/fill_rounds", "rounds");
+  static const obs::Counter member_count =
+      obs::GetCounter("net/flowsim/fill_members", "flows");
   const std::vector<Link>& links = fabric.links();
   const double latency = fabric.config().link_latency;
   std::vector<double> completion(flows.size(), 0.0);
@@ -369,6 +382,7 @@ std::vector<double> SimulateFlows(const Fabric& fabric,
   double now = 0.0;
   uint64_t events = 0;
   uint64_t rounds = 0;
+  uint64_t filled = 0;
 
   while (next_arrival < order.size() || e.num_active > 0) {
     ++events;
@@ -391,7 +405,10 @@ std::vector<double> SimulateFlows(const Fabric& fabric,
     // counts, so `fill_rounds` keeps its whole-fabric meaning.
     double t_finish = kInf;
     for (size_t c = 0; c < e.members.size(); ++c) {
-      if (e.dirty[c]) e.Recompute(c, links, now);
+      if (e.dirty[c]) {
+        filled += e.members[c].size();
+        e.Recompute(c, links, now);
+      }
       rounds += e.comp_rounds[c];
       t_finish = std::min(t_finish, e.comp_finish[c]);
     }
@@ -477,6 +494,7 @@ std::vector<double> SimulateFlows(const Fabric& fabric,
   if (usage != nullptr) usage->flows += flows.size();
   event_count.Add(events);
   round_count.Add(rounds);
+  member_count.Add(filled);
   return completion;
 }
 

@@ -76,7 +76,9 @@ struct LinkUsage {
 /// bytes/busy time and per-host egress bytes. Deterministic: ties in
 /// arrival order break on flow index, bottleneck ties on link index. Each
 /// call adds its event and water-fill round counts to the det:true
-/// counters `net/flowsim/events` and `net/flowsim/fill_rounds`.
+/// counters `net/flowsim/events` and `net/flowsim/fill_rounds`, and the
+/// member counts of the components it water-filled, summed, to
+/// `net/flowsim/fill_members`.
 ///
 /// `log`, when non-null, gets the run's event records (DESIGN.md §14) on
 /// the call-local clock, for obs::EventLog::Append to shift onto a

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -19,16 +20,20 @@ namespace gnnpart {
 // placed neighbours per partition, score every partition, pick one. An
 // objective scores partition p from v's neighbour count n there, a bonus
 // (the restream's stay bonus on v's current partition, else 0) and p's
-// load, and says whether p may receive v at all.
+// penalty, which depends on p's load alone, and says whether p may receive
+// v at all. One placement changes one load, so callers keep each
+// partition's penalty (Loads) and refresh it only when its load changes.
 
 /// LDG [Stanton & Kliot, KDD'12]: neighbours damped by the multiplicative
 /// penalty 1 - |P|/C; every partition is open.
 struct LdgObjective {
   double capacity;
 
-  double Score(uint32_t n, double bonus, uint64_t load) const {
-    double penalty = 1.0 - static_cast<double>(load) / capacity;
-    if (penalty < 0) penalty = 0;
+  double Penalty(uint64_t load) const {
+    const double penalty = 1.0 - static_cast<double>(load) / capacity;
+    return penalty < 0 ? 0 : penalty;
+  }
+  double Score(uint32_t n, double bonus, double penalty) const {
     return (1.0 + static_cast<double>(n) + bonus) * penalty;
   }
   bool Open(uint64_t /*load*/) const { return true; }
@@ -41,13 +46,40 @@ struct FennelObjective {
   double gamma;
   double capacity;
 
-  double Score(uint32_t n, double bonus, uint64_t load) const {
-    return static_cast<double>(n) + bonus -
-           alpha_gamma * std::pow(static_cast<double>(load), gamma - 1.0);
+  double Penalty(uint64_t load) const {
+    return alpha_gamma * std::pow(static_cast<double>(load), gamma - 1.0);
+  }
+  double Score(uint32_t n, double bonus, double penalty) const {
+    return static_cast<double>(n) + bonus - penalty;
   }
   bool Open(uint64_t load) const {
     return static_cast<double>(load) < capacity;
   }
+};
+
+/// Per-partition loads, each with its objective penalty alongside,
+/// refreshed only when that partition's load changes.
+template <typename Objective>
+struct Loads {
+  const Objective& objective;
+  std::vector<uint64_t> load;
+  std::vector<double> penalty;
+
+  Loads(const Objective& o, std::vector<uint64_t> initial)
+      : objective(o), load(std::move(initial)), penalty(load.size()) {
+    for (size_t p = 0; p < load.size(); ++p) Refresh(p);
+  }
+  void Add(PartitionId p) {
+    ++load[p];
+    Refresh(p);
+  }
+  void Remove(PartitionId p) {
+    --load[p];
+    Refresh(p);
+  }
+
+ private:
+  void Refresh(size_t p) { penalty[p] = objective.Penalty(load[p]); }
 };
 
 /// Fills `count` (k entries) with v's neighbours per partition, counting
@@ -69,14 +101,15 @@ void CountNeighbourParts(const Graph& graph, VertexId v,
 template <typename Objective>
 PartitionId PlaceBest(const Objective& objective,
                       const std::vector<uint32_t>& count,
-                      const std::vector<uint64_t>& load, uint64_t* evals) {
+                      const Loads<Objective>& loads, uint64_t* evals) {
+  const std::vector<uint64_t>& load = loads.load;
   const PartitionId k = static_cast<PartitionId>(load.size());
   PartitionId best = 0;
   uint64_t open = 0;  // also "found": no open partition scored yet while 0
   double best_score = 0;
   for (PartitionId p = 0; p < k; ++p) {
     if (!objective.Open(load[p])) continue;
-    const double score = objective.Score(count[p], 0.0, load[p]);
+    const double score = objective.Score(count[p], 0.0, loads.penalty[p]);
     if (open++ == 0 || score > best_score ||
         (score == best_score && load[p] < load[best])) {
       best = p;
@@ -105,7 +138,7 @@ VertexPartitioning StreamVertices(const Graph& graph, PartitionId k,
   const auto assigned = [&assignment](VertexId u) {
     return assignment[u] != kInvalidPartition;
   };
-  std::vector<uint64_t> load(k, 0);
+  Loads loads(objective, std::vector<uint64_t>(k, 0));
   std::vector<uint32_t> count(k, 0);
   std::vector<VertexId> order(n);
   std::iota(order.begin(), order.end(), 0);
@@ -113,11 +146,11 @@ VertexPartitioning StreamVertices(const Graph& graph, PartitionId k,
   for (int pass = 0; pass < passes; ++pass) {
     rng.Shuffle(&order);
     for (VertexId v : order) {
-      if (assigned(v)) --load[assignment[v]];
+      if (assigned(v)) loads.Remove(assignment[v]);
       CountNeighbourParts(graph, v, assignment, assigned, &count);
-      const PartitionId best = PlaceBest(objective, count, load, evals);
+      const PartitionId best = PlaceBest(objective, count, loads, evals);
       assignment[v] = best;
-      ++load[best];
+      loads.Add(best);
     }
   }
   return result;
@@ -156,8 +189,10 @@ Result<VertexPartitioning> RestreamVertices(
   result.k = k;
   std::vector<PartitionId>& assignment = result.assignment;
   assignment = prior;
-  std::vector<uint64_t> load(k, 0);
-  for (PartitionId p : prior) ++load[p];
+  std::vector<uint64_t> prior_load(k, 0);
+  for (PartitionId p : prior) ++prior_load[p];
+  Loads loads(objective, std::move(prior_load));
+  const std::vector<uint64_t>& load = loads.load;
   std::vector<uint32_t> count(k, 0);
   std::vector<VertexId> order(n);
   std::iota(order.begin(), order.end(), 0);
@@ -172,21 +207,22 @@ Result<VertexPartitioning> RestreamVertices(
     pass_moves = 0;
     for (VertexId v : order) {
       const PartitionId cur = assignment[v];
-      --load[cur];
+      loads.Remove(cur);
       CountNeighbourParts(graph, v, assignment,
                           [](VertexId) { return true; }, &count);
       PartitionId best = cur;
-      double best_score = objective.Score(count[cur], stay_bonus, load[cur]);
+      double best_score =
+          objective.Score(count[cur], stay_bonus, loads.penalty[cur]);
       for (PartitionId p = 0; p < k; ++p) {
         if (p == cur || !objective.Open(load[p])) continue;
-        const double score = objective.Score(count[p], 0.0, load[p]);
+        const double score = objective.Score(count[p], 0.0, loads.penalty[p]);
         if (score > best_score) {
           best_score = score;
           best = p;
         }
       }
       assignment[v] = best;
-      ++load[best];
+      loads.Add(best);
       if (best != cur) ++pass_moves;
     }
     moves += pass_moves;

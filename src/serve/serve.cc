@@ -34,13 +34,19 @@ double SortedQuantile(const std::vector<double>& sorted, double q) {
 /// uncontended (closed-form) barrier times until the serving window is
 /// covered. Returns the number of steps replayed. `offered` accrues
 /// per-host offered bytes for flow conservation.
-uint64_t AppendCotenantFlows(const DistDglEpochProfile& profile,
+///
+/// A step is sampled when the replay first reaches it, its k worker cells
+/// under ParallelSample, and its costs are kept for the laps that wrap past
+/// the epoch's last step; a short window samples only the steps it uses.
+uint64_t AppendCotenantFlows(const Graph& graph,
+                             const VertexPartitioning& owners,
+                             const DistDglEpochPlan& plan,
                              const ServeConfig& config,
                              const net::Fabric& fabric,
                              std::vector<net::Flow>* flows,
                              std::vector<double>* offered) {
-  const PartitionId k = profile.workers;
-  std::vector<MiniBatchCost> costs(k);
+  const PartitionId k = owners.k;
+  std::vector<MiniBatchCost> costs;  // [step * k + worker], steps reached
   auto append = [&](PartitionId w, double t, const CommCost& comm) {
     net::AppendHostFlows(fabric, static_cast<int>(w), t + comm.start,
                          comm.bytes, comm.rounds, /*weight=*/1.0, flows);
@@ -52,30 +58,41 @@ uint64_t AppendCotenantFlows(const DistDglEpochProfile& profile,
 
   uint64_t steps = 0;
   double t = 0;
-  while (t < config.workload.duration && profile.steps > 0) {
-    const size_t step = static_cast<size_t>(steps) % profile.steps;
+  while (t < config.workload.duration && plan.steps > 0) {
+    const size_t step = static_cast<size_t>(steps) % plan.steps;
+    if (step * k == costs.size()) {
+      costs.resize(costs.size() + k);
+      MiniBatchCost* const cells = &costs[step * k];
+      ParallelSample(graph, k, "sim/distdgl",
+                     [&](const NeighborSampler& sampler, size_t begin,
+                         size_t end) {
+        for (size_t w = begin; w < end; ++w) {
+          const PartitionId worker = static_cast<PartitionId>(w);
+          cells[w] = DistDglMiniBatchCost(
+              SampleDistDglStep(plan, sampler, owners, config.gnn.fanouts,
+                                step, worker),
+              config.gnn, config.cluster, k);
+        }
+      });
+    }
+    const MiniBatchCost* const c = &costs[step * k];
     // The BSP barriers between phases use the closed form so the replay
     // schedule itself never depends on serving traffic.
     double barrier_sampling = 0, barrier_feature = 0, barrier_forward = 0,
            barrier_backward = 0;
     for (PartitionId w = 0; w < k; ++w) {
-      costs[w] = DistDglMiniBatchCost(profile.profiles[step][w], config.gnn,
-                                      config.cluster, k);
-      const MiniBatchCost& c = costs[w];
-      append(w, t, c.sampling);
-      barrier_sampling = std::max(barrier_sampling, finish(c.sampling));
-      barrier_feature = std::max(barrier_feature, finish(c.feature));
-      barrier_forward = std::max(barrier_forward, c.forward_seconds);
-      barrier_backward = std::max(barrier_backward, finish(c.backward));
+      append(w, t, c[w].sampling);
+      barrier_sampling = std::max(barrier_sampling, finish(c[w].sampling));
+      barrier_feature = std::max(barrier_feature, finish(c[w].feature));
+      barrier_forward = std::max(barrier_forward, c[w].forward_seconds);
+      barrier_backward = std::max(barrier_backward, finish(c[w].backward));
     }
     const double t_feature = t + barrier_sampling;
-    for (PartitionId w = 0; w < k; ++w) append(w, t_feature, costs[w].feature);
+    for (PartitionId w = 0; w < k; ++w) append(w, t_feature, c[w].feature);
     const double t_backward = t_feature + barrier_feature + barrier_forward;
-    for (PartitionId w = 0; w < k; ++w) {
-      append(w, t_backward, costs[w].backward);
-    }
+    for (PartitionId w = 0; w < k; ++w) append(w, t_backward, c[w].backward);
     // The model update is the same for every worker.
-    t = t_backward + barrier_backward + costs[0].update_seconds;
+    t = t_backward + barrier_backward + c[0].update_seconds;
     ++steps;
   }
   return steps;
@@ -193,12 +210,11 @@ Result<ServeReport> RunServe(const Graph& graph,
     const VertexSplit split = VertexSplit::MakeRandom(
         graph.num_vertices(), config.train_fraction,
         config.validation_fraction, config.seed ^ 0xC07E);
-    Result<DistDglEpochProfile> cotenant = ProfileDistDglEpoch(
-        graph, owners, split, config.gnn.fanouts,
-        config.gnn.global_batch_size, config.seed ^ 0xC07E);
-    if (!cotenant.ok()) return cotenant.status();
-    report.cotenant_steps = AppendCotenantFlows(cotenant.value(), config,
-                                                fabric, &flows, &offered);
+    Result<DistDglEpochPlan> plan = PlanDistDglEpoch(
+        owners, split, config.gnn.global_batch_size, config.seed ^ 0xC07E);
+    if (!plan.ok()) return plan.status();
+    report.cotenant_steps = AppendCotenantFlows(
+        graph, owners, plan.value(), config, fabric, &flows, &offered);
   }
 
   // --- One global weighted flow simulation over the whole window. The

@@ -57,6 +57,52 @@ double DistDglEpochProfile::InputVertexBalance() const {
   return acc / static_cast<double>(profiles.size());
 }
 
+Result<DistDglEpochPlan> PlanDistDglEpoch(const VertexPartitioning& parts,
+                                          const VertexSplit& split,
+                                          size_t global_batch_size,
+                                          uint64_t seed) {
+  if (global_batch_size == 0) {
+    return Status::InvalidArgument("global batch size must be > 0");
+  }
+  const std::vector<VertexId>& train = split.train_vertices();
+  if (train.empty()) {
+    return Status::FailedPrecondition("no training vertices in the split");
+  }
+  DistDglEpochPlan plan;
+  plan.steps = (train.size() + global_batch_size - 1) / global_batch_size;
+  plan.local_batch = std::max<size_t>(1, global_batch_size / parts.k);
+  plan.shards.resize(parts.k);
+  for (VertexId v : train) {
+    if (v >= parts.assignment.size()) {
+      return Status::InvalidArgument(
+          "partitioning does not cover the training vertices");
+    }
+    plan.shards[parts.assignment[v]].push_back(v);
+  }
+  plan.rng = Rng(seed);
+  for (auto& shard : plan.shards) plan.rng.Shuffle(&shard);
+  // An empty shard shuffles nothing, so filling it afterwards leaves the
+  // generator where the shuffle left it.
+  for (auto& shard : plan.shards) {
+    if (shard.empty()) shard = train;
+  }
+  return plan;
+}
+
+MiniBatchProfile SampleDistDglStep(const DistDglEpochPlan& plan,
+                                   const NeighborSampler& sampler,
+                                   const VertexPartitioning& parts,
+                                   const std::vector<size_t>& fanouts,
+                                   size_t step, PartitionId w) {
+  const std::vector<VertexId>& shard = plan.shards[w];
+  std::vector<VertexId> seeds(plan.local_batch);
+  for (size_t i = 0; i < plan.local_batch; ++i) {
+    seeds[i] = shard[(step * plan.local_batch + i) % shard.size()];
+  }
+  Rng rng = plan.rng.Fork((step << 8) ^ w);
+  return sampler.SampleBatch(seeds, fanouts, &parts, w, &rng);
+}
+
 Result<DistDglEpochProfile> ProfileDistDglEpoch(
     const Graph& graph, const VertexPartitioning& parts,
     const VertexSplit& split, const std::vector<size_t>& fanouts,
@@ -64,53 +110,28 @@ Result<DistDglEpochProfile> ProfileDistDglEpoch(
   if (parts.assignment.size() != graph.num_vertices()) {
     return Status::InvalidArgument("partitioning does not match the graph");
   }
-  if (global_batch_size == 0) {
-    return Status::InvalidArgument("global batch size must be > 0");
-  }
-  if (split.train_vertices().empty()) {
-    return Status::FailedPrecondition("no training vertices in the split");
-  }
-  const PartitionId k = parts.k;
-  const size_t local_batch = std::max<size_t>(1, global_batch_size / k);
-
-  // Shard training vertices by owning partition (DistDGL locality).
-  std::vector<std::vector<VertexId>> shards(k);
-  for (VertexId v : split.train_vertices()) {
-    shards[parts.assignment[v]].push_back(v);
-  }
-  Rng rng(seed);
-  for (auto& shard : shards) rng.Shuffle(&shard);
+  Result<DistDglEpochPlan> planned =
+      PlanDistDglEpoch(parts, split, global_batch_size, seed);
+  if (!planned.ok()) return planned.status();
+  const DistDglEpochPlan& plan = planned.value();
 
   DistDglEpochProfile epoch;
-  epoch.workers = k;
-  epoch.steps = (split.train_vertices().size() + global_batch_size - 1) /
-                global_batch_size;
+  epoch.workers = parts.k;
+  epoch.steps = plan.steps;
   epoch.profiles.resize(epoch.steps);
 
-  // Each (step, worker) cell is independent: seeds follow from the step
-  // index in closed form (the serial cursor advanced by local_batch per
-  // step) and every cell forks its own RNG stream off the post-shuffle
-  // state. Steps are therefore simulated concurrently. Everything inside a
-  // chunk — the per-machine loop and SampleBatch itself, which is serial —
-  // runs on the chunk's thread, so with fewer steps than threads the pool
-  // is underused; that regime is small by construction (steps ~ |train| /
-  // batch).
+  // Each (step, worker) cell is independent (SampleDistDglStep), so steps
+  // are sampled concurrently. Everything inside a chunk — the per-machine
+  // loop and SampleBatch itself, which is serial — runs on the chunk's
+  // thread, so with fewer steps than threads the pool is underused; that
+  // regime is small by construction (steps ~ |train| / batch).
   ParallelSample(graph, epoch.steps, "sim/distdgl",
                  [&](const NeighborSampler& sampler, size_t begin, size_t end) {
-    std::vector<VertexId> seeds;
     for (size_t step = begin; step < end; ++step) {
-      epoch.profiles[step].reserve(k);
-      for (PartitionId w = 0; w < k; ++w) {
-        seeds.clear();
-        const auto& shard = shards[w].empty()
-                                ? split.train_vertices()  // empty: global
-                                : shards[w];
-        for (size_t i = 0; i < local_batch; ++i) {
-          seeds.push_back(shard[(step * local_batch + i) % shard.size()]);
-        }
-        Rng worker_rng = rng.Fork((step << 8) ^ w);
+      epoch.profiles[step].reserve(parts.k);
+      for (PartitionId w = 0; w < parts.k; ++w) {
         epoch.profiles[step].push_back(
-            sampler.SampleBatch(seeds, fanouts, &parts, w, &worker_rng));
+            SampleDistDglStep(plan, sampler, parts, fanouts, step, w));
       }
     }
   });

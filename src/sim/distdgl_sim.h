@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/status.h"
 #include "gnn/model_config.h"
 #include "graph/graph.h"
@@ -40,11 +41,40 @@ struct DistDglEpochProfile {
   double InputVertexBalance() const;
 };
 
+/// What one epoch fixes before it samples: the training vertices sharded by
+/// owning partition (DistDGL's locality-aware data loading) and shuffled
+/// once, the generator state after that shuffle, and the per-worker batch
+/// size. A worker whose partition owns no training vertex draws from all
+/// of them, in split order.
+struct DistDglEpochPlan {
+  size_t steps = 0;
+  size_t local_batch = 0;
+  std::vector<std::vector<VertexId>> shards;  // per worker
+  Rng rng{0};
+};
+
+/// Shards and shuffles the split's training vertices for `parts.k` workers
+/// with Rng(seed). `steps` is ceil(|train| / global_batch_size).
+Result<DistDglEpochPlan> PlanDistDglEpoch(const VertexPartitioning& parts,
+                                          const VertexSplit& split,
+                                          size_t global_batch_size,
+                                          uint64_t seed);
+
+/// Samples worker `w`'s mini batch of step `step`. Its seeds follow from the
+/// step in closed form (the shard read cyclically, `local_batch` per step),
+/// and it forks its own generator stream off the plan's, so any subset of
+/// cells, in any order and on any thread, samples what the whole epoch
+/// would.
+MiniBatchProfile SampleDistDglStep(const DistDglEpochPlan& plan,
+                                   const NeighborSampler& sampler,
+                                   const VertexPartitioning& parts,
+                                   const std::vector<size_t>& fanouts,
+                                   size_t step, PartitionId w);
+
 /// Runs the real layered neighbourhood sampler for every worker and step of
-/// one epoch. Each worker draws its seeds from the training vertices local
-/// to its partition (DistDGL's locality-aware data loading); workers with
-/// fewer local training vertices recycle their shard so that every worker
-/// runs every step, as in DistDGL.
+/// one epoch planned by PlanDistDglEpoch. Workers with fewer local training
+/// vertices recycle their shard so that every worker runs every step, as in
+/// DistDGL.
 Result<DistDglEpochProfile> ProfileDistDglEpoch(
     const Graph& graph, const VertexPartitioning& parts,
     const VertexSplit& split, const std::vector<size_t>& fanouts,

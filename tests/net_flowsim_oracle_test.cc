@@ -2,10 +2,13 @@
 // engine (tests/flowsim_oracle.*): randomized weighted flow sets on all
 // three fabrics must give bitwise-equal completion times, link usage, flow
 // details and link samples, and so must same-instant retirements from two
-// components. Also pins the engine's work counters.
+// components, and serve-scale flow sets. Also pins the engine's work
+// counters.
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -145,6 +148,85 @@ TEST(FlowSimOracleTest, IndexedEngineMatchesWholeSetScanBitwise) {
   }
 }
 
+/// A serve-scale flow set: `count` flows at weight 1 or 4 (co-tenant
+/// training against serving, as RunServe weighs them), arriving one at a
+/// time over `window` seconds from uniform random hosts and routes, each
+/// with up to `max_bytes`. Offered near the fabric's capacity, the backlog
+/// builds to about a thousand active flows, and slots are reused
+/// throughout.
+std::vector<net::Flow> StaggeredFlows(const net::Fabric& fabric, size_t count,
+                                      double window, double max_bytes,
+                                      Rng* rng) {
+  std::vector<net::Flow> flows;
+  for (size_t i = 0; i < count; ++i) {
+    net::Flow f;
+    f.host = static_cast<int>(rng->NextBounded(
+        static_cast<uint64_t>(fabric.num_hosts())));
+    const std::vector<net::Route>& routes = fabric.HostRoutes(f.host);
+    const net::Route& route = routes[rng->NextBounded(routes.size())];
+    f.dst = route.dst;
+    f.links = route.links;
+    f.start = window * rng->NextDouble();
+    f.bytes = max_bytes * rng->NextDouble();
+    f.latency_rounds = static_cast<double>(rng->NextBounded(4));
+    f.weight = rng->NextBernoulli(0.5) ? 1.0 : 4.0;
+    flows.push_back(std::move(f));
+  }
+  return flows;
+}
+
+/// The most flows draining at once: a flow drains from its start until its
+/// completion less its latency rounds.
+size_t PeakActive(const net::Fabric& fabric,
+                  const std::vector<net::Flow>& flows,
+                  const std::vector<double>& completion) {
+  std::vector<std::pair<double, int>> edges;
+  for (size_t i = 0; i < flows.size(); ++i) {
+    edges.emplace_back(flows[i].start, 1);
+    edges.emplace_back(completion[i] - flows[i].latency_rounds *
+                                           fabric.config().link_latency,
+                       -1);
+  }
+  std::sort(edges.begin(), edges.end());
+  size_t active = 0, peak = 0;
+  for (const auto& [t, delta] : edges) {
+    active += static_cast<size_t>(static_cast<int64_t>(delta));
+    peak = std::max(peak, active);
+  }
+  return peak;
+}
+
+TEST(FlowSimOracleTest, ServeScaleFlowSetsMatchBitwise) {
+  // The serve-contended fabrics at the flow counts RunServe hands the
+  // engine: thousands of admissions into reused slots and water-fills over
+  // hundreds of members per component.
+  // Bytes per fabric put the peak backlog near 1,000 flows.
+  const std::pair<std::string, double> kCases[] = {{"fat-tree-rack4", 1.4e5},
+                                                   {"ring8", 1.9e5}};
+  for (const FabricCase& fc : Fabrics()) {
+    const auto* it =
+        std::find_if(std::begin(kCases), std::end(kCases),
+                     [&](const auto& c) { return c.first == fc.name; });
+    if (it == std::end(kCases)) continue;
+    SCOPED_TRACE(fc.name);
+    const net::Fabric fabric(fc.config, fc.hosts);
+    Rng rng(977);
+    const std::vector<net::Flow> flows =
+        StaggeredFlows(fabric, 5000, 0.5, it->second, &rng);
+    net::LinkUsage usage, oracle_usage;
+    std::vector<obs::Event> log, oracle_log;
+    const std::vector<double> finish =
+        net::SimulateFlows(fabric, flows, &usage, &log);
+    EXPECT_EQ(finish, net::oracle::SimulateFlows(fabric, flows, &oracle_usage,
+                                                 &oracle_log));
+    ExpectUsageEq(usage, oracle_usage);
+    ExpectLogEq(log, oracle_log);
+    const size_t peak = PeakActive(fabric, flows, finish);
+    EXPECT_GE(peak, 700u);
+    EXPECT_LE(peak, 1500u);
+  }
+}
+
 /// The first of `host`'s routes whose links all lie in [lo, hi).
 const net::Route& RouteWithin(const net::Fabric& fabric, int host, int lo,
                               int hi) {
@@ -214,9 +296,12 @@ TEST(FlowSimOracleTest, WorkCountersTallyEventsAndFillRounds) {
   b.start = 1e-3;
   const uint64_t events = CounterValue("net/flowsim/events");
   const uint64_t rounds = CounterValue("net/flowsim/fill_rounds");
+  const uint64_t members = CounterValue("net/flowsim/fill_members");
   net::SimulateFlows(fabric, {a, b}, nullptr);
   EXPECT_EQ(CounterValue("net/flowsim/events") - events, 3u);
   EXPECT_EQ(CounterValue("net/flowsim/fill_rounds") - rounds, 3u);
+  // Water-filled members: {A}, {A, B}, then {B} once A has retired.
+  EXPECT_EQ(CounterValue("net/flowsim/fill_members") - members, 4u);
 
   // Two components (nic0, nic1). A drains on nic0 from 0 to 8 ms while B
   // (1 to 1.8 ms) and C (3 to 3.8 ms) come and go on nic1, so nic0 is
@@ -233,9 +318,14 @@ TEST(FlowSimOracleTest, WorkCountersTallyEventsAndFillRounds) {
   d.start = 3e-3;
   const uint64_t events2 = CounterValue("net/flowsim/events");
   const uint64_t rounds2 = CounterValue("net/flowsim/fill_rounds");
+  const uint64_t members2 = CounterValue("net/flowsim/fill_members");
   net::SimulateFlows(fabric, {a, c, d}, nullptr);
   EXPECT_EQ(CounterValue("net/flowsim/events") - events2, 5u);
   EXPECT_EQ(CounterValue("net/flowsim/fill_rounds") - rounds2, 7u);
+  // Only the components an event changed are water-filled: nic0 once for
+  // A; nic1 at each of C's and D's admissions (one member) and retirements
+  // (none), so 1 + 1 + 0 + 1 + 0.
+  EXPECT_EQ(CounterValue("net/flowsim/fill_members") - members2, 3u);
 }
 
 }  // namespace

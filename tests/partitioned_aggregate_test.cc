@@ -31,10 +31,12 @@ TEST_P(PartitionedAggregateTest, EqualsGlobalMeanAggregate) {
   Rng rng(3);
   Matrix h = Matrix::Xavier(g.num_vertices(), 8, &rng);
   Matrix global = MeanAggregate(g, h);
-  PartitionedAggregateResult dist = PartitionedMeanAggregate(g, *parts, h);
-  ASSERT_TRUE(global.SameShape(dist.aggregated));
+  Result<PartitionedAggregateResult> dist =
+      PartitionedMeanAggregate(g, *parts, h);
+  ASSERT_TRUE(dist.ok()) << dist.status().ToString();
+  ASSERT_TRUE(global.SameShape(dist->aggregated));
   for (size_t i = 0; i < global.data().size(); ++i) {
-    EXPECT_NEAR(global.data()[i], dist.aggregated.data()[i], 1e-4)
+    EXPECT_NEAR(global.data()[i], dist->aggregated.data()[i], 1e-4)
         << "entry " << i;
   }
 }
@@ -46,10 +48,12 @@ TEST_P(PartitionedAggregateTest, SyncVolumeMatchesMetrics) {
   auto parts = MakeEdgePartitioner(GetParam())->Partition(g, 8, 13);
   ASSERT_TRUE(parts.ok());
   Matrix h(g.num_vertices(), 4, 1.0f);
-  PartitionedAggregateResult dist = PartitionedMeanAggregate(g, *parts, h);
+  Result<PartitionedAggregateResult> dist =
+      PartitionedMeanAggregate(g, *parts, h);
+  ASSERT_TRUE(dist.ok()) << dist.status().ToString();
   EdgePartitionMetrics m = ComputeEdgePartitionMetrics(g, *parts);
-  EXPECT_EQ(dist.synced_partials, m.total_replicas);
-  EXPECT_DOUBLE_EQ(dist.synced_bytes,
+  EXPECT_EQ(dist->synced_partials, m.total_replicas);
+  EXPECT_DOUBLE_EQ(dist->synced_bytes,
                    static_cast<double>(m.total_replicas) * 4 * sizeof(float));
 }
 
@@ -70,7 +74,10 @@ TEST(PartitionedAggregateTest, BetterPartitionerSyncsLess) {
   auto bytes = [&](EdgePartitionerId id) {
     auto parts = MakeEdgePartitioner(id)->Partition(g, 8, 13);
     EXPECT_TRUE(parts.ok());
-    return PartitionedMeanAggregate(g, *parts, h).synced_bytes;
+    Result<PartitionedAggregateResult> dist =
+        PartitionedMeanAggregate(g, *parts, h);
+    EXPECT_TRUE(dist.ok()) << dist.status().ToString();
+    return dist.ok() ? dist->synced_bytes : 0.0;
   };
   EXPECT_LT(bytes(EdgePartitionerId::kHep100),
             bytes(EdgePartitionerId::kRandom));
@@ -82,9 +89,29 @@ TEST(PartitionedAggregateTest, SinglePartitionSyncsNothing) {
                    ->Partition(g, 1, 13);
   ASSERT_TRUE(parts.ok());
   Matrix h(g.num_vertices(), 4, 1.0f);
-  PartitionedAggregateResult dist = PartitionedMeanAggregate(g, *parts, h);
-  EXPECT_EQ(dist.synced_partials, 0u);
-  EXPECT_EQ(dist.synced_bytes, 0.0);
+  Result<PartitionedAggregateResult> dist =
+      PartitionedMeanAggregate(g, *parts, h);
+  ASSERT_TRUE(dist.ok()) << dist.status().ToString();
+  EXPECT_EQ(dist->synced_partials, 0u);
+  EXPECT_EQ(dist->synced_bytes, 0.0);
+}
+
+TEST(PartitionedAggregateTest, EdgeOutsideTheMasksIsNamed) {
+  // An edge on a partition that has no partial rows fails the call with a
+  // status naming the edge and the partition, instead of reading past the
+  // partial buffers.
+  Graph g = AggGraph();
+  auto parts = MakeEdgePartitioner(EdgePartitionerId::kRandom)
+                   ->Partition(g, 2, 13);
+  ASSERT_TRUE(parts.ok());
+  parts->assignment[5] = 2;
+  Matrix h(g.num_vertices(), 4, 1.0f);
+  Result<PartitionedAggregateResult> dist =
+      PartitionedMeanAggregate(g, *parts, h);
+  ASSERT_FALSE(dist.ok());
+  const std::string message = dist.status().ToString();
+  EXPECT_NE(message.find("edge 5 ("), std::string::npos) << message;
+  EXPECT_NE(message.find("on partition 2"), std::string::npos) << message;
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 #include "sim/partitioned_aggregate.h"
 
 #include <bit>
+#include <string>
 
 namespace gnnpart {
 
-PartitionedAggregateResult PartitionedMeanAggregate(
+Result<PartitionedAggregateResult> PartitionedMeanAggregate(
     const Graph& graph, const EdgePartitioning& parts, const Matrix& in) {
   const size_t n = graph.num_vertices();
   const size_t d = in.cols();
@@ -25,8 +26,12 @@ PartitionedAggregateResult PartitionedMeanAggregate(
   for (PartitionId p = 0; p < parts.k; ++p) {
     local_index[p].assign(n, UINT32_MAX);
   }
+  // Rows only for partitions below k; an edge on any other is reported
+  // below.
+  const uint64_t in_range =
+      parts.k >= 64 ? ~uint64_t{0} : (uint64_t{1} << parts.k) - 1;
   for (VertexId v = 0; v < n; ++v) {
-    uint64_t mask = masks[v];
+    uint64_t mask = masks[v] & in_range;
     while (mask) {
       PartitionId p = static_cast<PartitionId>(std::countr_zero(mask));
       local_index[p][v] = sizes[p]++;
@@ -42,6 +47,22 @@ PartitionedAggregateResult PartitionedMeanAggregate(
     PartitionId p = parts.assignment[e];
     VertexId u = edges[e].src;
     VertexId v = edges[e].dst;
+    // A partial row exists only where the replica mask says so; an edge
+    // outside it is reported here rather than read out of bounds.
+    const std::string where = "edge " + std::to_string(e) + " (" +
+                              std::to_string(u) + ", " + std::to_string(v) +
+                              ") on partition " + std::to_string(p);
+    if (p >= parts.k) {
+      return Status::Internal(where + ": partition out of range for k = " +
+                              std::to_string(parts.k));
+    }
+    for (VertexId w : {u, v}) {
+      if (((masks[w] >> p) & 1) == 0) {
+        return Status::Internal(where + ": the replica mask of vertex " +
+                                std::to_string(w) +
+                                " does not cover the partition");
+      }
+    }
     float* urow = partial[p].Row(local_index[p][u]);
     float* vrow = partial[p].Row(local_index[p][v]);
     const float* uin = in.Row(u);

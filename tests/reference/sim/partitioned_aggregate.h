@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
 #include "gnn/tensor.h"
 #include "graph/graph.h"
 #include "partition/partitioning.h"
@@ -28,7 +29,9 @@ struct PartitionedAggregateResult {
   double synced_bytes = 0;
 };
 
-PartitionedAggregateResult PartitionedMeanAggregate(
+/// An edge whose partition is not covered by the replica mask of one of its
+/// endpoints is Internal, naming the edge and the partition.
+Result<PartitionedAggregateResult> PartitionedMeanAggregate(
     const Graph& graph, const EdgePartitioning& parts, const Matrix& in);
 
 }  // namespace gnnpart

@@ -24,11 +24,14 @@
 #include "net/flowsim.h"
 #include "net/topology.h"
 #include "obs/events.h"
+#include "obs/metrics.h"
 #include "partition/edge/registry.h"
+#include "sampling/neighbor_sampler.h"
 #include "serve/batcher.h"
 #include "serve/serve.h"
 #include "serve/workload.h"
 #include "sim/cluster.h"
+#include "sim/distdgl_sim.h"
 
 namespace gnnpart {
 namespace {
@@ -217,6 +220,104 @@ TEST(ServeRunTest, ReportByteIdenticalAcrossThreads) {
     EXPECT_EQ(report->cotenant_steps, reference.cotenant_steps);
   }
   SetDefaultThreads(1);
+}
+
+uint64_t CounterValue(const std::string& name) {
+  for (const obs::MetricRow& row : obs::Snapshot().rows) {
+    if (row.name == name) return row.value;
+  }
+  return 0;
+}
+
+/// RunServe's co-tenant epoch: the split and profile seeds serve.cc derives
+/// from the config.
+VertexSplit CotenantSplit(const Graph& g, const serve::ServeConfig& config) {
+  return VertexSplit::MakeRandom(g.num_vertices(), config.train_fraction,
+                                 config.validation_fraction,
+                                 config.seed ^ 0xC07E);
+}
+
+/// The sampler batches one RunServe call drew beyond its serving batches.
+uint64_t CotenantBatchesSampled(const Graph& g, const VertexPartitioning& owners,
+                                const serve::ServeConfig& config,
+                                serve::ServeReport* report) {
+  const uint64_t before = CounterValue("sampler/neighbor/batches");
+  Result<serve::ServeReport> run = serve::RunServe(g, owners, config, nullptr);
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  if (!run.ok()) return 0;
+  *report = std::move(run).value();
+  return CounterValue("sampler/neighbor/batches") - before - report->batches;
+}
+
+void ExpectProfilesEqual(const MiniBatchProfile& want,
+                         const MiniBatchProfile& got, const std::string& where) {
+  EXPECT_EQ(want.seeds, got.seeds) << where;
+  EXPECT_EQ(want.input_vertices, got.input_vertices) << where;
+  EXPECT_EQ(want.local_input_vertices, got.local_input_vertices) << where;
+  EXPECT_EQ(want.remote_input_vertices, got.remote_input_vertices) << where;
+  EXPECT_EQ(want.computation_edges, got.computation_edges) << where;
+  EXPECT_EQ(want.remote_sampling_requests, got.remote_sampling_requests)
+      << where;
+  EXPECT_EQ(want.frontier_sizes, got.frontier_sizes) << where;
+  EXPECT_EQ(want.hop_edges, got.hop_edges) << where;
+}
+
+TEST(ServeRunTest, CotenantSamplesOnlyTheStepsAWindowReplays) {
+  // A window shorter than the co-tenant's epoch samples only the steps it
+  // replays, one batch per worker each, and those steps are the whole
+  // epoch profile's first steps.
+  Graph g = ServeGraph();
+  const PartitionId k = 4;
+  const VertexPartitioning owners = Owners(g, k);
+  serve::ServeConfig config = BaseConfig(k);
+  config.cotenant = true;
+  config.gnn.global_batch_size = 8;
+  config.workload.duration = 0.01;
+  const VertexSplit split = CotenantSplit(g, config);
+  Result<DistDglEpochProfile> epoch =
+      ProfileDistDglEpoch(g, owners, split, config.gnn.fanouts,
+                          config.gnn.global_batch_size, config.seed ^ 0xC07E);
+  ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+
+  serve::ServeReport report;
+  const uint64_t sampled = CotenantBatchesSampled(g, owners, config, &report);
+  ASSERT_GT(report.cotenant_steps, 1u);
+  ASSERT_LT(report.cotenant_steps, epoch->steps);
+  EXPECT_EQ(sampled, report.cotenant_steps * k);
+
+  Result<DistDglEpochPlan> plan = PlanDistDglEpoch(
+      owners, split, config.gnn.global_batch_size, config.seed ^ 0xC07E);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan->steps, epoch->steps);
+  const NeighborSampler sampler(g);
+  for (size_t step = 0; step < report.cotenant_steps; ++step) {
+    for (PartitionId w = 0; w < k; ++w) {
+      ExpectProfilesEqual(
+          epoch->profiles[step][w],
+          SampleDistDglStep(*plan, sampler, owners, config.gnn.fanouts, step,
+                            w),
+          "step " + std::to_string(step) + " worker " + std::to_string(w));
+    }
+  }
+}
+
+TEST(ServeRunTest, CotenantWrappingPastTheEpochSamplesEachStepOnce) {
+  // A window that laps the epoch reuses the steps it has sampled.
+  Graph g = ServeGraph();
+  const PartitionId k = 4;
+  const VertexPartitioning owners = Owners(g, k);
+  serve::ServeConfig config = BaseConfig(k);
+  config.cotenant = true;
+  config.gnn.global_batch_size = 32;
+  Result<DistDglEpochPlan> plan =
+      PlanDistDglEpoch(owners, CotenantSplit(g, config),
+                       config.gnn.global_batch_size, config.seed ^ 0xC07E);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+
+  serve::ServeReport report;
+  const uint64_t sampled = CotenantBatchesSampled(g, owners, config, &report);
+  ASSERT_GT(report.cotenant_steps, plan->steps);
+  EXPECT_EQ(sampled, plan->steps * k);
 }
 
 TEST(ServeRunTest, HeavierServeWeightNeverHurtsTheTailUnderCotenancy) {
